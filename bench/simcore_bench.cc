@@ -2,12 +2,10 @@
 // paths — the event queue (schedule/cancel/fire) and the network fabric's rate
 // recomputation. Emits BENCH_simcore.json so perf work is measured, not asserted.
 //
-// The cancel-churn scenarios run the same workload with tombstone compaction
-// disabled ("before": cancelled entries sit in the heap until their virtual time,
-// the behavior of the pre-compaction queue) and enabled ("after"), so the JSON
-// records events/sec before vs. after as a durable record of the change. The
-// fabric scenarios do the same for the legacy min-share model vs. the
-// work-conserving max-min fabric, pricing the fidelity fix.
+// The cancel-churn scenario prices tombstone compaction under the fabric's
+// cancel-and-reschedule pattern. The fabric scenarios run the legacy min-share
+// model and the work-conserving max-min fabric side by side, pricing the
+// fidelity fix.
 //
 // Each fabric scenario runs twice: bare, and with the invariant audit installed
 // (the "_audit" variants, equivalent to MONO_SIM_AUDIT=report). The audit sweeps
@@ -92,12 +90,11 @@ Scenario BenchScheduleFire(bool telemetry, const char* name) {
 
 // The fabric's signature pattern: every recompute cancels a pending completion
 // and schedules a replacement, so almost every queue entry dies as a tombstone.
-// With compaction disabled this is the pre-compaction queue: tombstones for the
-// far-future horizon accumulate until the run ends.
-Scenario BenchCancelChurn(bool compaction, const char* name) {
+// Compaction keeps the queue bounded instead of holding every far-future
+// tombstone until the run ends.
+Scenario BenchCancelChurn(const char* name) {
   constexpr int kChurn = 1000000;
   monosim::Simulation sim;
-  sim.set_compaction_enabled(compaction);
   monosim::EventHandle pending;
   size_t max_queue = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -318,13 +315,8 @@ int main(int argc, char** argv) {
       scenarios.push_back(BestOf(3, run_schedule_fire_off));
     }
   }
-  if (wanted("cancel_churn_before_compaction")) {
-    scenarios.push_back(
-        BenchCancelChurn(/*compaction=*/false, "cancel_churn_before_compaction"));
-  }
   if (wanted("cancel_churn_after_compaction")) {
-    scenarios.push_back(
-        BenchCancelChurn(/*compaction=*/true, "cancel_churn_after_compaction"));
+    scenarios.push_back(BenchCancelChurn("cancel_churn_after_compaction"));
   }
   // Fabric scenarios. The pair-gated maxmin on/off twins are measured as an
   // interleaved warmed pair (see BestOfPair); the rest run once (their

@@ -403,7 +403,7 @@ void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
                      static_cast<monoutil::Bytes>(data->input.size()));
           });
       read->disk_index = block.disk;
-      read->disk_queue = DiskQueue::kRead;
+      read->disk_phase = monoutil::DiskPhase::kRead;
       inputs.push_back(read.get());
       tasks.push_back(std::move(read));
     } else {
@@ -426,7 +426,7 @@ void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
                            static_cast<monoutil::Bytes>(buffer->size()));
                 });
             serve->disk_index = block.disk;
-            serve->disk_queue = DiskQueue::kServe;
+            serve->disk_phase = monoutil::DiskPhase::kServe;
             // mono_lint: allow(escaping-capture) -- this frame blocks on the future below until the callback fires.
             home.SubmitDetached(std::move(serve), [&served] { served.set_value(); });
             served.get_future().wait();
@@ -480,7 +480,7 @@ void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
             AddBytes(&metrics_->disk_read_bytes, bytes);
           });
       read->disk_index = d;
-      read->disk_queue = DiskQueue::kRead;
+      read->disk_phase = monoutil::DiskPhase::kRead;
       inputs.push_back(read.get());
       tasks.push_back(std::move(read));
     }
@@ -518,7 +518,7 @@ void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
                              static_cast<monoutil::Bytes>(length));
                   });
               serve->disk_index = segment.disk;
-              serve->disk_queue = DiskQueue::kServe;
+              serve->disk_phase = monoutil::DiskPhase::kServe;
               PendingFetch* raw = fetch_state.get();
               home.SubmitDetached(std::move(serve), [raw] { raw->served.set_value(); });
               pending.push_back(std::move(fetch_state));
@@ -625,7 +625,7 @@ void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
           }
         });
     write->disk_index = disk;
-    write->disk_queue = DiskQueue::kWrite;
+    write->disk_phase = monoutil::DiskPhase::kWrite;
     edges.emplace_back(compute_ptr, write.get());
     tasks.push_back(std::move(write));
   } else {

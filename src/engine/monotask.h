@@ -16,20 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "src/common/phase_queue.h"
+
 namespace monotasks {
 
 enum class ResourceType {
   kCpu,
   kDisk,
   kNetwork,
-};
-
-// Which DAG phase a disk monotask belongs to; the disk scheduler round-robins
-// across phases to avoid the convoy effect (§3.3).
-enum class DiskQueue {
-  kRead = 0,
-  kWrite = 1,
-  kServe = 2,
 };
 
 class Monotask {
@@ -67,9 +61,11 @@ class Monotask {
   std::chrono::steady_clock::time_point registered_at{};
   std::chrono::steady_clock::time_point submitted_at{};
 
-  // Disk monotasks: which disk and which phase queue. Set by the creator.
+  // Disk monotasks: which disk and which phase queue; the disk scheduler
+  // round-robins across phases to avoid the convoy effect (§3.3). Set by the
+  // creator.
   int disk_index = 0;
-  DiskQueue disk_queue = DiskQueue::kRead;
+  monoutil::DiskPhase disk_phase = monoutil::DiskPhase::kRead;
 
  private:
   static std::atomic<Id>& Counter();

@@ -1,6 +1,7 @@
 #include "src/engine/resource_schedulers.h"
 
 #include <chrono>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/common/tracing/metrics_registry.h"
@@ -11,47 +12,37 @@ using monoutil::MutexLock;
 
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// Lifecycle decomposition (telemetry tentpole): the same queue-wait vs. service
-// split the simulated schedulers record under mono.{cpu,disk}.*, measured here
-// with real clocks on the engine's worker threads. The histograms are lock-free,
-// so recording from every worker concurrently is safe and cheap.
-void StampSubmit(Monotask* task) {
-  if (monotrace::TelemetryEnabled()) {
-    task->submitted_at = std::chrono::steady_clock::now();
-  }
-}
-
-// Records the wait into `wait_hist` and returns it (0 when the submit stamp is
-// missing, i.e. telemetry was off at submit time).
-double RecordPickup(Monotask* task, monotrace::LatencyHistogram* wait_hist,
-                    std::chrono::steady_clock::time_point pickup) {
-  if (!monotrace::TelemetryEnabled() ||
-      task->submitted_at == std::chrono::steady_clock::time_point{}) {
-    return 0.0;
-  }
-  const double wait = std::chrono::duration<double>(pickup - task->submitted_at).count();
-  wait_hist->Add(wait);
-  return wait;
+// engine.{cpu,disk,net}<suffix>.
+monotrace::LatencyHistogram* EngineHistogram(ResourceType resource, const char* suffix) {
+  const char* name = resource == ResourceType::kCpu    ? "cpu"
+                     : resource == ResourceType::kDisk ? "disk"
+                                                       : "net";
+  return monotrace::MetricsRegistry::Global().Histogram(std::string("engine.") + name +
+                                                        suffix);
 }
 
 }  // namespace
 
-CpuScheduler::CpuScheduler(int num_threads, CompletionCallback on_complete)
-    : on_complete_(std::move(on_complete)) {
-  MONO_CHECK(num_threads >= 1);
+// Lifecycle decomposition (telemetry): the same queue-wait vs. service split the
+// simulated schedulers record under mono.{cpu,disk}.*, measured here with real
+// clocks on the worker threads. The histograms are lock-free, so recording from
+// every worker concurrently is safe and cheap.
+ResourceScheduler::ResourceScheduler(ResourceType resource, int threads,
+                                     CompletionCallback on_complete)
+    : resource_(resource), on_complete_(std::move(on_complete)),
+      wait_hist_(EngineHistogram(resource, ".queue_wait_seconds")),
+      service_hist_(EngineHistogram(resource, ".service_seconds")),
+      queue_(resource == ResourceType::kDisk ? monoutil::kNumDiskPhases : 1) {
+  MONO_CHECK(threads >= 1);
   MONO_CHECK(on_complete_ != nullptr);
-  for (int t = 0; t < num_threads; ++t) {
+  for (int t = 0; t < threads; ++t) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-CpuScheduler::~CpuScheduler() { Shutdown(); }
+ResourceScheduler::~ResourceScheduler() { Shutdown(); }
 
-void CpuScheduler::Shutdown() {
+void ResourceScheduler::Shutdown() {
   {
     const MutexLock lock(mutex_);
     shutdown_ = true;
@@ -64,28 +55,22 @@ void CpuScheduler::Shutdown() {
   }
 }
 
-void CpuScheduler::Submit(Monotask* task) {
+void ResourceScheduler::Submit(Monotask* task) {
   MONO_CHECK(task != nullptr);
-  MONO_CHECK(task->resource() == ResourceType::kCpu);
-  StampSubmit(task);
+  MONO_CHECK(task->resource() == resource_);
+  if (monotrace::TelemetryEnabled()) {
+    task->submitted_at = std::chrono::steady_clock::now();
+  }
+  const int phase =
+      resource_ == ResourceType::kDisk ? static_cast<int>(task->disk_phase) : 0;
   {
     const MutexLock lock(mutex_);
-    queue_.push_back(task);
+    queue_.Push(phase, task);
   }
   cv_.NotifyOne();
 }
 
-int CpuScheduler::queue_length() const {
-  const MutexLock lock(mutex_);
-  return static_cast<int>(queue_.size());
-}
-
-int CpuScheduler::running() const {
-  const MutexLock lock(mutex_);
-  return running_;
-}
-
-void CpuScheduler::WorkerLoop() {
+void ResourceScheduler::WorkerLoop() {
   while (true) {
     Monotask* task = nullptr;
     {
@@ -96,228 +81,25 @@ void CpuScheduler::WorkerLoop() {
       if (shutdown_) {
         return;
       }
-      task = queue_.front();
-      queue_.pop_front();
-      ++running_;
+      task = queue_.Pop();
     }
     const auto start = std::chrono::steady_clock::now();
-    static monotrace::LatencyHistogram* wait_hist =
-        monotrace::MetricsRegistry::Global().Histogram("engine.cpu.queue_wait_seconds");
-    task->set_queue_wait_seconds(RecordPickup(task, wait_hist, start));
+    // The wait is 0 when the submit stamp is missing (telemetry was off at
+    // submit time).
+    double wait = 0.0;
+    if (monotrace::TelemetryEnabled() &&
+        task->submitted_at != std::chrono::steady_clock::time_point{}) {
+      wait = std::chrono::duration<double>(start - task->submitted_at).count();
+      wait_hist_->Add(wait);
+    }
+    task->set_queue_wait_seconds(wait);
     task->Run();
-    const double service = SecondsSince(start);
+    const double service =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     task->set_service_seconds(service);
     if (monotrace::TelemetryEnabled()) {
-      static monotrace::LatencyHistogram* service_hist =
-          monotrace::MetricsRegistry::Global().Histogram("engine.cpu.service_seconds");
-      service_hist->Add(service);
+      service_hist_->Add(service);
     }
-    {
-      const MutexLock lock(mutex_);
-      --running_;
-    }
-    on_complete_(task, service);
-  }
-}
-
-DiskScheduler::DiskScheduler(int max_outstanding, CompletionCallback on_complete)
-    : on_complete_(std::move(on_complete)) {
-  MONO_CHECK(max_outstanding >= 1);
-  MONO_CHECK(on_complete_ != nullptr);
-  for (int t = 0; t < max_outstanding; ++t) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-DiskScheduler::~DiskScheduler() { Shutdown(); }
-
-void DiskScheduler::Shutdown() {
-  {
-    const MutexLock lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.NotifyAll();
-  for (auto& thread : threads_) {
-    if (thread.joinable()) {
-      thread.join();
-    }
-  }
-}
-
-void DiskScheduler::Submit(Monotask* task) {
-  MONO_CHECK(task != nullptr);
-  MONO_CHECK(task->resource() == ResourceType::kDisk);
-  StampSubmit(task);
-  {
-    const MutexLock lock(mutex_);
-    queues_[static_cast<size_t>(task->disk_queue)].push_back(task);
-  }
-  cv_.NotifyOne();
-}
-
-int DiskScheduler::queue_length() const {
-  const MutexLock lock(mutex_);
-  int total = 0;
-  for (const auto& queue : queues_) {
-    total += static_cast<int>(queue.size());
-  }
-  return total;
-}
-
-int DiskScheduler::queued_writes() const {
-  const MutexLock lock(mutex_);
-  return static_cast<int>(queues_[static_cast<size_t>(DiskQueue::kWrite)].size());
-}
-
-int DiskScheduler::running() const {
-  const MutexLock lock(mutex_);
-  return running_;
-}
-
-bool DiskScheduler::AnyQueuedLocked() const {
-  for (const auto& queue : queues_) {
-    if (!queue.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Monotask* DiskScheduler::PopNextLocked() {
-  // Round-robin across non-empty phase queues, continuing after the last served
-  // phase, so a backlog of writes cannot starve reads (§3.3).
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const int phase = (rr_cursor_ + attempt) % 3;
-    auto& queue = queues_[static_cast<size_t>(phase)];
-    if (!queue.empty()) {
-      Monotask* task = queue.front();
-      queue.pop_front();
-      rr_cursor_ = (phase + 1) % 3;
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void DiskScheduler::WorkerLoop() {
-  while (true) {
-    Monotask* task = nullptr;
-    {
-      MutexLock lock(mutex_);
-      while (!shutdown_ && !AnyQueuedLocked()) {
-        cv_.Wait(mutex_);
-      }
-      if (shutdown_) {
-        return;
-      }
-      task = PopNextLocked();
-      if (task == nullptr) {
-        continue;
-      }
-      ++running_;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    static monotrace::LatencyHistogram* wait_hist =
-        monotrace::MetricsRegistry::Global().Histogram("engine.disk.queue_wait_seconds");
-    task->set_queue_wait_seconds(RecordPickup(task, wait_hist, start));
-    task->Run();
-    const double service = SecondsSince(start);
-    task->set_service_seconds(service);
-    if (monotrace::TelemetryEnabled()) {
-      static monotrace::LatencyHistogram* service_hist =
-          monotrace::MetricsRegistry::Global().Histogram("engine.disk.service_seconds");
-      service_hist->Add(service);
-    }
-    {
-      const MutexLock lock(mutex_);
-      --running_;
-    }
-    on_complete_(task, service);
-  }
-}
-
-NetworkScheduler::NetworkScheduler(int multitask_limit, int num_threads,
-                                   CompletionCallback on_complete)
-    : on_complete_(std::move(on_complete)), limit_(multitask_limit) {
-  MONO_CHECK(multitask_limit >= 1);
-  MONO_CHECK(num_threads >= multitask_limit);
-  MONO_CHECK(on_complete_ != nullptr);
-  for (int t = 0; t < num_threads; ++t) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-NetworkScheduler::~NetworkScheduler() { Shutdown(); }
-
-void NetworkScheduler::Shutdown() {
-  {
-    const MutexLock lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.NotifyAll();
-  for (auto& thread : threads_) {
-    if (thread.joinable()) {
-      thread.join();
-    }
-  }
-}
-
-void NetworkScheduler::Submit(Monotask* task) {
-  MONO_CHECK(task != nullptr);
-  MONO_CHECK(task->resource() == ResourceType::kNetwork);
-  StampSubmit(task);
-  {
-    const MutexLock lock(mutex_);
-    queue_.push_back(task);
-  }
-  cv_.NotifyOne();
-}
-
-int NetworkScheduler::queue_length() const {
-  const MutexLock lock(mutex_);
-  return static_cast<int>(queue_.size());
-}
-
-int NetworkScheduler::active() const {
-  const MutexLock lock(mutex_);
-  return running_;
-}
-
-void NetworkScheduler::WorkerLoop() {
-  while (true) {
-    Monotask* task = nullptr;
-    {
-      MutexLock lock(mutex_);
-      // Admission: at most `limit_` fetch sets outstanding at once.
-      while (!shutdown_ && (queue_.empty() || running_ >= limit_)) {
-        cv_.Wait(mutex_);
-      }
-      if (shutdown_) {
-        return;
-      }
-      task = queue_.front();
-      queue_.pop_front();
-      ++running_;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    // For the network scheduler the wait includes admission-gating time (the
-    // multitask limit), the engine analogue of mono.net.acquire_wait_seconds.
-    static monotrace::LatencyHistogram* wait_hist =
-        monotrace::MetricsRegistry::Global().Histogram("engine.net.queue_wait_seconds");
-    task->set_queue_wait_seconds(RecordPickup(task, wait_hist, start));
-    task->Run();
-    const double service = SecondsSince(start);
-    task->set_service_seconds(service);
-    if (monotrace::TelemetryEnabled()) {
-      static monotrace::LatencyHistogram* service_hist =
-          monotrace::MetricsRegistry::Global().Histogram("engine.net.service_seconds");
-      service_hist->Add(service);
-    }
-    {
-      const MutexLock lock(mutex_);
-      --running_;
-    }
-    cv_.NotifyOne();  // A slot freed; admit the next waiter.
     on_complete_(task, service);
   }
 }

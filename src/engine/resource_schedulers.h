@@ -1,46 +1,50 @@
-// Threaded per-resource schedulers for the execution engine (§3.3, real threads).
+// Threaded per-resource scheduler for the execution engine (§3.3, real threads).
 //
-// Each scheduler owns exactly as many worker threads as monotasks that may use its
-// resource concurrently — one per core for the CPU scheduler, one per HDD (or the
-// flash outstanding count per SSD) for the disk scheduler — and queues everything
-// else. Queue lengths are observable, which is how the architecture makes contention
-// visible. Completion callbacks run on the scheduler thread that executed the
-// monotask; callers (the LocalDagScheduler) must be thread-safe.
+// A scheduler owns exactly as many worker threads as monotasks that may use its
+// resource concurrently — one per core for the CPU scheduler, the outstanding
+// count per disk, and the receiver-side multitask limit for the network — and
+// queues everything else under the shared PhaseQueue policy
+// (src/common/phase_queue.h): one FIFO for CPU and network, one per DiskPhase
+// served round-robin for a disk. Completion callbacks run on the scheduler
+// thread that executed the monotask; callers (the LocalDagScheduler) must be
+// thread-safe.
 #ifndef MONOTASKS_SRC_ENGINE_RESOURCE_SCHEDULERS_H_
 #define MONOTASKS_SRC_ENGINE_RESOURCE_SCHEDULERS_H_
 
-#include <array>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/common/domain.h"
 #include "src/common/mutex.h"
+#include "src/common/phase_queue.h"
 #include "src/common/thread_annotations.h"
 #include "src/engine/monotask.h"
+
+namespace monotrace {
+class LatencyHistogram;
+}  // namespace monotrace
 
 namespace monotasks {
 
 // Fires when a monotask finishes running; receives the task and its service time.
 using CompletionCallback = std::function<void(Monotask*, double service_seconds)>;
 
-// A fixed pool of threads draining a FIFO of monotasks: the CPU scheduler runs one
-// monotask per core.
-class CpuScheduler {
+class ResourceScheduler {
  public:
-  // Machine side of the threaded engine; applies to all three schedulers in
-  // this header. Static annotation only — cross-thread discipline is enforced
-  // by thread_annotations.h, not the runtime domain tracker.
+  // Machine side of the threaded engine. Static annotation only — cross-thread
+  // discipline is enforced by thread_annotations.h, not the runtime domain
+  // tracker.
   MONO_DOMAIN("machine");
 
-  CpuScheduler(int num_threads, CompletionCallback on_complete);
-  ~CpuScheduler();
+  // Runs `resource` monotasks on `threads` threads: at most `threads` at once.
+  ResourceScheduler(ResourceType resource, int threads, CompletionCallback on_complete);
+  ~ResourceScheduler();
 
-  CpuScheduler(const CpuScheduler&) = delete;
-  CpuScheduler& operator=(const CpuScheduler&) = delete;
+  ResourceScheduler(const ResourceScheduler&) = delete;
+  ResourceScheduler& operator=(const ResourceScheduler&) = delete;
 
+  // Queues `task`; disk monotasks go to the queue of task->disk_phase.
   void Submit(Monotask* task) EXCLUDES(mutex_);
 
   // Stops and joins the worker threads; idempotent, but must only be called by
@@ -50,95 +54,19 @@ class CpuScheduler {
   // inside Submit()/notify on another).
   void Shutdown() EXCLUDES(mutex_);
 
-  int queue_length() const EXCLUDES(mutex_);
-  int running() const EXCLUDES(mutex_);
-  int max_concurrency() const { return static_cast<int>(threads_.size()); }
-
  private:
   void WorkerLoop();
 
+  const ResourceType resource_;
   CompletionCallback on_complete_;
-  mutable monoutil::Mutex mutex_;
+  // engine.{cpu,disk,net}.{queue_wait,service}_seconds. For the network the
+  // wait includes admission time, the engine analogue of
+  // mono.net.acquire_wait_seconds.
+  monotrace::LatencyHistogram* wait_hist_;
+  monotrace::LatencyHistogram* service_hist_;
+  monoutil::Mutex mutex_;
   monoutil::CondVar cv_;
-  std::deque<Monotask*> queue_ GUARDED_BY(mutex_);
-  int running_ GUARDED_BY(mutex_) = 0;
-  bool shutdown_ GUARDED_BY(mutex_) = false;
-  // Immutable after construction (joined in Shutdown only).
-  std::vector<std::thread> threads_;
-};
-
-// One scheduler per disk: `max_outstanding` threads (1 for an HDD) drain three
-// phase queues (read / write / serve) in round-robin order.
-class DiskScheduler {
- public:
-  MONO_DOMAIN("machine");
-
-  DiskScheduler(int max_outstanding, CompletionCallback on_complete);
-  ~DiskScheduler();
-
-  DiskScheduler(const DiskScheduler&) = delete;
-  DiskScheduler& operator=(const DiskScheduler&) = delete;
-
-  // Uses task->disk_queue to pick the phase queue.
-  void Submit(Monotask* task) EXCLUDES(mutex_);
-
-  // Stops and joins the worker threads; idempotent (see CpuScheduler::Shutdown).
-  void Shutdown() EXCLUDES(mutex_);
-
-  int queue_length() const EXCLUDES(mutex_);
-  int queued_writes() const EXCLUDES(mutex_);
-  int running() const EXCLUDES(mutex_);
-  int max_concurrency() const { return static_cast<int>(threads_.size()); }
-
- private:
-  void WorkerLoop();
-  Monotask* PopNextLocked() REQUIRES(mutex_);
-  bool AnyQueuedLocked() const REQUIRES(mutex_);
-
-  CompletionCallback on_complete_;
-  mutable monoutil::Mutex mutex_;
-  monoutil::CondVar cv_;
-  std::array<std::deque<Monotask*>, 3> queues_ GUARDED_BY(mutex_);
-  int rr_cursor_ GUARDED_BY(mutex_) = 0;
-  int running_ GUARDED_BY(mutex_) = 0;
-  bool shutdown_ GUARDED_BY(mutex_) = false;
-  // Immutable after construction (joined in Shutdown only).
-  std::vector<std::thread> threads_;
-};
-
-// Receiver-side network admission (§3.3): at most `multitask_limit` multitasks may
-// have shuffle fetches outstanding. Fetch work itself runs on a small thread pool
-// (the flows are rate-limited by the fabric, so threads mostly sleep in limiters).
-class NetworkScheduler {
- public:
-  MONO_DOMAIN("machine");
-
-  NetworkScheduler(int multitask_limit, int num_threads, CompletionCallback on_complete);
-  ~NetworkScheduler();
-
-  NetworkScheduler(const NetworkScheduler&) = delete;
-  NetworkScheduler& operator=(const NetworkScheduler&) = delete;
-
-  // Submits the network monotask of one multitask (it performs that multitask's
-  // whole fetch set). Admission is gated by the multitask limit.
-  void Submit(Monotask* task) EXCLUDES(mutex_);
-
-  // Stops and joins the worker threads; idempotent (see CpuScheduler::Shutdown).
-  void Shutdown() EXCLUDES(mutex_);
-
-  int queue_length() const EXCLUDES(mutex_);
-  int active() const EXCLUDES(mutex_);
-  int max_concurrency() const { return limit_; }
-
- private:
-  void WorkerLoop();
-
-  CompletionCallback on_complete_;
-  const int limit_;
-  mutable monoutil::Mutex mutex_;
-  monoutil::CondVar cv_;
-  std::deque<Monotask*> queue_ GUARDED_BY(mutex_);
-  int running_ GUARDED_BY(mutex_) = 0;
+  monoutil::PhaseQueue<Monotask*> queue_ GUARDED_BY(mutex_);
   bool shutdown_ GUARDED_BY(mutex_) = false;
   // Immutable after construction (joined in Shutdown only).
   std::vector<std::thread> threads_;

@@ -31,14 +31,14 @@ Worker::Worker(int id, const EngineConfig& config, InProcessFabric* fabric)
   auto on_complete = [this](Monotask* task, double service) {
     OnComplete(task, service);
   };
-  cpu_ = std::make_unique<CpuScheduler>(config.cores_per_worker, on_complete);
+  cpu_ = std::make_unique<ResourceScheduler>(ResourceType::kCpu, config.cores_per_worker,
+                                             on_complete);
   for (int d = 0; d < config.disks_per_worker; ++d) {
-    disk_schedulers_.push_back(
-        std::make_unique<DiskScheduler>(config.disk_outstanding, on_complete));
+    disk_schedulers_.push_back(std::make_unique<ResourceScheduler>(
+        ResourceType::kDisk, config.disk_outstanding, on_complete));
   }
-  network_ = std::make_unique<NetworkScheduler>(config.network_multitask_limit,
-                                                config.network_multitask_limit,
-                                                on_complete);
+  network_ = std::make_unique<ResourceScheduler>(
+      ResourceType::kNetwork, config.network_multitask_limit, on_complete);
   dag_ = std::make_unique<LocalDagScheduler>([this](Monotask* task) { Route(task); });
 }
 

@@ -90,12 +90,6 @@ class Worker {
   int num_disks() const { return static_cast<int>(disks_.size()); }
   InProcessFabric& fabric() { return *fabric_; }
 
-  CpuScheduler& cpu_scheduler() { return *cpu_; }
-  DiskScheduler& disk_scheduler(int index) {
-    return *disk_schedulers_[static_cast<size_t>(index)];
-  }
-  NetworkScheduler& network_scheduler() { return *network_; }
-
   // §3.4: multitasks assigned concurrently = sum of per-resource concurrency + 1.
   int MultitaskLimit() const;
 
@@ -123,9 +117,9 @@ class Worker {
   EngineConfig config_;
   InProcessFabric* fabric_;
   std::vector<std::unique_ptr<SimulatedBlockDevice>> disks_;
-  std::unique_ptr<CpuScheduler> cpu_;
-  std::vector<std::unique_ptr<DiskScheduler>> disk_schedulers_;
-  std::unique_ptr<NetworkScheduler> network_;
+  std::unique_ptr<ResourceScheduler> cpu_;
+  std::vector<std::unique_ptr<ResourceScheduler>> disk_schedulers_;
+  std::unique_ptr<ResourceScheduler> network_;
   std::unique_ptr<LocalDagScheduler> dag_;
   std::atomic<int> next_write_disk_{0};
   std::atomic<int> next_serve_disk_{0};

@@ -27,13 +27,13 @@ MonotasksExecutorSim::MonotasksExecutorSim(Simulation* sim, ClusterSim* cluster,
   for (int m = 0; m < cluster_->num_machines(); ++m) {
     WorkerState& worker = workers_[static_cast<size_t>(m)];
     MachineSim& machine = cluster_->machine(m);
-    worker.cpu = std::make_unique<CpuSchedulerSim>(sim_, &machine);
+    worker.cpu = std::make_unique<SlotSchedulerSim>(sim_, &machine);
     worker.cpu->SetTraceSeries(TraceProcess(m), "cpu-queue");
     for (int d = 0; d < machine.num_disks(); ++d) {
       const int outstanding = machine.disk(d).config().type == DiskType::kHdd
                                   ? config_.hdd_outstanding
                                   : config_.ssd_outstanding;
-      worker.disks.push_back(std::make_unique<DiskSchedulerSim>(
+      worker.disks.push_back(std::make_unique<SlotSchedulerSim>(
           sim_, &machine.disk(d), outstanding, config_.fifo_disk_queues));
       worker.disks.back()->SetTraceSeries(TraceProcess(m),
                                           "disk" + std::to_string(d) + "-queue");
@@ -110,11 +110,11 @@ int MonotasksExecutorSim::MultitaskLimit(int machine) const {
   return limit + config_.extra_multitasks;
 }
 
-CpuSchedulerSim& MonotasksExecutorSim::cpu_scheduler(int machine) {
+SlotSchedulerSim& MonotasksExecutorSim::cpu_scheduler(int machine) {
   return *workers_[static_cast<size_t>(machine)].cpu;
 }
 
-DiskSchedulerSim& MonotasksExecutorSim::disk_scheduler(int machine, int disk) {
+SlotSchedulerSim& MonotasksExecutorSim::disk_scheduler(int machine, int disk) {
   return *workers_[static_cast<size_t>(machine)].disks[static_cast<size_t>(disk)];
 }
 

@@ -86,8 +86,8 @@ class MonotasksExecutorSim : public ExecutorSim, public Auditable {
   int MultitaskLimit(int machine) const;
 
   // Scheduler access (used by MonoMultitaskSim and by tests).
-  CpuSchedulerSim& cpu_scheduler(int machine);
-  DiskSchedulerSim& disk_scheduler(int machine, int disk);
+  SlotSchedulerSim& cpu_scheduler(int machine);
+  SlotSchedulerSim& disk_scheduler(int machine, int disk);
   NetworkSchedulerSim& network_scheduler(int machine);
   int num_disks(int machine) const;
 
@@ -117,8 +117,8 @@ class MonotasksExecutorSim : public ExecutorSim, public Auditable {
   friend class MonoMultitaskSim;
 
   struct WorkerState {
-    std::unique_ptr<CpuSchedulerSim> cpu;
-    std::vector<std::unique_ptr<DiskSchedulerSim>> disks;
+    std::unique_ptr<SlotSchedulerSim> cpu;
+    std::vector<std::unique_ptr<SlotSchedulerSim>> disks;
     std::unique_ptr<NetworkSchedulerSim> network;
     int active_multitasks = 0;
     int next_write_disk = 0;

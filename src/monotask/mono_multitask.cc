@@ -19,9 +19,9 @@ using monoutil::Bytes;
 namespace {
 
 // Attributes one disk monotask's service to the machine whose disk performed it.
-void RecordDiskService(monosim::MonotaskTimes* times, int machine, double service,
+void RecordDiskService(monosim::MonotaskTimes* times, int machine, SimTime service,
                        monoutil::Bytes bytes) {
-  times->disk_seconds_per_machine[static_cast<size_t>(machine)] += service;
+  times->disk_seconds_per_machine[static_cast<size_t>(machine)] += service.seconds();
   times->disk_bytes_per_machine[static_cast<size_t>(machine)] += bytes;
 }
 
@@ -49,7 +49,7 @@ void MonoMultitaskSim::TraceSpan(int machine, const std::string& lane_base,
 }
 
 void MonoMultitaskSim::LogMonotask(MonoResource resource, const char* phase,
-                                   int machine, double service, double wait) {
+                                   int machine, SimTime service, SimTime wait) {
   MonotaskLog* log = executor_->monotask_log();
   if (log == nullptr) {
     return;
@@ -58,9 +58,7 @@ void MonoMultitaskSim::LogMonotask(MonoResource resource, const char* phase,
   log->Record(MonotaskRecord{dispatch_id_,
                              assignment_.stage->result().stage_index, machine,
                              resource, phase,
-                             done - monoutil::Seconds(service) -
-                                 monoutil::Seconds(wait),
-                             done - monoutil::Seconds(service), done});
+                             done - service - wait, done - service, done});
 }
 
 void MonoMultitaskSim::Start() {
@@ -113,9 +111,9 @@ void MonoMultitaskSim::StartInputPhase() {
       executor_->disk_scheduler(assignment_.machine, assignment_.input_disk)
           .EnqueueRead(DiskPhase::kRead, assignment_.input_bytes,
                        // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                       [this, times](double service, double wait) {
-                         times->disk_read_seconds += service;
-                         times->disk_queue_wait_seconds += wait;
+                       [this, times](SimTime service, SimTime wait) {
+                         times->disk_read_seconds += service.seconds();
+                         times->disk_queue_wait_seconds += wait.seconds();
                          ++times->disk_count;
                          RecordDiskService(times, assignment_.machine, service,
                                            assignment_.input_bytes);
@@ -123,8 +121,7 @@ void MonoMultitaskSim::StartInputPhase() {
                                      assignment_.machine, service, wait);
                          TraceSpan(assignment_.machine,
                                    "disk" + std::to_string(assignment_.input_disk),
-                                   "disk-read", "disk",
-                                   executor_->sim_->now() - monoutil::Seconds(service));
+                                   "disk-read", "disk", executor_->sim_->now() - service);
                          OnInputPieceDone();
                        });
     } else {
@@ -132,8 +129,8 @@ void MonoMultitaskSim::StartInputPhase() {
       network_slot_held_ = true;
       executor_->network_scheduler(assignment_.machine)
           // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-          .Acquire([this, times](double acquire_wait) {
-        times->network_acquire_wait_seconds += acquire_wait;
+          .Acquire([this, times](SimTime acquire_wait) {
+        times->network_acquire_wait_seconds += acquire_wait.seconds();
         // Value-captured below: the fabric belongs to the cluster and outlives
         // every flow; the spelled-out type keeps the pointee lintable.
         NetworkFabricSim* fabric = &executor_->cluster_->fabric();
@@ -145,9 +142,9 @@ void MonoMultitaskSim::StartInputPhase() {
                   .EnqueueRead(
                       DiskPhase::kServe, assignment_.input_bytes,
                       // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                      [this, times, fabric](double service, double wait) {
-                        times->disk_read_seconds += service;
-                        times->disk_queue_wait_seconds += wait;
+                      [this, times, fabric](SimTime service, SimTime wait) {
+                        times->disk_read_seconds += service.seconds();
+                        times->disk_queue_wait_seconds += wait.seconds();
                         ++times->disk_count;
                         RecordDiskService(times, assignment_.input_machine, service,
                                           assignment_.input_bytes);
@@ -155,8 +152,7 @@ void MonoMultitaskSim::StartInputPhase() {
                                     assignment_.input_machine, service, wait);
                         TraceSpan(assignment_.input_machine,
                                   "disk" + std::to_string(assignment_.input_disk),
-                                  "serve-read", "disk",
-                                  executor_->sim_->now() - monoutil::Seconds(service));
+                                  "serve-read", "disk", executor_->sim_->now() - service);
                         const SimTime flow_start = executor_->sim_->now();
                         fabric->StartFlow(assignment_.input_machine, assignment_.machine,
                                           assignment_.input_bytes,
@@ -166,12 +162,10 @@ void MonoMultitaskSim::StartInputPhase() {
                                                 (executor_->sim_->now() - flow_start)
                                                     .seconds();
                                             ++times->network_count;
-                                            LogMonotask(
-                                                MonoResource::kNetwork, "block-flow",
-                                                assignment_.machine,
-                                                (executor_->sim_->now() - flow_start)
-                                                    .seconds(),
-                                                0.0);
+                                            LogMonotask(MonoResource::kNetwork,
+                                                        "block-flow", assignment_.machine,
+                                                        executor_->sim_->now() - flow_start,
+                                                        SimTime());
                                             TraceSpan(assignment_.machine, "net-in",
                                                       "block-flow", "network", flow_start);
                                             executor_->network_scheduler(assignment_.machine)
@@ -212,16 +206,16 @@ void MonoMultitaskSim::StartInputPhase() {
       executor_->disk_scheduler(assignment_.machine, disk)
           .EnqueueRead(DiskPhase::kRead, local_bytes,
                        // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                       [this, times, local_bytes, disk](double service,
-                                                        double wait) {
-            times->disk_read_seconds += service;
-            times->disk_queue_wait_seconds += wait;
+                       [this, times, local_bytes, disk](SimTime service,
+                                                        SimTime wait) {
+            times->disk_read_seconds += service.seconds();
+            times->disk_queue_wait_seconds += wait.seconds();
             ++times->disk_count;
             RecordDiskService(times, assignment_.machine, service, local_bytes);
             LogMonotask(MonoResource::kDisk, "shuffle-read", assignment_.machine,
                         service, wait);
             TraceSpan(assignment_.machine, "disk" + std::to_string(disk),
-                      "shuffle-read", "disk", executor_->sim_->now() - monoutil::Seconds(service));
+                      "shuffle-read", "disk", executor_->sim_->now() - service);
             OnInputPieceDone();
           });
     } else {
@@ -243,8 +237,8 @@ void MonoMultitaskSim::StartInputPhase() {
     executor_->network_scheduler(assignment_.machine)
         // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
         .Acquire([this, remote = std::move(remote), serve_from_disk,
-                  times](double acquire_wait) {
-          times->network_acquire_wait_seconds += acquire_wait;
+                  times](SimTime acquire_wait) {
+          times->network_acquire_wait_seconds += acquire_wait.seconds();
           auto remaining = std::make_shared<int>(static_cast<int>(remote.size()));
           for (const ShufflePortion& portion : remote) {
             // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
@@ -271,12 +265,10 @@ void MonoMultitaskSim::StartInputPhase() {
                                            (executor_->sim_->now() - flow_start)
                                                .seconds();
                                        ++times->network_count;
-                                       LogMonotask(
-                                           MonoResource::kNetwork, "shuffle-fetch",
-                                           assignment_.machine,
-                                           (executor_->sim_->now() - flow_start)
-                                               .seconds(),
-                                           0.0);
+                                       LogMonotask(MonoResource::kNetwork,
+                                                   "shuffle-fetch", assignment_.machine,
+                                                   executor_->sim_->now() - flow_start,
+                                                   SimTime());
                                        TraceSpan(assignment_.machine, "net-in",
                                                  "shuffle-fetch", "network", flow_start);
                                        piece_done();
@@ -288,9 +280,9 @@ void MonoMultitaskSim::StartInputPhase() {
                         .EnqueueRead(DiskPhase::kServe, portion.bytes,
                                      // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
                                      [this, send_back, times, portion,
-                                      disk](double service, double wait) {
-                                       times->disk_read_seconds += service;
-                                       times->disk_queue_wait_seconds += wait;
+                                      disk](SimTime service, SimTime wait) {
+                                       times->disk_read_seconds += service.seconds();
+                                       times->disk_queue_wait_seconds += wait.seconds();
                                        ++times->disk_count;
                                        RecordDiskService(times, portion.src_machine,
                                                          service, portion.bytes);
@@ -299,7 +291,7 @@ void MonoMultitaskSim::StartInputPhase() {
                                        TraceSpan(portion.src_machine,
                                                  "disk" + std::to_string(disk),
                                                  "serve-read", "disk",
-                                                 executor_->sim_->now() - monoutil::Seconds(service));
+                                                 executor_->sim_->now() - service);
                                        send_back();
                                      });
                   } else {
@@ -331,17 +323,17 @@ void MonoMultitaskSim::StartComputePhase() {
   }
   executor_->cpu_scheduler(assignment_.machine)
       // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-      .Enqueue(assignment_.cpu_seconds, [this, times](double service,
-                                                      double wait) {
-        times->compute_seconds += service;
-        times->compute_queue_wait_seconds += wait;
+      .Enqueue(assignment_.cpu_seconds, [this, times](SimTime service,
+                                                      SimTime wait) {
+        times->compute_seconds += service.seconds();
+        times->compute_queue_wait_seconds += wait.seconds();
         times->compute_deser_seconds += assignment_.deser_cpu_seconds;
         times->compute_decompress_seconds += assignment_.decompress_cpu_seconds;
         ++times->compute_count;
         LogMonotask(MonoResource::kCpu, "compute", assignment_.machine, service,
                     wait);
         TraceSpan(assignment_.machine, "cpu", "compute", "cpu",
-                  executor_->sim_->now() - monoutil::Seconds(service));
+                  executor_->sim_->now() - service);
         // Input buffers are released once compute has transformed them; the output
         // buffer exists until the write monotask retires it.
         executor_->RemoveBuffered(assignment_.machine, assignment_.input_bytes);
@@ -360,16 +352,16 @@ void MonoMultitaskSim::StartWritePhase() {
   const int disk = executor_->PickWriteDisk(assignment_.machine);
   executor_->disk_scheduler(assignment_.machine, disk)
       // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-      .EnqueueWrite(write_total_, [this, times, disk](double service,
-                                                      double wait) {
-        times->disk_write_seconds += service;
-        times->disk_queue_wait_seconds += wait;
+      .EnqueueWrite(write_total_, [this, times, disk](SimTime service,
+                                                      SimTime wait) {
+        times->disk_write_seconds += service.seconds();
+        times->disk_queue_wait_seconds += wait.seconds();
         ++times->disk_count;
         RecordDiskService(times, assignment_.machine, service, write_total_);
         LogMonotask(MonoResource::kDisk, "disk-write", assignment_.machine,
                     service, wait);
         TraceSpan(assignment_.machine, "disk" + std::to_string(disk),
-                  "disk-write", "disk", executor_->sim_->now() - monoutil::Seconds(service));
+                  "disk-write", "disk", executor_->sim_->now() - service);
         executor_->RemoveBuffered(assignment_.machine, write_total_);
         Finish();
       });

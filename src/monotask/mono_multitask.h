@@ -64,10 +64,10 @@ class MonoMultitaskSim {
                  const char* category, monoutil::SimTime start);
 
   // Appends one lifecycle record (monotask_log.h) for a monotask of `phase`
-  // that finished now on `machine` after `service` seconds of resource use and
-  // `wait` seconds in the scheduler queue. No-op without an attached log.
+  // that finished now on `machine` after `service` of resource use and `wait`
+  // in the scheduler queue. No-op without an attached log.
   void LogMonotask(MonoResource resource, const char* phase, int machine,
-                   double service, double wait);
+                   monoutil::SimTime service, monoutil::SimTime wait);
 
   MonotasksExecutorSim* executor_;
   TaskAssignment assignment_;

@@ -1,163 +1,130 @@
 #include "src/monotask/resource_schedulers.h"
 
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/tracing/metrics_registry.h"
 #include "src/common/tracing/telemetry.h"
+#include "src/common/tracing/tracer.h"
 
 namespace monosim {
 
 namespace {
 
-// Always-on per-resource latency decomposition (telemetry.h). Pointers resolve
-// once per process; recording is one branch plus a relaxed fetch_add when
-// telemetry is on.
-void RecordCpuTimes(double service, double wait) {
-  if (!monotrace::TelemetryEnabled()) {
-    return;
-  }
-  static monotrace::LatencyHistogram* service_hist =
-      monotrace::MetricsRegistry::Global().Histogram("mono.cpu.service_seconds");
-  static monotrace::LatencyHistogram* wait_hist =
-      monotrace::MetricsRegistry::Global().Histogram(
-          "mono.cpu.queue_wait_seconds");
-  service_hist->Add(service);
-  wait_hist->Add(wait);
-}
-
-void RecordDiskTimes(double service, double wait) {
-  if (!monotrace::TelemetryEnabled()) {
-    return;
-  }
-  static monotrace::LatencyHistogram* service_hist =
-      monotrace::MetricsRegistry::Global().Histogram(
-          "mono.disk.service_seconds");
-  static monotrace::LatencyHistogram* wait_hist =
-      monotrace::MetricsRegistry::Global().Histogram(
-          "mono.disk.queue_wait_seconds");
-  service_hist->Add(service);
-  wait_hist->Add(wait);
-}
-
-void RecordNetAcquireWait(double wait) {
+void RecordNetAcquireWait(SimTime wait) {
   if (!monotrace::TelemetryEnabled()) {
     return;
   }
   static monotrace::LatencyHistogram* wait_hist =
       monotrace::MetricsRegistry::Global().Histogram(
           "mono.net.acquire_wait_seconds");
-  wait_hist->Add(wait);
+  wait_hist->Add(wait.seconds());
 }
 
 }  // namespace
 
-CpuSchedulerSim::CpuSchedulerSim(Simulation* sim, MachineSim* machine)
-    : sim_(sim), machine_(machine), cores_(machine->num_cores()) {
-  MONO_CHECK(sim_ != nullptr);
-  MONO_CHECK(machine_ != nullptr);
-}
-
-void CpuSchedulerSim::Enqueue(double cpu_seconds, MonotaskDone done) {
-  MONO_CHECK(cpu_seconds >= 0);
-  MONO_CHECK(done != nullptr);
-  queue_.push_back(Item{cpu_seconds, sim_->now(), std::move(done)});
-  Dispatch();
-  RecordQueue();
-}
-
-void CpuSchedulerSim::Dispatch() {
-  while (running_ < cores_ && !queue_.empty()) {
-    Item item = std::move(queue_.front());
-    queue_.pop_front();
-    RecordQueue();
-    ++running_;
-    const SimTime dispatched = sim_->now();
-    const double wait = (dispatched - item.enqueued).seconds();
-    machine_->RunCompute(
-        item.cpu_seconds, [this, dispatched, wait, done = std::move(item.done)] {
-          --running_;
-          const double service = (sim_->now() - dispatched).seconds();
-          RecordCpuTimes(service, wait);
-          // Admit the next monotask before reporting completion so the core never
-          // idles waiting for downstream bookkeeping.
-          Dispatch();
-          done(service, wait);
-        });
+void QueueLengthTrace::Record(const Simulation* sim, int length) {
+  if (sim == nullptr) {
+    return;
+  }
+  if (on_) {
+    trace_.Record(sim->now(), static_cast<double>(length));
+  }
+  if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
+    if (!series_.empty()) {
+      tracer->Counter(process_, series_, sim->now().seconds(),
+                      static_cast<double>(length));
+    }
   }
 }
 
-DiskSchedulerSim::DiskSchedulerSim(Simulation* sim, DiskSim* disk, int max_outstanding,
-                                   bool fifo)
-    : sim_(sim), disk_(disk), max_outstanding_(max_outstanding), fifo_(fifo) {
+SlotSchedulerSim::SlotSchedulerSim(Simulation* sim, MachineSim* machine)
+    : sim_(sim), machine_(machine), slots_(machine->num_cores()), queue_(1) {
+  MONO_CHECK(sim_ != nullptr);
+}
+
+SlotSchedulerSim::SlotSchedulerSim(Simulation* sim, DiskSim* disk, int slots, bool fifo)
+    : sim_(sim), disk_(disk), slots_(slots), fifo_(fifo),
+      queue_(monoutil::kNumDiskPhases) {
   MONO_CHECK(sim_ != nullptr);
   MONO_CHECK(disk_ != nullptr);
-  MONO_CHECK(max_outstanding >= 1);
+  MONO_CHECK(slots >= 1);
 }
 
-void DiskSchedulerSim::EnqueueRead(DiskPhase phase, monoutil::Bytes bytes,
+void SlotSchedulerSim::Enqueue(double cpu_seconds, MonotaskDone done) {
+  MONO_CHECK(machine_ != nullptr);
+  MONO_CHECK(cpu_seconds >= 0);
+  Push(0, Item{Op::kCompute, cpu_seconds, monoutil::Bytes(), sim_->now(),
+               std::move(done)});
+}
+
+void SlotSchedulerSim::EnqueueRead(DiskPhase phase, monoutil::Bytes bytes,
                                    MonotaskDone done) {
   MONO_CHECK(phase == DiskPhase::kRead || phase == DiskPhase::kServe);
-  const size_t queue = fifo_ ? 0 : static_cast<size_t>(phase);
-  queues_[queue].push_back(Item{true, bytes, sim_->now(), std::move(done)});
+  Push(static_cast<int>(phase),
+       Item{Op::kRead, 0.0, bytes, sim_->now(), std::move(done)});
+}
+
+void SlotSchedulerSim::EnqueueWrite(monoutil::Bytes bytes, MonotaskDone done) {
+  Push(static_cast<int>(DiskPhase::kWrite),
+       Item{Op::kWrite, 0.0, bytes, sim_->now(), std::move(done)});
+}
+
+void SlotSchedulerSim::Push(int phase, Item item) {
+  MONO_CHECK(item.done != nullptr);
+  queue_.Push(fifo_ ? 0 : phase, std::move(item));
   Dispatch();
   RecordQueue();
 }
 
-void DiskSchedulerSim::EnqueueWrite(monoutil::Bytes bytes, MonotaskDone done) {
-  const size_t queue = fifo_ ? 0 : static_cast<size_t>(DiskPhase::kWrite);
-  queues_[queue].push_back(Item{false, bytes, sim_->now(), std::move(done)});
-  Dispatch();
-  RecordQueue();
-}
-
-int DiskSchedulerSim::queue_length() const {
-  int total = 0;
-  for (const auto& queue : queues_) {
-    total += static_cast<int>(queue.size());
-  }
-  return total;
-}
-
-void DiskSchedulerSim::Dispatch() {
-  while (running_ < max_outstanding_ && queue_length() > 0) {
-    // Round-robin over non-empty phase queues, continuing after the last phase
-    // served, so reads, writes, and shuffle-serves interleave (§3.3). Under memory
-    // pressure, writes jump the rotation to clear buffered data out of memory
-    // (§3.5).
-    int phase = -1;
-    if (under_pressure_ && under_pressure_() &&
-        !queues_[static_cast<size_t>(DiskPhase::kWrite)].empty()) {
-      phase = static_cast<int>(DiskPhase::kWrite);
-    }
-    for (int attempt = 0; phase < 0 && attempt < 3; ++attempt) {
-      const int candidate = (rr_cursor_ + attempt) % 3;
-      if (!queues_[static_cast<size_t>(candidate)].empty()) {
-        phase = candidate;
-        break;
-      }
-    }
-    MONO_CHECK(phase >= 0);
-    rr_cursor_ = (phase + 1) % 3;
-    Item item = std::move(queues_[static_cast<size_t>(phase)].front());
-    queues_[static_cast<size_t>(phase)].pop_front();
+void SlotSchedulerSim::Dispatch() {
+  while (running_ < slots_ && !queue_.empty()) {
+    // Under memory pressure, writes jump the phase rotation to clear buffered
+    // data out of memory (§3.5).
+    const bool pressure = under_pressure_ && under_pressure_();
+    Item item = queue_.Pop(pressure ? static_cast<int>(DiskPhase::kWrite) : -1);
     RecordQueue();
     ++running_;
     const SimTime dispatched = sim_->now();
-    const double wait = (dispatched - item.enqueued).seconds();
+    const SimTime wait = dispatched - item.enqueued;
     auto on_done = [this, dispatched, wait, done = std::move(item.done)] {
       --running_;
-      const double service = (sim_->now() - dispatched).seconds();
-      RecordDiskTimes(service, wait);
+      const SimTime service = sim_->now() - dispatched;
+      RecordTimes(service, wait);
+      // Admit the next monotask before reporting completion so the device never
+      // idles waiting for downstream bookkeeping.
       Dispatch();
       done(service, wait);
     };
-    if (item.is_read) {
-      disk_->Read(item.bytes, std::move(on_done));
-    } else {
-      disk_->Write(item.bytes, std::move(on_done));
+    switch (item.op) {
+      case Op::kCompute:
+        machine_->RunCompute(item.cpu_seconds, std::move(on_done));
+        break;
+      case Op::kRead:
+        disk_->Read(item.bytes, std::move(on_done));
+        break;
+      case Op::kWrite:
+        disk_->Write(item.bytes, std::move(on_done));
+        break;
     }
   }
+}
+
+// Always-on per-resource latency decomposition (telemetry.h). Recording is one
+// branch plus a relaxed fetch_add when telemetry is on.
+void SlotSchedulerSim::RecordTimes(SimTime service, SimTime wait) {
+  if (!monotrace::TelemetryEnabled()) {
+    return;
+  }
+  if (service_hist_ == nullptr) {
+    monotrace::MetricsRegistry& registry = monotrace::MetricsRegistry::Global();
+    const std::string prefix = machine_ != nullptr ? "mono.cpu" : "mono.disk";
+    service_hist_ = registry.Histogram(prefix + ".service_seconds");
+    wait_hist_ = registry.Histogram(prefix + ".queue_wait_seconds");
+  }
+  service_hist_->Add(service.seconds());
+  wait_hist_->Add(wait.seconds());
 }
 
 NetworkSchedulerSim::NetworkSchedulerSim(int multitask_limit, Simulation* sim)
@@ -165,12 +132,12 @@ NetworkSchedulerSim::NetworkSchedulerSim(int multitask_limit, Simulation* sim)
   MONO_CHECK(multitask_limit >= 1);
 }
 
-void NetworkSchedulerSim::Acquire(std::function<void(double)> granted) {
+void NetworkSchedulerSim::Acquire(std::function<void(SimTime)> granted) {
   MONO_CHECK(granted != nullptr);
   if (active_ < limit_) {
     ++active_;
-    RecordNetAcquireWait(0.0);
-    granted(0.0);
+    RecordNetAcquireWait(SimTime());
+    granted(SimTime());
     return;
   }
   waiting_.push_back(Waiter{sim_ != nullptr ? sim_->now() : SimTime(),
@@ -184,8 +151,7 @@ void NetworkSchedulerSim::Release() {
     Waiter waiter = std::move(waiting_.front());
     waiting_.pop_front();
     RecordQueue();
-    const double wait =
-        sim_ != nullptr ? (sim_->now() - waiter.enqueued).seconds() : 0.0;
+    const SimTime wait = sim_ != nullptr ? sim_->now() - waiter.enqueued : SimTime();
     RecordNetAcquireWait(wait);
     waiter.granted(wait);  // Slot transfers directly to the next waiter.
     return;

@@ -5,10 +5,11 @@
 // contention visible as queue length and lets every monotask use the device at full
 // efficiency:
 //
-//   * CpuSchedulerSim      — one compute monotask per core.
-//   * DiskSchedulerSim     — one monotask per HDD (several for flash), with
-//                            round-robin across DAG phases (read / write / shuffle-
-//                            serve) to avoid the convoy effect §3.3 describes.
+//   * SlotSchedulerSim     — a fixed number of slots on one device: one compute
+//                            monotask per core, or one monotask per HDD (several
+//                            for flash) with round-robin across DAG phases (read /
+//                            write / shuffle-serve) via the shared PhaseQueue policy
+//                            (src/common/phase_queue.h).
 //   * NetworkSchedulerSim  — receiver-side admission: fetch sets from at most N
 //                            multitasks outstanding (N = 4 in the paper).
 //
@@ -21,7 +22,7 @@
 #ifndef MONOTASKS_SRC_MONOTASK_RESOURCE_SCHEDULERS_H_
 #define MONOTASKS_SRC_MONOTASK_RESOURCE_SCHEDULERS_H_
 
-#include <array>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
@@ -30,102 +31,73 @@
 #include "src/cluster/disk.h"
 #include "src/cluster/machine.h"
 #include "src/common/domain.h"
-#include "src/common/tracing/tracer.h"
+#include "src/common/phase_queue.h"
 #include "src/simcore/rate_trace.h"
 #include "src/simcore/simulation.h"
 
+namespace monotrace {
+class LatencyHistogram;
+}  // namespace monotrace
+
 namespace monosim {
 
-// Called when a monotask finishes; `service_seconds` is time spent actually
-// using the resource (dispatch to completion), `queue_wait_seconds` the time
-// it sat in the scheduler's queue beforehand (enqueue to dispatch).
-using MonotaskDone =
-    std::function<void(double service_seconds, double queue_wait_seconds)>;
+using monoutil::DiskPhase;
 
-class CpuSchedulerSim {
+// Called when a monotask finishes; `service` is time spent actually using the
+// resource (dispatch to completion), `queue_wait` the time it sat in the
+// scheduler's queue beforehand (enqueue to dispatch).
+using MonotaskDone = std::function<void(SimTime service, SimTime queue_wait)>;
+
+// §3.1: "this design makes resource contention visible as the queue length for
+// each resource". Records a scheduler's queue length as a RateTrace step
+// function (once enabled) and as a counter track in the event tracer (once
+// named), the latter rendered in Perfetto.
+class QueueLengthTrace {
+ public:
+  void Enable(SimTime now) {
+    trace_.Record(now, 0.0);
+    on_ = true;
+  }
+  void SetSeries(std::string process, std::string series) {
+    process_ = std::move(process);
+    series_ = std::move(series);
+  }
+  // `sim` may be null for a standalone scheduler; nothing is recorded then.
+  void Record(const Simulation* sim, int length);
+  const RateTrace& trace() const { return trace_; }
+
+ private:
+  bool on_ = false;
+  RateTrace trace_;
+  std::string process_;
+  std::string series_;
+};
+
+// A fixed number of slots on one device, each running one monotask at a time:
+// the CPU scheduler (slots = cores) or a disk scheduler (slots = outstanding
+// monotasks, one queue per DiskPhase).
+class SlotSchedulerSim {
  public:
   // Per-machine schedulers are owned by the executor's worker state, which
   // outlives the simulation run; `this` captures into device completion
-  // callbacks cannot dangle. Applies to all three schedulers in this header.
+  // callbacks cannot dangle. Applies to both schedulers in this header.
   MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
-  CpuSchedulerSim(Simulation* sim, MachineSim* machine);
+  // CPU scheduler: one slot per core of `machine`.
+  SlotSchedulerSim(Simulation* sim, MachineSim* machine);
+  // Disk scheduler: `slots` is 1 for HDDs; flash uses the configured outstanding
+  // count. `fifo` disables the per-phase round-robin (ablation of §3.3's
+  // queueing design): all monotasks share one FIFO queue.
+  SlotSchedulerSim(Simulation* sim, DiskSim* disk, int slots, bool fifo = false);
 
-  CpuSchedulerSim(const CpuSchedulerSim&) = delete;
-  CpuSchedulerSim& operator=(const CpuSchedulerSim&) = delete;
+  SlotSchedulerSim(const SlotSchedulerSim&) = delete;
+  SlotSchedulerSim& operator=(const SlotSchedulerSim&) = delete;
 
-  // Queues a compute monotask of `cpu_seconds` of single-threaded work.
+  // Queues a compute monotask of `cpu_seconds` of single-threaded work (CPU
+  // scheduler only).
   void Enqueue(double cpu_seconds, MonotaskDone done);
-
-  int running() const { return running_; }
-  int queue_length() const { return static_cast<int>(queue_.size()); }
-  int max_concurrency() const { return cores_; }
-
-  // §3.1: "this design makes resource contention visible as the queue length for
-  // each resource". Tracing records the queue-length step function over time.
-  void EnableQueueTrace() { queue_trace_.Record(sim_->now(), 0.0); trace_on_ = true; }
-  const RateTrace& queue_trace() const { return queue_trace_; }
-
-  // Names the queue-length counter track this scheduler emits into the event
-  // tracer (§3.1's contention signal rendered in Perfetto).
-  void SetTraceSeries(std::string process, std::string series) {
-    trace_process_ = std::move(process);
-    trace_series_ = std::move(series);
-  }
-
- private:
-  struct Item {
-    double cpu_seconds;
-    SimTime enqueued;
-    MonotaskDone done;
-  };
-  void Dispatch();
-  void RecordQueue() {
-    if (trace_on_) {
-      queue_trace_.Record(sim_->now(), static_cast<double>(queue_.size()));
-    }
-    if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
-      if (!trace_series_.empty()) {
-        tracer->Counter(trace_process_, trace_series_, sim_->now().seconds(),
-                        static_cast<double>(queue_.size()));
-      }
-    }
-  }
-  bool trace_on_ = false;
-  RateTrace queue_trace_;
-  std::string trace_process_;
-  std::string trace_series_;
-
-  Simulation* sim_;
-  MachineSim* machine_;
-  int cores_;
-  int running_ = 0;
-  std::deque<Item> queue_;
-};
-
-// DAG phase a disk monotask belongs to; the scheduler round-robins across phases so
-// a backlog of writes cannot starve the reads that feed the CPU (§3.3 "Queueing
-// monotasks").
-enum class DiskPhase {
-  kRead = 0,   // Reading input (DFS block or local shuffle data).
-  kWrite = 1,  // Writing shuffle or output data.
-  kServe = 2,  // Reading shuffle data on behalf of a remote reduce multitask.
-};
-
-class DiskSchedulerSim {
- public:
-  MONO_DOMAIN("machine");
-  MONO_SIM_OWNED;
-
-  // `max_outstanding` is 1 for HDDs; flash uses the configured outstanding count.
-  // `fifo` disables the per-phase round-robin (ablation of §3.3's queueing design):
-  // all monotasks share one FIFO queue.
-  DiskSchedulerSim(Simulation* sim, DiskSim* disk, int max_outstanding, bool fifo = false);
-
-  DiskSchedulerSim(const DiskSchedulerSim&) = delete;
-  DiskSchedulerSim& operator=(const DiskSchedulerSim&) = delete;
-
+  // Queue disk monotasks (disk scheduler only).
   void EnqueueRead(DiskPhase phase, monoutil::Bytes bytes, MonotaskDone done);
   void EnqueueWrite(monoutil::Bytes bytes, MonotaskDone done);
 
@@ -136,75 +108,68 @@ class DiskSchedulerSim {
   }
 
   int running() const { return running_; }
-  int queue_length() const;
+  int queue_length() const { return queue_.size(); }
   // Queued monotasks in the write phase (used by load-aware write placement).
-  int queued_writes() const { return static_cast<int>(queues_[1].size()); }
-  int max_concurrency() const { return max_outstanding_; }
+  int queued_writes() const { return queue_.size(static_cast<int>(DiskPhase::kWrite)); }
+  int max_concurrency() const { return slots_; }
 
-  // Queue-length visibility (§3.1); see CpuSchedulerSim::EnableQueueTrace.
-  void EnableQueueTrace() { queue_trace_.Record(sim_->now(), 0.0); trace_on_ = true; }
-  const RateTrace& queue_trace() const { return queue_trace_; }
-
-  // See CpuSchedulerSim::SetTraceSeries.
+  void EnableQueueTrace() { queue_trace_.Enable(sim_->now()); }
+  const RateTrace& queue_trace() const { return queue_trace_.trace(); }
+  // Names the queue-length counter track this scheduler emits into the tracer.
   void SetTraceSeries(std::string process, std::string series) {
-    trace_process_ = std::move(process);
-    trace_series_ = std::move(series);
+    queue_trace_.SetSeries(std::move(process), std::move(series));
   }
 
  private:
+  enum class Op : uint8_t { kCompute, kRead, kWrite };
   struct Item {
-    bool is_read;
-    monoutil::Bytes bytes;
+    Op op;
+    double cpu_seconds;     // kCompute: CPU work units, not a SimTime span.
+    monoutil::Bytes bytes;  // kRead / kWrite.
     SimTime enqueued;
     MonotaskDone done;
   };
+  // Queues `item` in phase queue `phase` and dispatches.
+  void Push(int phase, Item item);
   void Dispatch();
-  void RecordQueue() {
-    if (trace_on_) {
-      queue_trace_.Record(sim_->now(), static_cast<double>(queue_length()));
-    }
-    if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
-      if (!trace_series_.empty()) {
-        tracer->Counter(trace_process_, trace_series_, sim_->now().seconds(),
-                        static_cast<double>(queue_length()));
-      }
-    }
-  }
-  bool trace_on_ = false;
-  RateTrace queue_trace_;
-  std::string trace_process_;
-  std::string trace_series_;
+  void RecordTimes(SimTime service, SimTime wait);
+  void RecordQueue() { queue_trace_.Record(sim_, queue_.size()); }
 
   Simulation* sim_;
-  DiskSim* disk_;
-  int max_outstanding_;
-  bool fifo_;
+  MachineSim* machine_ = nullptr;  // CPU scheduler.
+  DiskSim* disk_ = nullptr;        // Disk scheduler.
+  int slots_;
+  bool fifo_ = false;
   std::function<bool()> under_pressure_;
   int running_ = 0;
-  std::array<std::deque<Item>, 3> queues_;  // Indexed by DiskPhase (FIFO: queue 0 only).
-  int rr_cursor_ = 0;
+  monoutil::PhaseQueue<Item> queue_;
+  // mono.{cpu,disk}.{service,queue_wait}_seconds, resolved on first use.
+  monotrace::LatencyHistogram* service_hist_ = nullptr;
+  monotrace::LatencyHistogram* wait_hist_ = nullptr;
+  QueueLengthTrace queue_trace_;
 };
 
 // Receiver-side network admission control: at most `multitask_limit` multitasks may
 // have their shuffle requests outstanding at once (§3.3 chose 4 to balance link
-// utilization against pipelining with compute monotasks).
+// utilization against pipelining with compute monotasks). A gate, not a slot
+// scheduler: the granted multitask drives its own flows.
 class NetworkSchedulerSim {
  public:
   MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
-  // `sim` is only needed for queue-length trace timestamps; pass nullptr when the
-  // scheduler is used standalone (tests) and no counter track is named.
+  // `sim` is only needed for queue-wait and queue-length timestamps; pass nullptr
+  // when the scheduler is used standalone (tests) and no counter track is named.
   explicit NetworkSchedulerSim(int multitask_limit, Simulation* sim = nullptr);
 
   NetworkSchedulerSim(const NetworkSchedulerSim&) = delete;
   NetworkSchedulerSim& operator=(const NetworkSchedulerSim&) = delete;
 
   // Requests a fetch slot; `granted` runs (possibly immediately) when one is
-  // free, receiving the time spent waiting for admission (0 when granted
-  // immediately, and always 0 when constructed without a `sim`). The wait is
+  // free, receiving the time spent waiting for admission (zero when granted
+  // immediately, and always zero when constructed without a `sim`). The wait is
   // also recorded into the mono.net.acquire_wait_seconds histogram.
-  void Acquire(std::function<void(double wait_seconds)> granted);
+  void Acquire(std::function<void(SimTime wait)> granted);
   // Releases a slot previously granted; admits the next waiter.
   void Release();
 
@@ -212,33 +177,23 @@ class NetworkSchedulerSim {
   int queue_length() const { return static_cast<int>(waiting_.size()); }
   int max_concurrency() const { return limit_; }
 
-  // See CpuSchedulerSim::SetTraceSeries. Requires a non-null `sim`.
+  // See SlotSchedulerSim::SetTraceSeries. Requires a non-null `sim`.
   void SetTraceSeries(std::string process, std::string series) {
-    trace_process_ = std::move(process);
-    trace_series_ = std::move(series);
+    queue_trace_.SetSeries(std::move(process), std::move(series));
   }
 
  private:
-  void RecordQueue() {
-    if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
-      if (sim_ != nullptr && !trace_series_.empty()) {
-        tracer->Counter(trace_process_, trace_series_, sim_->now().seconds(),
-                        static_cast<double>(waiting_.size()));
-      }
-    }
-  }
-
   struct Waiter {
     SimTime enqueued;
-    std::function<void(double)> granted;
+    std::function<void(SimTime)> granted;
   };
+  void RecordQueue() { queue_trace_.Record(sim_, static_cast<int>(waiting_.size())); }
 
   int limit_;
   Simulation* sim_;
   int active_ = 0;
   std::deque<Waiter> waiting_;
-  std::string trace_process_;
-  std::string trace_series_;
+  QueueLengthTrace queue_trace_;
 };
 
 }  // namespace monosim

@@ -309,8 +309,7 @@ void Simulation::MaybeCompact() {
     return;  // The common case on the schedule fast path: one load, no sums.
   }
   const size_t total = near_sorted_.size() + near_heap_.size() + far_.size();
-  if (!compaction_enabled_ || total < kCompactionMinQueueSize ||
-      tombstones_ * 2 <= total) {
+  if (total < kCompactionMinQueueSize || tombstones_ * 2 <= total) {
     return;
   }
   const auto filter = [this](std::vector<QueueEntry>& entries) {

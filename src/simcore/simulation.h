@@ -217,9 +217,6 @@ class Simulation {
   }
   uint64_t queued_tombstones() const { return tombstones_; }
 
-  // Compaction is on by default; benches switch it off to measure its effect.
-  void set_compaction_enabled(bool enabled) { compaction_enabled_ = enabled; }
-
   // Queues smaller than this never compact: scanning a handful of entries costs
   // more in bookkeeping than the tombstones cost in memory.
   static constexpr size_t kCompactionMinQueueSize = 64;
@@ -381,7 +378,6 @@ class Simulation {
   SimTime limit_when_{-std::numeric_limits<double>::infinity()};
   uint64_t limit_seq_ = 0;
   uint64_t tombstones_ = 0;
-  bool compaction_enabled_ = true;
   std::vector<const Auditable*> auditables_;
   std::vector<InlineCallback> epoch_tasks_;
   // Ping-pong buffer for RunEpochTasks: the running batch swaps in here so new

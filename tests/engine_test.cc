@@ -2,6 +2,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -114,7 +116,7 @@ TEST(FabricTest, RemoteTransfersAreRateLimitedAndCounted) {
 
 TEST(CpuSchedulerTest, RunsAllTasksAndReportsServiceTime) {
   std::atomic<int> completed{0};
-  CpuScheduler scheduler(2, [&](Monotask*, double service) {
+  ResourceScheduler scheduler(ResourceType::kCpu, 2, [&](Monotask*, double service) {
     EXPECT_GE(service, 0.0);
     ++completed;
   });
@@ -135,7 +137,7 @@ TEST(CpuSchedulerTest, ConcurrencyNeverExceedsThreadCount) {
   std::atomic<int> completed{0};
   std::atomic<int> concurrent{0};
   std::atomic<int> max_concurrent{0};
-  CpuScheduler scheduler(3, [&](Monotask*, double) { ++completed; });
+  ResourceScheduler scheduler(ResourceType::kCpu, 3, [&](Monotask*, double) { ++completed; });
   std::vector<std::unique_ptr<Monotask>> tasks;
   for (int i = 0; i < 12; ++i) {
     tasks.push_back(std::make_unique<FunctionMonotask>(
@@ -157,50 +159,57 @@ TEST(CpuSchedulerTest, ConcurrencyNeverExceedsThreadCount) {
 }
 
 TEST(DiskSchedulerTest, RoundRobinAlternatesPhases) {
-  // One-at-a-time disk: queue 3 writes then 3 reads while the disk is busy; the
-  // round-robin must interleave them rather than draining all writes first.
+  // One-at-a-time disk: w0 holds the disk, blocked on a latch, until two more
+  // writes and two reads are queued; the round-robin must then interleave them
+  // rather than draining all writes first.
   std::vector<std::string> order;
   std::mutex order_mutex;
   std::atomic<int> completed{0};
-  DiskScheduler scheduler(1, [&](Monotask*, double) { ++completed; });
+  std::latch w0_started(1);
+  std::latch rest_queued(1);
+  ResourceScheduler scheduler(ResourceType::kDisk, 1,
+                              [&](Monotask*, double) { ++completed; });
 
   std::vector<std::unique_ptr<Monotask>> tasks;
-  auto add = [&](DiskQueue queue, const std::string& label) {
+  auto add = [&](monoutil::DiskPhase phase, const std::string& label) {
     auto task = std::make_unique<FunctionMonotask>(
-        ResourceType::kDisk, label, [&order, &order_mutex, label] {
-          std::this_thread::sleep_for(2ms);
+        ResourceType::kDisk, label, [&, label] {
+          if (label == "w0") {
+            w0_started.count_down();
+            rest_queued.wait();
+          }
           const std::lock_guard<std::mutex> lock(order_mutex);
           order.push_back(label);
         });
-    task->disk_queue = queue;
+    task->disk_phase = phase;
     tasks.push_back(std::move(task));
   };
-  // A long first task holds the disk while the others queue up.
-  add(DiskQueue::kWrite, "w0");
-  add(DiskQueue::kWrite, "w1");
-  add(DiskQueue::kWrite, "w2");
-  add(DiskQueue::kRead, "r0");
-  add(DiskQueue::kRead, "r1");
+  add(monoutil::DiskPhase::kWrite, "w0");
+  add(monoutil::DiskPhase::kWrite, "w1");
+  add(monoutil::DiskPhase::kWrite, "w2");
+  add(monoutil::DiskPhase::kRead, "r0");
+  add(monoutil::DiskPhase::kRead, "r1");
   scheduler.Submit(tasks[0].get());
-  std::this_thread::sleep_for(1ms);  // Let w0 start.
+  w0_started.wait();
   for (size_t i = 1; i < tasks.size(); ++i) {
     scheduler.Submit(tasks[i].get());
   }
+  rest_queued.count_down();
   while (completed.load() < 5) {
     std::this_thread::sleep_for(1ms);
   }
-  // After w0, the round-robin must not run w1 and w2 back-to-back before r0.
-  const auto pos = [&](const std::string& label) {
-    return std::find(order.begin(), order.end(), label) - order.begin();
-  };
-  EXPECT_LT(pos("r0"), pos("w2"));
+  const std::lock_guard<std::mutex> lock(order_mutex);
+  EXPECT_EQ(order, (std::vector<std::string>{"w0", "r0", "w1", "r1", "w2"}));
 }
 
 TEST(NetworkSchedulerTest, AdmissionLimitHolds) {
+  // Receiver-side admission (§3.3): the thread count is the multitask limit, so
+  // at most that many fetch sets are ever outstanding.
   std::atomic<int> completed{0};
   std::atomic<int> concurrent{0};
   std::atomic<int> max_concurrent{0};
-  NetworkScheduler scheduler(2, 4, [&](Monotask*, double) { ++completed; });
+  ResourceScheduler scheduler(ResourceType::kNetwork, /*threads=*/2,
+                              [&](Monotask*, double) { ++completed; });
   std::vector<std::unique_ptr<Monotask>> tasks;
   for (int i = 0; i < 8; ++i) {
     tasks.push_back(std::make_unique<FunctionMonotask>(
@@ -287,10 +296,10 @@ TEST(WorkerTest, EndToEndDagRunsOnWorker) {
   auto write = std::make_unique<FunctionMonotask>(
       ResourceType::kDisk, "write",
       [&worker] { worker.disk(0).Write("x", Buffer(1024, 5)); });
-  write->disk_queue = DiskQueue::kWrite;
+  write->disk_phase = monoutil::DiskPhase::kWrite;
   auto read = std::make_unique<FunctionMonotask>(
       ResourceType::kDisk, "read", [&worker, data] { *data = worker.disk(0).Read("x"); });
-  read->disk_queue = DiskQueue::kRead;
+  read->disk_phase = monoutil::DiskPhase::kRead;
   auto compute = std::make_unique<FunctionMonotask>(
       ResourceType::kCpu, "sum", [data] {
         long sum = 0;

@@ -31,13 +31,13 @@ class SchedulerSimTest : public ::testing::Test {
 };
 
 TEST_F(SchedulerSimTest, CpuSchedulerRunsAtMostCoreCount) {
-  CpuSchedulerSim scheduler(&sim_, machine_.get());
+  SlotSchedulerSim scheduler(&sim_, machine_.get());
   EXPECT_EQ(scheduler.max_concurrency(), 2);
   int done = 0;
   for (int i = 0; i < 5; ++i) {
-    scheduler.Enqueue(1.0, [&](double service, double wait) {
-      EXPECT_NEAR(service, 1.0, 1e-9);  // Never contended: exactly the work.
-      EXPECT_GE(wait, 0.0);
+    scheduler.Enqueue(1.0, [&](SimTime service, SimTime wait) {
+      EXPECT_NEAR(service.seconds(), 1.0, 1e-9);  // Never contended: exactly the work.
+      EXPECT_GE(wait.seconds(), 0.0);
       ++done;
     });
   }
@@ -50,13 +50,13 @@ TEST_F(SchedulerSimTest, CpuSchedulerRunsAtMostCoreCount) {
 }
 
 TEST_F(SchedulerSimTest, CpuServiceTimeExcludesQueueing) {
-  CpuSchedulerSim scheduler(&sim_, machine_.get());
+  SlotSchedulerSim scheduler(&sim_, machine_.get());
   std::vector<double> services;
   std::vector<double> waits;
   for (int i = 0; i < 4; ++i) {
-    scheduler.Enqueue(2.0, [&](double service, double wait) {
-      services.push_back(service);
-      waits.push_back(wait);
+    scheduler.Enqueue(2.0, [&](SimTime service, SimTime wait) {
+      services.push_back(service.seconds());
+      waits.push_back(wait.seconds());
     });
   }
   sim_.Run();
@@ -72,12 +72,12 @@ TEST_F(SchedulerSimTest, CpuServiceTimeExcludesQueueing) {
 }
 
 TEST_F(SchedulerSimTest, DiskSchedulerRunsOneAtATimeOnHdd) {
-  DiskSchedulerSim scheduler(&sim_, &machine_->disk(0), /*max_outstanding=*/1);
+  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), /*slots=*/1);
   std::vector<double> services;
   std::vector<double> waits;
-  auto record = [&](double s, double w) {
-    services.push_back(s);
-    waits.push_back(w);
+  auto record = [&](SimTime s, SimTime w) {
+    services.push_back(s.seconds());
+    waits.push_back(w.seconds());
   };
   scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record);
   scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record);
@@ -95,10 +95,10 @@ TEST_F(SchedulerSimTest, DiskSchedulerRunsOneAtATimeOnHdd) {
 }
 
 TEST_F(SchedulerSimTest, DiskSchedulerRoundRobinsPhases) {
-  DiskSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
+  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
   std::vector<std::string> order;
   auto record = [&](std::string label) {
-    return [&order, label](double, double) { order.push_back(label); };
+    return [&order, label](SimTime, SimTime) { order.push_back(label); };
   };
   // Seed a running monotask, then queue writes before reads.
   scheduler.EnqueueWrite(monoutil::Bytes(100), record("w0"));
@@ -116,10 +116,10 @@ TEST_F(SchedulerSimTest, DiskSchedulerRoundRobinsPhases) {
 }
 
 TEST_F(SchedulerSimTest, FifoAblationDrainsWritesFirst) {
-  DiskSchedulerSim scheduler(&sim_, &machine_->disk(0), 1, /*fifo=*/true);
+  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), 1, /*fifo=*/true);
   std::vector<std::string> order;
   auto record = [&](std::string label) {
-    return [&order, label](double, double) { order.push_back(label); };
+    return [&order, label](SimTime, SimTime) { order.push_back(label); };
   };
   scheduler.EnqueueWrite(monoutil::Bytes(100), record("w0"));
   scheduler.EnqueueWrite(monoutil::Bytes(100), record("w1"));
@@ -129,10 +129,11 @@ TEST_F(SchedulerSimTest, FifoAblationDrainsWritesFirst) {
 }
 
 TEST_F(SchedulerSimTest, SsdSchedulerAllowsMultipleOutstanding) {
-  DiskSchedulerSim scheduler(&sim_, &machine_->disk(0), /*max_outstanding=*/4);
+  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), /*slots=*/4);
   int done = 0;
   for (int i = 0; i < 4; ++i) {
-    scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), [&](double, double) { ++done; });
+    scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100),
+                          [&](SimTime, SimTime) { ++done; });
   }
   EXPECT_EQ(scheduler.running(), 4);
   sim_.Run();
@@ -144,8 +145,8 @@ TEST(NetworkSchedulerSimTest, GatesConcurrentFetchSets) {
   int granted = 0;
   for (int i = 0; i < 5; ++i) {
     // Constructed without a Simulation: the reported wait is always 0.
-    scheduler.Acquire([&](double wait) {
-      EXPECT_EQ(wait, 0.0);
+    scheduler.Acquire([&](SimTime wait) {
+      EXPECT_EQ(wait, SimTime());
       ++granted;
     });
   }
@@ -226,12 +227,12 @@ TEST(BufferCacheSyncTest, AsyncAndSyncWritesCoexist) {
 
 
 TEST_F(SchedulerSimTest, MemoryPressurePrioritizesWrites) {
-  DiskSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
+  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
   bool pressure = false;
   scheduler.set_memory_pressure_fn([&pressure] { return pressure; });
   std::vector<std::string> order;
   auto record = [&](std::string label) {
-    return [&order, label](double, double) { order.push_back(label); };
+    return [&order, label](SimTime, SimTime) { order.push_back(label); };
   };
   // Seed the disk, then queue reads ahead of writes and raise pressure: the writes
   // must jump the round-robin rotation.
@@ -249,12 +250,12 @@ TEST_F(SchedulerSimTest, MemoryPressurePrioritizesWrites) {
 }
 
 TEST_F(SchedulerSimTest, MemoryPressureOffFallsBackToRoundRobin) {
-  DiskSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
+  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
   bool pressure = false;
   scheduler.set_memory_pressure_fn([&pressure] { return pressure; });
   std::vector<std::string> order;
   auto record = [&](std::string label) {
-    return [&order, label](double, double) { order.push_back(label); };
+    return [&order, label](SimTime, SimTime) { order.push_back(label); };
   };
   scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record("r0"));
   scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record("r1"));

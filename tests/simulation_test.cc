@@ -212,18 +212,6 @@ TEST(SimulationTest, CompactionBoundsQueueUnderCancelHeavyChurn) {
   EXPECT_LE(sim.queued_tombstones(), sim.queue_size());
 }
 
-TEST(SimulationTest, CompactionCanBeDisabledForMeasurement) {
-  Simulation sim;
-  sim.set_compaction_enabled(false);
-  EventHandle pending;
-  for (int i = 0; i < 1000; ++i) {
-    pending.Cancel();
-    pending = sim.ScheduleAt(monoutil::Seconds(1e9 + i), [] {});
-  }
-  EXPECT_EQ(sim.queue_size(), 1000u);
-  EXPECT_EQ(sim.queued_tombstones(), 999u);
-}
-
 TEST(SimulationTest, CompactionPreservesEventOrderAndPendingEvents) {
   // Force compactions while live events are interleaved with tombstones and
   // check nothing live is lost, reordered, or fired twice.

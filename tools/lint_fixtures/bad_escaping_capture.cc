@@ -7,7 +7,7 @@
 
 namespace monosim {
 
-class DiskSchedulerSim {
+class SlotSchedulerSim {
  public:
   MONO_DOMAIN("machine");
   void EnqueueRead(int phase, long bytes,
@@ -21,7 +21,7 @@ class TaskSim {
 
  private:
   void Done();
-  DiskSchedulerSim* disk_;
+  SlotSchedulerSim* disk_;
   long bytes_ = 0;
 };
 

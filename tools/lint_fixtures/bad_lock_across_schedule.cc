@@ -9,7 +9,7 @@ namespace monotasks {
 
 class Monotask;
 
-class CpuScheduler {
+class ResourceScheduler {
  public:
   MONO_DOMAIN("machine");
   void Submit(Monotask* task);
@@ -22,7 +22,7 @@ class Router {
  private:
   monoutil::Mutex mutex_;
   std::function<void(Monotask*)> submit_;
-  CpuScheduler* cpu_;
+  ResourceScheduler* cpu_;
 };
 
 void Router::OnComplete(Monotask* task) {

@@ -5,7 +5,7 @@
 
 namespace monosim {
 
-class DiskSchedulerSim {
+class SlotSchedulerSim {
  public:
   MONO_DOMAIN("machine");
   void EnqueueRead(int phase, long bytes,
@@ -21,7 +21,7 @@ class OwnedTaskSim {
 
  private:
   void Done();
-  DiskSchedulerSim* disk_;
+  SlotSchedulerSim* disk_;
   double total_ = 0.0;
 };
 

@@ -8,7 +8,7 @@ namespace monotasks {
 
 class Monotask;
 
-class CpuScheduler {
+class ResourceScheduler {
  public:
   MONO_DOMAIN("machine");
   void Submit(Monotask* task);
@@ -21,7 +21,7 @@ class Router {
  private:
   monoutil::Mutex mutex_;
   std::function<void(Monotask*)> submit_;
-  CpuScheduler* cpu_;
+  ResourceScheduler* cpu_;
   std::vector<Monotask*> ready_;
 };
 

@@ -367,11 +367,11 @@ COMPONENT_ROSTER = (
     "FluidServer", "DiskSim", "BufferCacheSim", "MachineSim", "ClusterSim",
     "NetworkFabricSim", "DfsSim", "TaskPool", "StageExecution", "JobDriver",
     "SimEnvironment", "MonotasksExecutorSim", "MonoMultitaskSim",
-    "CpuSchedulerSim", "DiskSchedulerSim", "NetworkSchedulerSim",
+    "SlotSchedulerSim", "NetworkSchedulerSim",
     "SparkExecutorSim", "SparkTaskSim",
     # Threaded engine (static annotation only; thread_annotations.h carries
     # the runtime discipline there).
-    "Worker", "CpuScheduler", "DiskScheduler", "NetworkScheduler",
+    "Worker", "ResourceScheduler",
     "LocalDagScheduler", "SimulatedBlockDevice", "InProcessFabric",
 )
 
@@ -390,14 +390,13 @@ DEFERRING_METHODS = frozenset({
     ("DiskSim", "Read"), ("DiskSim", "Write"),
     ("BufferCacheSim", "Write"), ("BufferCacheSim", "WriteSync"),
     ("NetworkFabricSim", "StartFlow"), ("NetworkFabricSim", "SendControl"),
-    ("CpuSchedulerSim", "Enqueue"),
-    ("DiskSchedulerSim", "EnqueueRead"), ("DiskSchedulerSim", "EnqueueWrite"),
+    ("SlotSchedulerSim", "Enqueue"),
+    ("SlotSchedulerSim", "EnqueueRead"), ("SlotSchedulerSim", "EnqueueWrite"),
     ("NetworkSchedulerSim", "Acquire"),
     ("SparkExecutorSim", "ServeRead"),
     ("LocalDagScheduler", "SubmitDag"),
     ("Worker", "SubmitDetached"),
-    ("CpuScheduler", "Submit"), ("DiskScheduler", "Submit"),
-    ("NetworkScheduler", "Submit"),
+    ("ResourceScheduler", "Submit"),
 })
 
 # Sanctioned cross-domain call surfaces: (class, method). Mirrors the
@@ -655,8 +654,8 @@ class ClassInfo:
     domain: str | None = None
     sim_owned: bool = False
     # member name -> component class name (includes container-of-component
-    # members: `vector<unique_ptr<DiskSchedulerSim>> disks` maps disks ->
-    # DiskSchedulerSim; chain resolution skips the subscript).
+    # members: `vector<unique_ptr<SlotSchedulerSim>> disks` maps disks ->
+    # SlotSchedulerSim; chain resolution skips the subscript).
     members: dict[str, str] = dataclasses.field(default_factory=dict)
     # method name -> component class it returns by reference/pointer
     # (pass-through accessors; calling one is not a mutation, and chain

@@ -272,7 +272,7 @@ class ProjectIndexTest(unittest.TestCase):
     def test_sim_owned_flag_is_indexed(self) -> None:
         index = mono_lint.build_index([FIXTURES / "good_escaping_capture.cc"])
         self.assertTrue(index.classes["OwnedTaskSim"].sim_owned)
-        self.assertFalse(index.classes["DiskSchedulerSim"].sim_owned)
+        self.assertFalse(index.classes["SlotSchedulerSim"].sim_owned)
 
 
 class SuppressionHygieneTest(unittest.TestCase):

@@ -26,36 +26,41 @@
 //    clock advances — one solve per timestamp instead of one per event. Rate
 //    queries (flow_rate, ActiveFlows, the audit) flush pending work first, so
 //    callers never observe the transient mid-epoch state.
-//  * Sorted share indexes. Every NIC side keeps its flows ordered by current
-//    share (rate-keyed with flow-id tie-breaks), giving O(log n) access to a
-//    side's rate sum, maximum and runner-up share.
+//  * Per-side rate sums. Every NIC side keeps the sum of its flows' current
+//    rates, updated in O(1) on every rate change. The questions that need a
+//    side's maximum or runner-up share (the local patches and the boundary
+//    check below) walk the side's flow list, which changes only on arrival and
+//    departure — never on the far more frequent rate changes.
 //  * Bottleneck-set pruning. A single arrival or departure whose delta provably
-//    cannot change the saturated-side structure is absorbed by an O(log n) local
-//    patch instead of any re-solve: an arrival that fits the free capacity of
-//    both its sides without out-ranking any flow on a side it saturates, or a
-//    departure whose rate strictly out-ranks every remaining flow on each of its
-//    saturated sides (so nobody was bottlenecked behind it). When a re-solve is
-//    needed it is still pruned to the *affected set*, not the whole connected
-//    component: the flows on the changed sides are re-solved as a sub-problem in
-//    which every other flow is fixed consumption, and the boundary is then
-//    checked against the max-min certification — any fixed flow that the new
-//    levels prove mis-ranked (it out-ranks a saturated side's new level, or no
-//    side certifies its rate any more) joins the set and the sub-solve repeats.
-//    The fixpoint is exactly the audit's bottleneck certification, so pruned
-//    solutions are certified by construction — see DESIGN §4 and §8. If the set
-//    keeps growing the solver falls back to the full closure (every flow
-//    transitively sharing a NIC side with a changed endpoint — rates outside
-//    that component cannot change, so the fallback is always sufficient).
+//    cannot change the saturated-side structure is absorbed by a local patch
+//    (one walk of its two sides) instead of any re-solve: an arrival that fits
+//    the free capacity of both its sides without out-ranking any flow on a side
+//    it saturates, or a departure whose rate strictly out-ranks every remaining
+//    flow on each of its saturated sides (so nobody was bottlenecked behind
+//    it). When a re-solve is needed it is still pruned to the *affected set*,
+//    not the whole connected component: the flows on the changed sides are
+//    re-solved as a sub-problem in which every other flow is fixed
+//    consumption, and the boundary is then
+//    checked against the max-min certification. The sub-solve is accepted only
+//    if no fixed flow is proven mis-ranked (it out-ranks a saturated side's new
+//    level, or no side certifies its rate any more), which is exactly the
+//    audit's bottleneck certification, so pruned solutions are certified by
+//    construction — see DESIGN §4 and §8. Otherwise the solver falls back to
+//    the full closure (every flow transitively sharing a NIC side with a
+//    changed endpoint — rates outside that component cannot change, so the
+//    fallback is always sufficient).
 //
 // Completion events go through a fabric-owned index rather than the simulation
-// queue: each flow's predicted completion time lives in a sorted (time, id)
-// vector and a single "next completion" event tracks the minimum. A rate change
-// then re-keys two doubles in that index instead of cancelling and rescheduling
-// a per-flow simulation event — the dominant cost of churn once solving itself
-// is pruned, since a max-min cascade re-times many completions per delta. Rates
-// are solved and applied in ascending flow-id order, and the index orders by
-// (time, id), so the event schedule (and the run digest) never depends on
-// traversal order.
+// queue: each flow's predicted completion time lives in a lazy binary min-heap
+// on (time, id), and a single "next completion" event tracks the minimum. A
+// rate change pushes the flow's new key in O(log n) and leaves the old one
+// behind as a stale entry, recognised (and dropped) when it surfaces because
+// the flow no longer carries that key — no re-key ever shifts memory, and no
+// per-flow simulation event is cancelled and rescheduled, the dominant cost of
+// churn once solving itself is pruned (a max-min cascade re-times many
+// completions per delta). Rates are solved and applied in ascending flow-id
+// order, and the heap orders by (time, id) alone, so the event schedule (and
+// the run digest) never depends on traversal order or addresses.
 #ifndef MONOTASKS_SRC_CLUSTER_NETWORK_H_
 #define MONOTASKS_SRC_CLUSTER_NETWORK_H_
 
@@ -63,6 +68,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -175,12 +181,13 @@ class NetworkFabricSim : public Auditable {
   double MeanIngressUtilization(int machine, SimTime from, SimTime to) const;
 
   // Invariant auditing (audit.h): flow counts consistent with the per-machine flow
-  // lists (both directions), the sorted share indexes consistent with the flow
-  // lists, per-NIC ingress/egress rate sums within the NIC bandwidth, flow rates
-  // non-negative, every flow's rate certified max-min fair (it touches at least
-  // one saturated NIC side where no flow has a larger share), and no flows left
-  // when the simulation drains. Pending epoch work is flushed first, so the audit
-  // always certifies the batched solution, never the mid-epoch transient.
+  // lists (both directions), the incrementally-maintained side rate sums equal
+  // to their recomputed totals, per-NIC ingress/egress rate sums within the NIC
+  // bandwidth, flow rates non-negative, every flow's rate certified max-min
+  // fair (it touches at least one saturated NIC side where no flow has a larger
+  // share), and no flows left when the simulation drains. Pending epoch work is
+  // flushed first, so the audit always certifies the batched solution, never
+  // the mid-epoch transient.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
@@ -194,56 +201,32 @@ class NetworkFabricSim : public Auditable {
     monoutil::BytesPerSecond rate;
     SimTime last_update;
     InlineCallback done;
-    // Absolute predicted completion time, mirrored in the completion index;
-    // negative while the flow has not been assigned a rate yet.
+    // Absolute predicted completion time, the flow's live key in the completion
+    // heap; negative while the flow has no rate yet and once it is freed.
     SimTime predicted_done{-1.0};
     uint64_t visit_stamp = 0;  // Affected-set membership stamp (one stamp per flush).
   };
 
-  // One NIC side's persistent share index: the flows crossing the side ordered by
-  // current rate, ties broken by flow id so the order never depends on addresses.
-  // Maintained by ApplyRate and flow add/remove; gives the pruning patches (and
-  // consistency audits) the side's rate sum and top shares in O(log n). Kept as a
-  // sorted vector rather than a tree: a NIC side carries few flows, so a binary
-  // search plus a short memmove beats node allocation on every re-key. Sides are
-  // keyed 2m (egress of machine m) / 2m+1 (ingress of m).
-  struct SideIndex {
-    monoutil::BytesPerSecond rate_sum;
-    // Ascending (rate, id). Entries are keyed by the flow's exact stored rate —
-    // bit-identical, not merely close — which the strong key type now enforces
-    // at every call site (a recomputed double cannot sneak in unconverted).
-    std::vector<std::pair<monoutil::BytesPerSecond, FlowId>> shares;
+  // One completion-heap entry. Live only while `flow` still carries this id and
+  // this predicted completion time; every other entry is a superseded key left
+  // behind by a rate change (or by the flow's completion) and is dropped when it
+  // reaches the top. `flow` points into the flow arena, which never releases a
+  // block, so even a stale entry's pointer stays readable; it is never
+  // compared — the heap orders by (at, id).
+  struct CompletionEntry {
+    SimTime at;
+    FlowId id;
+    Flow* flow;
 
-    monoutil::BytesPerSecond max_share() const {
-      return shares.empty() ? monoutil::BytesPerSecond() : shares.back().first;
-    }
-    void Insert(monoutil::BytesPerSecond rate, FlowId id) {
-      shares.insert(std::upper_bound(shares.begin(), shares.end(),
-                                     std::make_pair(rate, id)),
-                    {rate, id});
-      rate_sum += rate;
-    }
-    void Erase(monoutil::BytesPerSecond rate, FlowId id);  // The entry must exist.
-    // Re-keys an existing entry in place: one rotate over the span between the
-    // old and new positions instead of an erase+insert pair of memmoves.
-    void Move(monoutil::BytesPerSecond old_rate, monoutil::BytesPerSecond new_rate,
-              FlowId id);
-    bool Contains(monoutil::BytesPerSecond rate, FlowId id) const {
-      const auto entry = std::make_pair(rate, id);
-      if (shares.size() <= 16) {
-        // A NIC side usually carries a handful of flows: a predictable linear
-        // scan beats a binary search's data-dependent branches.
-        for (const auto& e : shares) {
-          if (e == entry) {
-            return true;
-          }
-        }
-        return false;
-      }
-      return std::binary_search(shares.begin(), shares.end(), entry);
-    }
+    bool live() const { return flow->id == id && flow->predicted_done == at; }
   };
+  // Heap comparator: true when `a` completes after `b`, making the heap a
+  // min-heap on (at, id).
+  static bool CompletesLater(const CompletionEntry& a, const CompletionEntry& b) {
+    return b.at < a.at || (a.at == b.at && b.id < a.id);
+  }
 
+  // NIC sides are keyed 2m (egress of machine m) / 2m+1 (ingress of m).
   static int EgressKey(int machine) { return 2 * machine; }
   static int IngressKey(int machine) { return 2 * machine + 1; }
 
@@ -253,11 +236,10 @@ class NetworkFabricSim : public Auditable {
   void MarkSideDirty(int side_key);
 
   // Runs the deferred epoch work, if any: seeds the affected set from the dirty
-  // sides, sub-solves it (unaffected flows held as fixed consumption), expands
-  // the set through the certification boundary check until it reaches a
-  // fixpoint (or falls back to the full closure), applies the rates in
-  // ascending flow-id order, and records the touched ingress traces.
-  // Idempotent; no-op when clean.
+  // sides, sub-solves it (unaffected flows held as fixed consumption), keeps
+  // the result if the certification boundary check passes (else falls back to
+  // the full closure), applies the rates in ascending flow-id order, and
+  // records the touched ingress traces. Idempotent; no-op when clean.
   void FlushPending();
   // Const-context flush for the rate queries and the audit: pending epoch work is
   // deferred evaluation of state the caller is about to read, not a logical
@@ -286,6 +268,8 @@ class NetworkFabricSim : public Auditable {
     return (key % 2 == 0) ? egress_flows_[static_cast<size_t>(key / 2)]
                           : ingress_flows_[static_cast<size_t>(key / 2)];
   }
+  // The largest current share on one NIC side (zero when it carries no flow).
+  double SideMaxShare(int key) const;
 
   // Reorders `flows` into ascending flow-id order (the canonical order rates are
   // solved and applied in). Sorting (id, ptr) pairs keeps the comparisons out of
@@ -299,49 +283,51 @@ class NetworkFabricSim : public Auditable {
   // solve a pruned affected set instead of the whole closure. A full-closure
   // component has no such flows on any of its sides, so its base reductions are
   // exactly zero and the solve is identical to a from-scratch pass. The next
-  // bottleneck side is found through an ordered frontier of (saturation level,
-  // side) candidates, re-keyed in O(log n) as flows freeze, rather than
-  // rescanning the component per round. Non-const: the slot table and frontier
-  // live in persistent scratch members so the per-epoch solve does not pay a
-  // fresh round of allocations; the per-slot levels, totals and maxima are left
-  // behind for the boundary expansion check. With `identity_slots` the caller
-  // vouches that `component` spans every live flow; slots are then the side
-  // keys themselves and the stamped side->slot map is skipped entirely.
+  // bottleneck side is found by scanning a flat array of per-slot saturation
+  // caps, re-derived only for the slots a freeze touches. Non-const: the slot
+  // table lives in persistent scratch members so the per-epoch solve does not
+  // pay a fresh round of allocations; the per-slot levels are left behind for
+  // the boundary check. With `identity_slots` the caller vouches that
+  // `component` spans every live flow; slots are then the side keys themselves
+  // and the stamped side->slot map is skipped entirely.
   void SolveMaxMin(const std::vector<Flow*>& component, std::vector<double>* new_rates,
                    bool identity_slots = false);
 
   // Fills slot_total_ / slot_max_affected_ from the last solve's rates, for the
-  // boundary expansion check. Split out of SolveMaxMin so fallback solves —
-  // which have no boundary to check — skip it.
+  // boundary check. Split out of SolveMaxMin so fallback solves — which have no
+  // boundary to check — skip it.
   void RecordSlotTotals(const std::vector<double>& new_rates);
 
   // After a sub-solve: true if some side of `flow` still certifies its (fixed)
   // rate — saturated, with `flow` holding a maximal share. Sides in the solve
   // are read from the solver's per-slot results, untouched sides from their
-  // share index (which the solve cannot have changed).
+  // rate sum and flow list (which the solve cannot have changed).
   bool CertifiedAfterSolve(const Flow& flow, double eps) const;
 
+  // The boundary check after an affected-set sub-solve: true if every fixed
+  // flow on an affected side stays certified under the new levels, false at the
+  // first one that does not (the caller then falls back to the full closure).
+  // Non-const: fills slot_unaffected_max_ for CertifiedAfterSolve.
+  bool SubSolveCertified(double eps);
+
   // Advances `flow`'s progress under its old rate, then installs `new_rate`,
-  // updates the share indexes, and re-keys the flow in the completion index.
+  // updates the side rate sums, and pushes the flow's new completion key.
   // Skips flows whose rate is unchanged, so symmetric recomputes cost nothing.
   void ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate);
 
-  // Completion index maintenance: the sorted (time, id) entries, the single
-  // simulation event tracking their minimum, and the handler that completes
-  // every flow due at the fired timestamp.
-  void InsertCompletion(SimTime at, FlowId id);
-  void EraseCompletion(SimTime at, FlowId id);
-  // Re-keys an indexed completion in place: one rotate over the span between
-  // the old and new positions, instead of an erase (memmove to the end) plus an
-  // insert (another). Rate perturbations move a completion a short distance, so
-  // the rotated span is usually a handful of entries.
-  void MoveCompletion(SimTime from, SimTime to, FlowId id);
+  // Completion heap maintenance: pushing a flow's current key (rebuilding the
+  // heap from the registry once stale entries outnumber live ones), popping
+  // stale tops, the single simulation event tracking the minimum, and the
+  // handler that completes every flow due at the fired timestamp.
+  void PushCompletion(Flow* flow);
+  void DropStaleCompletions();
   void UpdateCompletionTimer();
   void OnNextCompletion();
 
   // Records the ingress rate trace and tracer counters for `machines` (deduped
   // by the caller where it matters; harmless when repeated).
-  void RecordIngressTouched(const std::vector<int>& machines);
+  void RecordIngressTouched(std::span<const int> machines);
+  void RecordIngressTouched(int machine) { RecordIngressTouched({&machine, 1}); }
 
   void OnFlowComplete(FlowId id);
 
@@ -363,14 +349,18 @@ class NetworkFabricSim : public Auditable {
 
   // Arena allocation: pop the free list (growing it by a block when empty) and
   // reset the recycled struct's solver-visible fields; completed flows go back
-  // on the list. The live flow with `id`, found by binary search on the
-  // id-ordered registry; nullptr when absent.
+  // on the list with their completion key cleared, so no heap entry left
+  // behind can read as live. The live flow with `id`, found by binary search on
+  // the id-ordered registry; nullptr when absent.
   Flow* AllocFlow();
-  void FreeFlow(Flow* flow) { free_flows_.push_back(flow); }
+  void FreeFlow(Flow* flow) {
+    flow->predicted_done = SimTime(-1.0);
+    free_flows_.push_back(flow);
+  }
   Flow* FindFlow(FlowId id) const;
 
   monoutil::BytesPerSecond LegacyMinShare(const Flow& flow) const;
-  void RecordIngressRates(const std::vector<int>& machines);
+  void RecordIngressRates(std::span<const int> machines);
 
   // Advances the side-time integrals to `now` under the current busy/saturated
   // side counts (both constant since the last accumulation). Called before any
@@ -381,7 +371,7 @@ class NetworkFabricSim : public Auditable {
   void AccumulateSideTime(SimTime now) const;
   bool SideSaturated(int side_key) const {
     const double bw = nic_bandwidth_.bps();
-    return sides_[static_cast<size_t>(side_key)].rate_sum.bps() >=
+    return side_rate_sum_[static_cast<size_t>(side_key)].bps() >=
            bw - 1e-9 * std::max(1.0, bw);
   }
 
@@ -406,13 +396,17 @@ class NetworkFabricSim : public Auditable {
   std::vector<int> egress_count_;
   std::vector<std::vector<Flow*>> ingress_flows_;
   std::vector<std::vector<Flow*>> egress_flows_;
-  std::vector<SideIndex> sides_;  // Indexed by EgressKey/IngressKey.
-  // Predicted completion times, sorted *descending* by (time, id): the earliest
-  // completion sits at the back, so firing it is a pop_back and re-keying an
-  // imminent completion moves little memory. One simulation event tracks the
-  // minimum; per-flow events would pay a queue cancel+reschedule for every rate
-  // change a cascade re-times.
-  std::vector<std::pair<SimTime, FlowId>> completions_;
+  // Current rate sum of each NIC side, indexed by EgressKey/IngressKey. Every
+  // rate change updates it as `-= old; += new`, so the sums (and the saturation
+  // counts derived from them) are a pure function of the rate-change sequence.
+  std::vector<monoutil::BytesPerSecond> side_rate_sum_;
+  // Predicted completion times: a binary min-heap on (at, id) (see
+  // CompletionEntry), with stale entries dropped lazily when they reach the top
+  // and the whole heap rebuilt from the registry once it exceeds twice the live
+  // flow count (plus a floor), reusing its capacity. One simulation event
+  // tracks the minimum; per-flow events would pay a queue cancel+reschedule for
+  // every rate change a cascade re-times.
+  std::vector<CompletionEntry> completions_;
   EventHandle next_completion_;
   SimTime next_completion_time_{-1.0};
   FlowId next_id_ = 1;
@@ -426,10 +420,8 @@ class NetworkFabricSim : public Auditable {
   std::vector<int> pending_sides_;
 
   // Solver scratch (SolveMaxMin): the side-key -> slot map is stamped per solve,
-  // per-slot state keeps its capacity across solves, and the bottleneck frontier
-  // is a binary min-heap with lazy invalidation (an entry is stale once its
-  // slot's version moved on). All persistent so the steady-state solve allocates
-  // nothing.
+  // and per-slot state keeps its capacity across solves, so the steady-state
+  // solve allocates nothing.
   uint64_t solve_stamp_ = 0;
   std::vector<uint64_t> slot_stamp_;  // Side key -> last solve that used it.
   std::vector<int> slot_of_;          // Side key -> slot within that solve.
@@ -441,9 +433,9 @@ class NetworkFabricSim : public Auditable {
   std::vector<int> slot_adj_offset_;
   std::vector<int> slot_adj_;
   std::vector<int> slot_cursor_;
-  // Per-slot sub-solve results, read by the boundary expansion check: the side
-  // key behind the slot, the fixed consumption of unaffected flows (and their
-  // top share, filled by the expansion pre-pass), the level the side froze its
+  // Per-slot sub-solve results, read by the boundary check: the side key behind
+  // the slot, the fixed consumption of unaffected flows (and their top share,
+  // filled by the check's first pass), the level the side froze its
   // flows at (infinity if it never became the bottleneck), and the side's
   // post-solve total and top affected share.
   std::vector<int> slot_keys_;
@@ -482,7 +474,7 @@ class NetworkFabricSim : public Auditable {
   // Utilization-telemetry state (AccumulateSideTime): the integrals, the time
   // they are advanced to, and the side counts they advance under. busy = sides
   // carrying >= 1 flow; saturated = sides whose rate sum consumes the NIC
-  // bandwidth, maintained incrementally at every share-index mutation.
+  // bandwidth, maintained incrementally at every rate-sum update.
   mutable SimTime busy_side_seconds_;
   mutable SimTime saturated_side_seconds_;
   mutable SimTime side_accum_at_;
@@ -499,10 +491,6 @@ class NetworkFabricSim : public Auditable {
   mutable std::vector<double> audit_ingress_max_;
   mutable std::vector<double> audit_egress_sum_;
   mutable std::vector<double> audit_egress_max_;
-  // Ground-truth multiset fingerprint per NIC side (commutative sum of mixed
-  // (rate, id) entries), rebuilt by every sweep and compared against the same
-  // sum over the incrementally-maintained share indexes.
-  mutable std::vector<uint64_t> audit_side_fp_;
 };
 
 }  // namespace monosim

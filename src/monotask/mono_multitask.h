@@ -6,8 +6,8 @@
 //
 // and for a reduce-like multitask:
 //
-//   { per remote machine: request -> serve disk-read (remote) -> network flow }  \
-//   { local shuffle portion: disk-read                                        }  -> compute -> disk-write
+//   { per remote machine: request -> serve disk-read (remote) -> network flow }  --+
+//   { local shuffle portion: disk-read                                        }  --+-> compute -> disk-write
 //
 // This class plays the role of the paper's Local DAG Scheduler for its multitask: it
 // submits each monotask to the right per-resource scheduler only when the monotask's

@@ -107,6 +107,54 @@ TEST(PooledKernelDigest, FabricBurstChurnMatchesPreChangeKernel) {
   EXPECT_EQ(0x91de4ae888161222ull, sim.digest());
 }
 
+TEST(PooledKernelDigest, FabricEqualShareReLevelMatchesParent) {
+  // Tie-heavy fabric churn: waves of a 16-machine all-to-all shuffle with
+  // equal flow sizes. Every flow of a wave holds the same share, the whole
+  // cohort is re-levelled together each time another wave lands or drains,
+  // and its flows complete at one instant — so the fabric's (time, id)
+  // completion order and every superseded completion key are exercised at
+  // scale. Completions of the first two waves start follow-up flows whose
+  // size depends on the completion count, which makes the tie order
+  // observable in the schedule; `order` additionally folds the completion
+  // sequence in directly. Harvested from the fabric with sorted share and
+  // completion indexes.
+  constexpr int kMachines = 16;
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, kMachines, monoutil::BytesPerSecond(1e8));
+  int completed = 0;
+  uint64_t order = 14695981039346656037ULL;
+  const auto start = [&](int src, int dst, int wave) {
+    fabric.StartFlow(src, dst, monoutil::Bytes(1 << 18), [&, src, dst, wave] {
+      ++completed;
+      order = (order ^ static_cast<uint64_t>((wave * kMachines + src) * kMachines + dst)) *
+              1099511628211ULL;
+      if (wave < 2) {
+        const int next = (dst + 1 + wave) % kMachines;
+        if (next != src) {
+          fabric.StartFlow(src, next, monoutil::Bytes((1 << 16) + (completed % 5) * 4096),
+                           [&completed] { ++completed; });
+        }
+      }
+    });
+  };
+  for (int wave = 0; wave < 4; ++wave) {
+    sim.ScheduleAt(monoutil::Seconds(0.004 * wave), [&start, wave] {
+      for (int src = 0; src < kMachines; ++src) {
+        for (int dst = 0; dst < kMachines; ++dst) {
+          if (src != dst) {
+            start(src, dst, wave);
+          }
+        }
+      }
+    }, "wave");
+  }
+  sim.Run();
+  EXPECT_EQ(1408, completed);
+  EXPECT_EQ(0x5895f9dc5c5a9cb7ull, order);
+  EXPECT_EQ(407u, sim.fired_events());
+  EXPECT_EQ(0x94ce7195a51c1263ull, sim.digest());
+}
+
 TEST(PooledKernelDigest, SortJobMatchesPreChangeKernel) {
   SimEnvironment env(monoload::SmallHddClusterConfig());
   monoload::SortParams params;
@@ -243,6 +291,75 @@ TEST(PooledKernelAlloc, FluidServerSubmitCompleteChurnIsHeapFree) {
   EXPECT_EQ(0, during)
       << "the steady-state submit/complete path touched the heap";
   EXPECT_GT(completions, 0);
+}
+
+TEST(PooledKernelAlloc, FabricChurnIsHeapFree) {
+  // Machines 0-7 carry a saturated ring of short-flow lanes, uneven enough
+  // (even machines send a third flow) that a departure frees capacity others
+  // can take, plus one megabyte lane per machine whose far-future completion
+  // keys go stale on every re-level. Departures and arrivals therefore go
+  // through batched re-solves, cascade re-keys and completion-heap rebuilds;
+  // the isolated 8->9 lane is absorbed by the local patches every time it
+  // turns over. The lane pattern is fixed, so every per-side list, solver
+  // scratch vector and the completion heap reach their high-water capacity
+  // during warmup.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 10, monoutil::BytesPerSecond(1e8));
+  int completed = 0;
+  // One lane: a fixed src->dst pair whose flow, on completion, starts its
+  // successor with the next size of a fixed cycle after a short pause (an
+  // immediate restart would re-solve to the very same rates).
+  struct FlowLane {
+    Simulation* sim;
+    NetworkFabricSim* fabric;
+    int src;
+    int dst;
+    int64_t base;
+    int64_t step;
+    int* completed;
+
+    void Arm() {
+      const auto bytes = monoutil::Bytes(base + (step++ * (7919 + 64 * src)) % 65536);
+      fabric->StartFlow(src, dst, bytes, [this] {
+        ++*completed;
+        sim->ScheduleAfter(monoutil::Seconds(1e-5 * static_cast<double>(step % 3)),
+                           [this] { Arm(); }, "rearm");
+      });
+    }
+  };
+  std::vector<FlowLane> lanes;
+  for (int m = 0; m < 8; ++m) {
+    lanes.push_back(FlowLane{&sim, &fabric, m, (m + 1) % 8, 4096, 0, &completed});
+    lanes.push_back(FlowLane{&sim, &fabric, m, (m + 3) % 8, 1 << 20, 3, &completed});
+    if (m % 2 == 0) {
+      lanes.push_back(FlowLane{&sim, &fabric, m, (m + 2) % 8, 4096, 1, &completed});
+    }
+  }
+  lanes.push_back(FlowLane{&sim, &fabric, 8, 9, 4096, 0, &completed});
+  for (FlowLane& lane : lanes) {
+    lane.Arm();
+  }
+
+  for (int i = 0; i < 6000; ++i) {
+    ASSERT_TRUE(sim.Step());
+  }
+
+  const NetworkFabricSim::SolverStats before_stats = fabric.solver_stats();
+  const long before = monotest::AllocationCount().load();
+  bool stepped = true;
+  for (int i = 0; i < 4000 && stepped; ++i) {
+    stepped = sim.Step();
+  }
+  const long during = monotest::AllocationCount().load() - before;
+  const NetworkFabricSim::SolverStats& after_stats = fabric.solver_stats();
+
+  EXPECT_TRUE(stepped);
+  EXPECT_EQ(0, during) << "steady-state fabric churn touched the heap";
+  // The window exercised every churn path: batched re-solves, patched
+  // arrivals and patched departures.
+  EXPECT_GT(after_stats.solves, before_stats.solves);
+  EXPECT_GT(after_stats.patched_arrivals, before_stats.patched_arrivals);
+  EXPECT_GT(after_stats.patched_departures, before_stats.patched_departures);
 }
 #endif  // MONO_TEST_ALLOC_HOOKS
 

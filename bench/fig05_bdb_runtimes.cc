@@ -41,8 +41,8 @@ void RunSuite(bool ssd, bool show_stages) {
     if (show_stages) {
       for (size_t s = 0; s < spark.stages.size(); ++s) {
         std::printf("    stage %-14s spark %7.1f s   mono %7.1f s\n",
-                    spark.stages[s].name.c_str(), spark.stages[s].duration(),
-                    mono.stages[s].duration());
+                    spark.stages[s].name.c_str(), spark.stages[s].duration().seconds(),
+                    mono.stages[s].duration().seconds());
       }
     }
   }

@@ -60,7 +60,7 @@ struct Scenario {
   uint64_t max_queue;     // Peak live-plus-tombstone queue size observed.
   uint64_t digest;        // Simulation::digest(): must match across same-build runs.
   bool has_solver_stats = false;  // Fabric scenarios carry the solver counters.
-  monosim::NetworkFabricSim::SolverStats solver;
+  monosim::NetworkFabricSim::SolverStats solver{};
 };
 
 double Elapsed(std::chrono::steady_clock::time_point start) {

@@ -71,13 +71,14 @@ int main(int argc, char** argv) {
   const auto mono_result =
       mono_env.driver().RunJob(monoload::MakeBdbQueryJob(&mono_env.dfs(), query));
 
-  std::printf("Runtime: Spark %.1f s, MonoSpark %.1f s\n\n", spark_result.duration(),
-              mono_result.duration());
+  std::printf("Runtime: Spark %.1f s, MonoSpark %.1f s\n\n", spark_result.duration().seconds(),
+              mono_result.duration().seconds());
 
   std::puts("What Spark can tell you (aggregate device counters per stage):");
   for (const auto& stage : spark_result.stages) {
     std::printf("  %-16s %6.1f s   cpu util %4.0f%%  disk util %4.0f%%  net util %4.0f%%\n",
-                stage.name.c_str(), stage.duration(), 100 * MeanUtil(stage.utilization.cpu),
+                stage.name.c_str(), stage.duration().seconds(),
+                100 * MeanUtil(stage.utilization.cpu),
                 100 * MeanUtil(stage.utilization.disk),
                 100 * MeanUtil(stage.utilization.network));
   }
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
   std::printf("  The job is %s-bound. Best case from optimizing it: %.1f s "
               "(currently %.1f s).\n",
               monomodel::ResourceName(bottleneck),
-              model.PredictWithInfinitelyFast(bottleneck), mono_result.duration());
+              model.PredictWithInfinitelyFast(bottleneck), mono_result.duration().seconds());
   std::printf("  Removing one disk per machine would give %.1f s; adding two more, "
               "%.1f s.\n",
               model.PredictJobSeconds(model.baseline().WithDisksPerMachine(1)),

@@ -26,7 +26,7 @@ int main() {
   env.AttachExecutor(&executor);
   const monosim::JobResult result =
       env.driver().RunJob(monoload::MakePageRankJob(&env.dfs(), params));
-  std::printf("Runtime: %.1f s over %zu stages\n\n", result.duration(),
+  std::printf("Runtime: %.1f s over %zu stages\n\n", result.duration().seconds(),
               result.stages.size());
 
   const auto baseline = monomodel::HardwareProfile::FromCluster(cluster);

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
   std::printf("sort(%d GiB, %d values/key) on 20 workers x 2 HDD: %.1f s, digest %016llx\n\n",
               static_cast<int>(params.total_bytes / monoutil::GiB(1)), params.values_per_key,
-              result.duration(), static_cast<unsigned long long>(result.sim_digest));
+              result.duration().seconds(), static_cast<unsigned long long>(result.sim_digest));
 
   // 1. Critical-path blame from the always-on MonotaskLog.
   const monomodel::CriticalPathReport report =

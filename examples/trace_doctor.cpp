@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   const auto mono_result =
       mono_env.driver().RunJob(monoload::MakeSortJob(&mono_env.dfs(), DiskBoundSort()));
 
-  std::printf("Runtime: Spark %.1f s, MonoSpark %.1f s\n", spark_result.duration(),
-              mono_result.duration());
+  std::printf("Runtime: Spark %.1f s, MonoSpark %.1f s\n", spark_result.duration().seconds(),
+              mono_result.duration().seconds());
   std::printf("Spark stage utilization measured: %s;  monotasks run: %s\n\n",
               spark_result.stages[0].utilization.measured ? "yes" : "no (trace off)",
               mono_result.stages[0].utilization.measured ? "yes" : "no (trace off)");

@@ -34,7 +34,7 @@ int main() {
   env.AttachExecutor(&executor);
   const monosim::JobResult result =
       env.driver().RunJob(monoload::MakeSortJob(&env.dfs(), params));
-  std::printf("Observed runtime: %.1f s\n\n", result.duration());
+  std::printf("Observed runtime: %.1f s\n\n", result.duration().seconds());
 
   const auto baseline = monomodel::HardwareProfile::FromCluster(cluster);
   const monomodel::MonotasksModel model(result, baseline);

@@ -621,7 +621,7 @@ void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
               blocks.resize(static_cast<size_t>(plan_.num_tasks));
             }
             blocks[static_cast<size_t>(task)] =
-                SourceBlock{worker_index, disk, block_id};
+                SourceBlock{worker_index, disk, block_id, nullptr};
           }
         });
     write->disk_index = disk;
@@ -771,7 +771,7 @@ void MonoContext::StageRunner::LaunchTaskThread(int task, int worker_index) {
               blocks.resize(static_cast<size_t>(plan_.num_tasks));
             }
             blocks[static_cast<size_t>(task)] =
-                SourceBlock{worker_index, disk, block_id};
+                SourceBlock{worker_index, disk, block_id, nullptr};
           }
         } else {
           const std::lock_guard<std::mutex> lock(metrics_mutex_);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -15,11 +14,6 @@ namespace monosim {
 namespace {
 
 constexpr double kCompletionEpsilonSeconds = 1e-9;
-
-// The completion heap is rebuilt from the registry once it holds more than
-// twice the live flow count plus this floor: stale entries then outnumber live
-// ones, and the floor keeps small fabrics from rebuilding on every few pushes.
-constexpr size_t kCompletionHeapSlack = 64;
 
 // How many fallback flushes may reuse a spanning closure before it is
 // re-collected (see FlushPending): long enough to amortize the walk away,
@@ -40,9 +34,13 @@ NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
       ingress_flows_(static_cast<size_t>(num_machines)),
       egress_flows_(static_cast<size_t>(num_machines)),
       side_rate_sum_(static_cast<size_t>(2 * num_machines)),
+      pair_count_(static_cast<size_t>(num_machines * num_machines), 0),
       side_visit_stamp_(static_cast<size_t>(2 * num_machines), 0),
       slot_stamp_(static_cast<size_t>(2 * num_machines), 0),
       slot_of_(static_cast<size_t>(2 * num_machines), 0),
+      pair_stamp_(static_cast<size_t>(num_machines * num_machines), 0),
+      pair_class_(static_cast<size_t>(num_machines * num_machines), 0),
+      pair_rate_(static_cast<size_t>(num_machines * num_machines), 0.0),
       side_dirty_stamp_(static_cast<size_t>(2 * num_machines), 0),
       alive_(std::make_shared<bool>(true)),
       ingress_traces_(static_cast<size_t>(num_machines)) {
@@ -50,6 +48,7 @@ NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
   MONO_CHECK(num_machines >= 1);
   MONO_CHECK(nic_bandwidth > monoutil::BytesPerSecond(0));
   side_accum_at_ = sim_->now();
+  live_pairs_.reserve(pair_count_.size());
   sim_->RegisterAuditable(this);
 }
 
@@ -88,6 +87,8 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   std::fill(ingress_max.begin(), ingress_max.end(), 0.0);
   std::fill(egress_sum.begin(), egress_sum.end(), 0.0);
   std::fill(egress_max.begin(), egress_max.end(), 0.0);
+  std::vector<int>& pair_recount = audit_pair_count_;
+  pair_recount.assign(pair_count_.size(), 0);
 
   // One contiguous walk over the id-ordered flow list recomputes every
   // per-side aggregate and evaluates the per-flow predicates; each flow is
@@ -113,6 +114,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     ingress_sum[dst] += rate;
     ingress_max[dst] = std::max(ingress_max[dst], rate);
     rates_nonneg = rates_nonneg && rate >= 0.0;
+    ++pair_recount[static_cast<size_t>(PairKey(*flow))];
   }
   audit.ExpectLazy(rates_nonneg, now, source, "flow-rate-non-negative", [&] {
     std::ostringstream d;
@@ -210,6 +212,35 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     }
     return d.str();
   });
+  // The solver reads pair multiplicities and the live-pair list instead of
+  // walking flows, so both must match a recount of the registry. Listed pairs
+  // flip their recount negative, so a pair listed twice (or listed with no
+  // flows) fails on the first pass, and one left unlisted keeps a positive
+  // recount that cannot match its (non-negative) maintained count.
+  bool pairs_ok = true;
+  for (const int key : live_pairs_) {
+    int& count = pair_recount[static_cast<size_t>(key)];
+    pairs_ok = pairs_ok && count > 0;
+    count = -count;
+  }
+  for (size_t key = 0; key < pair_count_.size(); ++key) {
+    pairs_ok = pairs_ok && pair_count_[key] == -pair_recount[key];
+  }
+  audit.ExpectLazy(pairs_ok, now, source, "pair-class-count", [&] {
+    std::ostringstream d;
+    for (size_t key = 0; key < pair_count_.size(); ++key) {
+      const int listed = static_cast<int>(
+          std::count(live_pairs_.begin(), live_pairs_.end(), static_cast<int>(key)));
+      const int recount = std::abs(pair_recount[key]);
+      if (pair_count_[key] != recount || listed != (recount > 0 ? 1 : 0)) {
+        d << "pair " << key / machines << "->" << key % machines << ": maintained count "
+          << pair_count_[key] << ", registry holds " << recount << ", listed " << listed
+          << " time(s) among " << live_pairs_.size() << " live pairs";
+        break;
+      }
+    }
+    return d.str();
+  });
   audit.ExpectLazy(listed_ingress == flows_by_id_.size(), now, source, "flow-registry", [&] {
     std::ostringstream d;
     d << "per-machine ingress lists hold " << listed_ingress << " flows, registry holds "
@@ -283,9 +314,11 @@ NetworkFabricSim::Flow* NetworkFabricSim::AllocFlow() {
   Flow* flow = free_flows_.back();
   free_flows_.pop_back();
   // Reset what recycling could leak into solver decisions: the stamp (so a
-  // stale membership mark can never alias a live flush) and the rate the
-  // progress math starts from. FreeFlow already cleared the completion key.
+  // stale membership mark can never alias a live flush), the rate the
+  // progress math starts from, and the completion key (none until the first
+  // rate is applied).
   flow->rate = monoutil::BytesPerSecond();
+  flow->predicted_done = SimTime(-1.0);
   flow->visit_stamp = 0;
   return flow;
 }
@@ -325,6 +358,10 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   raw->last_update = sim_->now();
   raw->done = std::move(done);
   flows_by_id_.push_back(raw);  // Ids are monotonic: the back keeps the order.
+  const int pair = PairKey(*raw);
+  if (pair_count_[static_cast<size_t>(pair)]++ == 0) {
+    live_pairs_.push_back(pair);
+  }
 
   // Close out the interval ending now before the busy-side set grows. The new
   // flow starts at rate 0, so the side rate sums and saturation are untouched.
@@ -478,102 +515,94 @@ void NetworkFabricSim::CollectFromSides(const std::vector<int>& seed_sides,
   }
 }
 
-void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
-                                   std::vector<double>* new_rates,
-                                   bool identity_slots) {
-  const size_t n = component.size();
-  new_rates->resize(n);
-  std::fill(new_rates->begin(), new_rates->end(), 0.0);
-  if (n == 0) {
-    return;
+void NetworkFabricSim::GrowSlotArrays(size_t slots) {
+  if (slots > slot_consumed_.size()) {
+    slot_consumed_.resize(slots);
+    slot_unfrozen_.resize(slots);
+    slot_cap_.resize(slots);
+    slot_base_.resize(slots);
+    slot_unaffected_max_.resize(slots);
+    slot_level_.resize(slots);
+    slot_total_.resize(slots);
+    slot_max_affected_.resize(slots);
+    slot_keys_.resize(slots);
   }
-  // Dense table of just the NIC sides this component touches, slots numbered in
-  // first-seen component order. The side-key -> slot map is stamped per solve and
-  // each slot's flow list keeps its capacity, so repeat solves allocate nothing.
-  ++solve_stamp_;
-  int num_slots = 0;
-  egress_slot_.resize(n);
-  ingress_slot_.resize(n);
-  const auto grow_slot_arrays = [&](size_t needed) {
-    if (needed > slot_consumed_.size()) {
-      slot_consumed_.resize(needed);
-      slot_unfrozen_.resize(needed);
-      slot_cap_.resize(needed);
-      slot_base_.resize(needed);
-      slot_unaffected_max_.resize(needed);
-      slot_level_.resize(needed);
-      slot_total_.resize(needed);
-      slot_max_affected_.resize(needed);
-      slot_keys_.resize(needed);
-    }
+}
+
+void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component, bool spanning) {
+  class_key_.clear();
+  class_count_.clear();
+  class_egress_.clear();
+  class_ingress_.clear();
+  const auto add_class = [&](int key, int count, int egress_slot, int ingress_slot) {
+    class_key_.push_back(key);
+    class_count_.push_back(count);
+    class_egress_.push_back(egress_slot);
+    class_ingress_.push_back(ingress_slot);
+    pair_rate_[static_cast<size_t>(key)] = -1.0;  // Unfrozen.
   };
-  if (identity_slots) {
-    // Spanning solve over the whole fabric (the caller vouches `component`
-    // holds every live flow): each NIC side is its own slot, slot == side key,
-    // so the stamped side->slot map and both per-flow lookups drop out in
-    // favor of straight key arithmetic. Sides with no flows cost nothing
+  if (spanning) {
+    // Spanning solve over the whole fabric (the caller vouches the solve
+    // covers every live flow): the classes are exactly the live pairs, and
+    // each NIC side is its own slot, slot == side key, so neither a flow nor
+    // the stamped side->slot map is touched. Sides with no flows cost nothing
     // beyond their array entry: a zero degree parks their cap at +inf
     // ((bandwidth - 0) / 0 in IEEE terms), so the bottleneck scan skips them
-    // the same way it skips exhausted slots.
-    num_slots = static_cast<int>(side_rate_sum_.size());
-    const auto ns = static_cast<size_t>(num_slots);
-    grow_slot_arrays(ns);
-    std::fill(slot_unfrozen_.begin(), slot_unfrozen_.begin() + num_slots, 0);
-    std::fill(slot_base_.begin(), slot_base_.begin() + num_slots, 0.0);
-    std::iota(slot_keys_.begin(), slot_keys_.begin() + num_slots, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const auto e = static_cast<size_t>(EgressKey(component[i]->src));
-      const auto g = static_cast<size_t>(IngressKey(component[i]->dst));
-      egress_slot_[i] = static_cast<int>(e);
-      ingress_slot_[i] = static_cast<int>(g);
-      const double rate = component[i]->rate.bps();
-      ++slot_unfrozen_[e];
-      slot_base_[e] += rate;
-      ++slot_unfrozen_[g];
-      slot_base_[g] += rate;
+    // the same way it skips exhausted slots. With every flow in the solve, no
+    // side carries fixed consumption: every base is zero.
+    num_slots_ = static_cast<int>(side_rate_sum_.size());
+    const auto ns = static_cast<size_t>(num_slots_);
+    GrowSlotArrays(ns);
+    std::fill(slot_unfrozen_.begin(), slot_unfrozen_.begin() + num_slots_, 0);
+    std::fill(slot_consumed_.begin(), slot_consumed_.begin() + num_slots_, 0.0);
+    const int machines = num_machines();
+    for (const int key : live_pairs_) {
+      const int count = pair_count_[static_cast<size_t>(key)];
+      const int e = EgressKey(key / machines);
+      const int g = IngressKey(key % machines);
+      add_class(key, count, e, g);
+      slot_unfrozen_[static_cast<size_t>(e)] += count;
+      slot_unfrozen_[static_cast<size_t>(g)] += count;
     }
-  } else {
-    auto slot = [&](int key) {
-      const auto k = static_cast<size_t>(key);
-      if (slot_stamp_[k] != solve_stamp_) {
-        slot_stamp_[k] = solve_stamp_;
-        const int s = num_slots++;
-        slot_of_[k] = s;
-        grow_slot_arrays(static_cast<size_t>(num_slots));
-        slot_unfrozen_[static_cast<size_t>(s)] = 0;
-        slot_base_[static_cast<size_t>(s)] = 0.0;  // Affected-rate sum until the base pass below.
-        slot_level_[static_cast<size_t>(s)] = std::numeric_limits<double>::infinity();
-        slot_keys_[static_cast<size_t>(s)] = key;
-      }
-      return slot_of_[k];
-    };
-    for (size_t i = 0; i < n; ++i) {
-      egress_slot_[i] = slot(EgressKey(component[i]->src));
-      ingress_slot_[i] = slot(IngressKey(component[i]->dst));
-      for (const int s : {egress_slot_[i], ingress_slot_[i]}) {
-        ++slot_unfrozen_[static_cast<size_t>(s)];
-        slot_base_[static_cast<size_t>(s)] += component[i]->rate.bps();
-      }
+    FillClasses();
+    return;
+  }
+  // Dense table of just the NIC sides this component touches. The id-sorted
+  // component is grouped into pair classes in first-seen order, and a new
+  // class numbers its egress slot, then its ingress slot — the order a
+  // per-flow walk would number them in. The side-key -> slot and pair-key ->
+  // class maps are stamped per solve, so repeat solves allocate nothing.
+  ++solve_stamp_;
+  num_slots_ = 0;
+  const auto slot = [&](int key) {
+    const auto k = static_cast<size_t>(key);
+    if (slot_stamp_[k] != solve_stamp_) {
+      slot_stamp_[k] = solve_stamp_;
+      const int s = num_slots_++;
+      slot_of_[k] = s;
+      GrowSlotArrays(static_cast<size_t>(num_slots_));
+      slot_unfrozen_[static_cast<size_t>(s)] = 0;
+      slot_base_[static_cast<size_t>(s)] = 0.0;  // Affected-rate sum until the base pass below.
+      slot_level_[static_cast<size_t>(s)] = std::numeric_limits<double>::infinity();
+      slot_keys_[static_cast<size_t>(s)] = key;
     }
-  }
-  // Slot -> flow-index adjacency in CSR form (offsets plus one flat array) —
-  // the freeze loop below walks it side by side, and a flat span beats a
-  // vector-of-vectors walk. Built with a counting pass already done above
-  // (slot_unfrozen_ holds the degrees), a prefix sum, and a fill pass that
-  // re-derives each flow's slots from the per-flow arrays.
-  slot_adj_offset_.resize(static_cast<size_t>(num_slots) + 1);
-  slot_adj_offset_[0] = 0;
-  for (int s = 0; s < num_slots; ++s) {
-    slot_adj_offset_[static_cast<size_t>(s) + 1] =
-        slot_adj_offset_[static_cast<size_t>(s)] + slot_unfrozen_[static_cast<size_t>(s)];
-  }
-  slot_adj_.resize(2 * n);
-  slot_cursor_.assign(slot_adj_offset_.begin(), slot_adj_offset_.end() - 1);
-  for (size_t i = 0; i < n; ++i) {
-    slot_adj_[static_cast<size_t>(slot_cursor_[static_cast<size_t>(egress_slot_[i])]++)] =
-        static_cast<int>(i);
-    slot_adj_[static_cast<size_t>(slot_cursor_[static_cast<size_t>(ingress_slot_[i])]++)] =
-        static_cast<int>(i);
+    return slot_of_[k];
+  };
+  for (const Flow* flow : component) {
+    const auto pair = static_cast<size_t>(PairKey(*flow));
+    if (pair_stamp_[pair] != solve_stamp_) {
+      pair_stamp_[pair] = solve_stamp_;
+      pair_class_[pair] = static_cast<int>(class_key_.size());
+      const int e = slot(EgressKey(flow->src));
+      const int g = slot(IngressKey(flow->dst));
+      add_class(static_cast<int>(pair), 0, e, g);
+    }
+    const auto c = static_cast<size_t>(pair_class_[pair]);
+    ++class_count_[c];
+    for (const int s : {class_egress_[c], class_ingress_[c]}) {
+      ++slot_unfrozen_[static_cast<size_t>(s)];
+      slot_base_[static_cast<size_t>(s)] += flow->rate.bps();
+    }
   }
   // Flows outside the component keep their current rates: they reduce the
   // capacity the progressive fill distributes through their side. Their sum is
@@ -583,36 +612,57 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
   // of exactly 0.0 — not the FP residue of the subtraction — so a full-closure
   // solve reproduces a from-scratch pass bit for bit (and ApplyRate's
   // skip-unchanged test keeps working across re-solves).
-  for (int s = 0; s < num_slots; ++s) {
+  for (int s = 0; s < num_slots_; ++s) {
     const auto su = static_cast<size_t>(s);
     const int key = slot_keys_[su];
     const double base =
-        SideFlows(key).size() ==
-                static_cast<size_t>(slot_adj_offset_[su + 1] - slot_adj_offset_[su])
+        SideFlows(key).size() == static_cast<size_t>(slot_unfrozen_[su])
             ? 0.0
             : std::max(0.0, side_rate_sum_[static_cast<size_t>(key)].bps() - slot_base_[su]);
     slot_base_[su] = base;
     slot_consumed_[su] = base;
   }
+  FillClasses();
+}
+
+void NetworkFabricSim::FillClasses() {
+  // Slot -> class-index adjacency in CSR form (offsets plus one flat array) —
+  // the freeze loop below walks it side by side, and a flat span beats a
+  // vector-of-vectors walk. Built with a counting pass, a prefix sum, and a
+  // fill pass.
+  const size_t num_classes = class_key_.size();
+  const auto ns = static_cast<size_t>(num_slots_);
+  slot_adj_offset_.assign(ns + 1, 0);
+  for (size_t c = 0; c < num_classes; ++c) {
+    ++slot_adj_offset_[static_cast<size_t>(class_egress_[c]) + 1];
+    ++slot_adj_offset_[static_cast<size_t>(class_ingress_[c]) + 1];
+  }
+  for (size_t s = 0; s < ns; ++s) {
+    slot_adj_offset_[s + 1] += slot_adj_offset_[s];
+  }
+  slot_adj_.resize(2 * num_classes);
+  slot_cursor_.assign(slot_adj_offset_.begin(), slot_adj_offset_.end() - 1);
+  for (size_t c = 0; c < num_classes; ++c) {
+    for (const int s : {class_egress_[c], class_ingress_[c]}) {
+      slot_adj_[static_cast<size_t>(slot_cursor_[static_cast<size_t>(s)]++)] =
+          static_cast<int>(c);
+    }
+  }
 
   // Progressive filling: each side carries the common fill level at which it
-  // would saturate, cached in slot_cap_ and re-derived only when a frozen flow
+  // would saturate, cached in slot_cap_ and re-derived only when a frozen class
   // changes its consumption. Each round scans the flat cap array for the
   // minimum (cap, slot) — the next bottleneck — and freezes that side's
-  // remaining flows at the running level. With dozens of sides the scan is a
+  // remaining classes at the running level. With dozens of sides the scan is a
   // handful of cache lines, and it selects exactly what an ordered frontier
   // would pop, so the freeze order (and every FP result) is as deterministic.
   // Exhausted slots park their cap at infinity, keeping the scan a bare
   // load-and-compare.
   const double bw = nic_bandwidth_.bps();
-  for (int s = 0; s < num_slots; ++s) {
-    slot_cap_[static_cast<size_t>(s)] =
-        (bw - slot_consumed_[static_cast<size_t>(s)]) /
-        slot_unfrozen_[static_cast<size_t>(s)];
+  for (size_t s = 0; s < ns; ++s) {
+    slot_cap_[s] = (bw - slot_consumed_[s]) / slot_unfrozen_[s];
   }
-  frozen_.resize(n);
-  std::fill(frozen_.begin(), frozen_.end(), 0);
-  size_t remaining = n;
+  size_t remaining = num_classes;
   double level = 0.0;
   while (remaining > 0) {
     // Two-stride argmin: each stride keeps its own first strict minimum, so
@@ -623,7 +673,7 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     int s1 = -1;
     double best0 = std::numeric_limits<double>::infinity();
     double best1 = std::numeric_limits<double>::infinity();
-    for (int c = 0; c + 1 < num_slots; c += 2) {
+    for (int c = 0; c + 1 < num_slots_; c += 2) {
       if (slot_cap_[static_cast<size_t>(c)] < best0) {
         best0 = slot_cap_[static_cast<size_t>(c)];
         s0 = c;
@@ -633,10 +683,9 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
         s1 = c + 1;
       }
     }
-    if ((num_slots & 1) != 0 &&
-        slot_cap_[static_cast<size_t>(num_slots) - 1] < best0) {
-      best0 = slot_cap_[static_cast<size_t>(num_slots) - 1];
-      s0 = num_slots - 1;
+    if ((num_slots_ & 1) != 0 && slot_cap_[ns - 1] < best0) {
+      best0 = slot_cap_[ns - 1];
+      s0 = num_slots_ - 1;
     }
     const bool take1 = best1 < best0 || (best1 == best0 && s1 >= 0 && s1 < s0);
     const int s = take1 ? s1 : s0;
@@ -648,48 +697,47 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     slot_level_[static_cast<size_t>(s)] = level;
     for (int a = slot_adj_offset_[static_cast<size_t>(s)];
          a < slot_adj_offset_[static_cast<size_t>(s) + 1]; ++a) {
-      const int idx = slot_adj_[static_cast<size_t>(a)];
-      if (frozen_[static_cast<size_t>(idx)]) {
-        continue;
+      const auto c = static_cast<size_t>(slot_adj_[static_cast<size_t>(a)]);
+      double& rate = pair_rate_[static_cast<size_t>(class_key_[c])];
+      if (rate >= 0.0) {
+        continue;  // Frozen at its other side in an earlier round.
       }
-      frozen_[static_cast<size_t>(idx)] = 1;
-      (*new_rates)[static_cast<size_t>(idx)] = level;
+      rate = level;
       --remaining;
-      // The frozen flow now consumes `level` of its other side for good; that
-      // side saturates later (or empties), so re-derive its cached cap.
-      const int other =
-          (egress_slot_[static_cast<size_t>(idx)] == s) ? ingress_slot_[static_cast<size_t>(idx)]
-                                                        : egress_slot_[static_cast<size_t>(idx)];
-      const auto o = static_cast<size_t>(other);
-      slot_consumed_[o] += level;
-      --slot_unfrozen_[o];
-      slot_cap_[o] = slot_unfrozen_[o] > 0
-                         ? (bw - slot_consumed_[o]) / slot_unfrozen_[o]
-                         : std::numeric_limits<double>::infinity();
+      // The frozen class now consumes `level` of its other side per flow, for
+      // good; that side saturates later (or empties), so re-derive its cached
+      // cap. No other class on this side shares that other side, so adding
+      // `level` once per flow reproduces the per-flow sums bit for bit.
+      const auto o = static_cast<size_t>(class_egress_[c] == s ? class_ingress_[c]
+                                                               : class_egress_[c]);
+      const int count = class_count_[c];
+      for (int i = 0; i < count; ++i) {
+        slot_consumed_[o] += level;
+      }
+      slot_unfrozen_[o] -= count;
+      slot_cap_[o] = slot_unfrozen_[o] > 0 ? (bw - slot_consumed_[o]) / slot_unfrozen_[o]
+                                           : std::numeric_limits<double>::infinity();
     }
     slot_unfrozen_[static_cast<size_t>(s)] = 0;
     slot_cap_[static_cast<size_t>(s)] = std::numeric_limits<double>::infinity();
   }
 }
 
-void NetworkFabricSim::RecordSlotTotals(const std::vector<double>& new_rates) {
+void NetworkFabricSim::RecordSlotTotals(const std::vector<Flow*>& component) {
   // Leave each side's post-solve totals behind for the boundary check: base
   // consumption plus the freshly solved rates, and the top solved share. Only
-  // the affected-set path pays for this — fallback solves have no
-  // boundary to check. Slots are numbered densely in first-seen order, so the
-  // solve's slot count is the max slot index any flow carries, plus one.
-  const size_t n = new_rates.size();
-  int num_slots = 0;
-  for (size_t i = 0; i < n; ++i) {
-    num_slots = std::max({num_slots, egress_slot_[i] + 1, ingress_slot_[i] + 1});
+  // the affected-set path pays for this — fallback solves have no boundary to
+  // check. The totals are summed per flow in ascending id, as the solve's
+  // inputs were.
+  for (size_t s = 0; s < static_cast<size_t>(num_slots_); ++s) {
+    slot_total_[s] = slot_base_[s];
+    slot_max_affected_[s] = 0.0;
   }
-  for (int s = 0; s < num_slots; ++s) {
-    slot_total_[static_cast<size_t>(s)] = slot_base_[static_cast<size_t>(s)];
-    slot_max_affected_[static_cast<size_t>(s)] = 0.0;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const double rate = new_rates[i];
-    for (const int s : {egress_slot_[i], ingress_slot_[i]}) {
+  for (const Flow* flow : component) {
+    const auto pair = static_cast<size_t>(PairKey(*flow));
+    const auto c = static_cast<size_t>(pair_class_[pair]);
+    const double rate = pair_rate_[pair];
+    for (const int s : {class_egress_[c], class_ingress_[c]}) {
       slot_total_[static_cast<size_t>(s)] += rate;
       slot_max_affected_[static_cast<size_t>(s)] =
           std::max(slot_max_affected_[static_cast<size_t>(s)], rate);
@@ -785,8 +833,8 @@ void NetworkFabricSim::SortByFlowId(std::vector<Flow*>* flows) {
 void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) {
   MONO_CHECK(new_rate > monoutil::BytesPerSecond(0));
   if (new_rate == flow->rate && flow->predicted_done >= SimTime()) {
-    // Unchanged rate: progress stays linear and the live completion key is
-    // still exact, so leave the flow untouched.
+    // Unchanged rate: progress stays linear and the completion key is still
+    // exact, so leave the flow untouched.
     return;
   }
   // Advance progress under the old rate, then apply the new share.
@@ -813,40 +861,42 @@ void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) 
     flow->rate = new_rate;
   }
 
-  // Re-key the predicted completion (the superseded heap entry goes stale);
-  // the caller refreshes the single timer event once its batch of rate changes
-  // is applied.
+  // Re-key the predicted completion; the caller refreshes the single timer
+  // event once its batch of rate changes is applied. A key that drops below
+  // the cached earliest replaces it; the cached flow itself moving later
+  // leaves the earliest unknown until the next rescan.
+  const SimTime old_done = flow->predicted_done;
   flow->predicted_done = now + SimTime(flow->remaining / flow->rate.bps());
-  PushCompletion(flow);
+  if (!earliest_valid_) {
+    return;
+  }
+  if (flow == earliest_) {
+    earliest_valid_ = flow->predicted_done <= old_done;
+  } else if (earliest_ == nullptr || flow->predicted_done < earliest_->predicted_done ||
+             (flow->predicted_done == earliest_->predicted_done && flow->id < earliest_->id)) {
+    earliest_ = flow;
+  }
 }
 
-void NetworkFabricSim::PushCompletion(Flow* flow) {
-  completions_.push_back({flow->predicted_done, flow->id, flow});
-  std::push_heap(completions_.begin(), completions_.end(), CompletesLater);
-  if (completions_.size() > 2 * flows_by_id_.size() + kCompletionHeapSlack) {
-    // Mostly stale: rebuild from the registry's live keys (`flow` included).
-    // The rebuilt heap is smaller than the one it replaces, so the vector's
-    // capacity is reused.
-    completions_.clear();
-    for (Flow* live : flows_by_id_) {
-      if (live->predicted_done >= SimTime()) {
-        completions_.push_back({live->predicted_done, live->id, live});
+const NetworkFabricSim::Flow* NetworkFabricSim::EarliestDue() {
+  if (!earliest_valid_) {
+    // The registry is in ascending id order, so the first strict minimum
+    // breaks time ties toward the smaller id.
+    earliest_ = nullptr;
+    for (const Flow* flow : flows_by_id_) {
+      if (flow->predicted_done >= SimTime() &&
+          (earliest_ == nullptr || flow->predicted_done < earliest_->predicted_done)) {
+        earliest_ = flow;
       }
     }
-    std::make_heap(completions_.begin(), completions_.end(), CompletesLater);
+    earliest_valid_ = true;
   }
-}
-
-void NetworkFabricSim::DropStaleCompletions() {
-  while (!completions_.empty() && !completions_.front().live()) {
-    std::pop_heap(completions_.begin(), completions_.end(), CompletesLater);
-    completions_.pop_back();
-  }
+  return earliest_;
 }
 
 void NetworkFabricSim::UpdateCompletionTimer() {
-  DropStaleCompletions();
-  const SimTime want = completions_.empty() ? SimTime(-1.0) : completions_.front().at;
+  const Flow* earliest = EarliestDue();
+  const SimTime want = earliest == nullptr ? SimTime(-1.0) : earliest->predicted_done;
   if (want == next_completion_time_ && (want < SimTime() || next_completion_.pending())) {
     return;  // The timer already points at the minimum.
   }
@@ -866,15 +916,12 @@ void NetworkFabricSim::UpdateCompletionTimer() {
 
 void NetworkFabricSim::OnNextCompletion() {
   // Complete every flow due now, earliest (time, id) first. Completion callbacks
-  // may start replacement flows whose patches push new entries mid-loop, so
-  // the minimum is re-read from the heap each iteration.
+  // may start replacement flows whose patches re-key the earliest mid-loop, so
+  // it is re-read each iteration.
   const SimTime now = sim_->now();
-  for (DropStaleCompletions(); !completions_.empty() && completions_.front().at <= now;
-       DropStaleCompletions()) {
-    const FlowId id = completions_.front().id;
-    std::pop_heap(completions_.begin(), completions_.end(), CompletesLater);
-    completions_.pop_back();
-    OnFlowComplete(id);
+  for (const Flow* due = EarliestDue(); due != nullptr && due->predicted_done <= now;
+       due = EarliestDue()) {
+    OnFlowComplete(due->id);
   }
   UpdateCompletionTimer();
 }
@@ -914,6 +961,7 @@ void NetworkFabricSim::FlushPending() {
   std::vector<Flow*>& affected = component_scratch_;
   affected.clear();
   bool solved = false;
+  bool spanning = false;
   if (try_local) {
     // Seed the affected set with every flow on a changed side: those are the
     // only flows a batched arrival or departure constrains directly. Everything
@@ -961,8 +1009,8 @@ void NetworkFabricSim::FlushPending() {
       // what lets a re-solve of an unchanged sub-structure reproduce rates
       // bit-for-bit (and ApplyRate skip them).
       SortByFlowId(&affected);
-      SolveMaxMin(affected, &rates_scratch_);
-      RecordSlotTotals(rates_scratch_);
+      SolveMaxMin(affected, /*spanning=*/false);
+      RecordSlotTotals(affected);
       ++stats_.solves;
       stats_.flows_touched += affected.size();
       solved = SubSolveCertified(eps);
@@ -981,41 +1029,48 @@ void NetworkFabricSim::FlushPending() {
     // global-min bottleneck selection, and unchanged rates are skipped on
     // apply), it is just wasted width if the fabric has since split, so the
     // closure is re-collected every few dozen flushes to revalidate.
-    bool spanning = false;
     if (spanning_revalidate_ > 0) {
       --spanning_revalidate_;
-      affected.assign(flows_by_id_.begin(), flows_by_id_.end());
       spanning = true;
     } else {
       CollectFromSides(dirty_sides_, &affected);
       if (affected.size() == flows_by_id_.size()) {
         spanning_revalidate_ = kSpanningRevalidateInterval;
-        affected.assign(flows_by_id_.begin(), flows_by_id_.end());
         spanning = true;
       } else {
         SortByFlowId(&affected);
       }
     }
-    SolveMaxMin(affected, &rates_scratch_, /*identity_slots=*/spanning);
+    SolveMaxMin(affected, spanning);
     ++stats_.solves;
-    stats_.flows_touched += affected.size();
+    stats_.flows_touched += spanning ? flows_by_id_.size() : affected.size();
   }
   dirty_sides_.clear();
   ++dirty_stamp_;
 
-  for (size_t i = 0; i < affected.size(); ++i) {
-    Flow* flow = affected[i];
+  // Apply in ascending flow id, each flow taking its class's rate. A spanning
+  // walk visits every live flow, so it recomputes the earliest completion on
+  // the way instead of leaving it to a rescan.
+  const std::vector<Flow*>& solved_flows = spanning ? flows_by_id_ : affected;
+  const Flow* earliest = nullptr;
+  for (Flow* flow : solved_flows) {
+    const monoutil::BytesPerSecond rate(pair_rate_[static_cast<size_t>(PairKey(*flow))]);
     // Same skip ApplyRate makes, hoisted: most of a re-solved component keeps
     // its rates bit-for-bit, so the call itself is the cost worth dodging.
-    if (monoutil::BytesPerSecond(rates_scratch_[i]) == flow->rate &&
-        flow->predicted_done >= SimTime()) {
-      continue;
+    if (rate != flow->rate || flow->predicted_done < SimTime()) {
+      ApplyRate(flow, rate);
     }
-    ApplyRate(flow, monoutil::BytesPerSecond(rates_scratch_[i]));
+    if (spanning && (earliest == nullptr || flow->predicted_done < earliest->predicted_done)) {
+      earliest = flow;
+    }
+  }
+  if (spanning) {
+    earliest_ = earliest;
+    earliest_valid_ = true;
   }
   UpdateCompletionTimer();
   if (trace_enabled_ || monotrace::Tracer::current() != nullptr) {
-    for (const Flow* flow : affected) {
+    for (const Flow* flow : solved_flows) {
       touched_scratch_.push_back(flow->dst);
     }
     RecordIngressTouched(touched_scratch_);
@@ -1108,10 +1163,17 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
     }
   }
   flows_by_id_.erase(by_id);
+  const int pair = PairKey(*flow);
+  if (--pair_count_[static_cast<size_t>(pair)] == 0) {
+    live_pairs_.erase(std::find(live_pairs_.begin(), live_pairs_.end(), pair));
+  }
+  if (flow == earliest_) {
+    earliest_valid_ = false;
+  }
   // Recycle before `done()` runs: the callback may start a replacement flow,
   // which is welcome to reuse this very slot (everything it needs was copied
   // into locals above).
-  FreeFlow(flow);
+  free_flows_.push_back(flow);
 
   if (share_policy_ == SharePolicy::kMinShareLegacy) {
     RecomputeAffected(src, dst);

@@ -31,6 +31,11 @@
 //    side's maximum or runner-up share (the local patches and the boundary
 //    check below) walk the side's flow list, which changes only on arrival and
 //    departure — never on the far more frequent rate changes.
+//  * Pair classes. Every flow between one (src, dst) pair crosses the same two
+//    NIC sides, so max-min gives them one rate. The solver works on classes of
+//    such flows, each carrying its multiplicity, and writes one rate per pair;
+//    the fabric keeps a live flow count per pair and the list of live pairs, so
+//    a solve spanning the whole fabric never walks a flow at all.
 //  * Bottleneck-set pruning. A single arrival or departure whose delta provably
 //    cannot change the saturated-side structure is absorbed by a local patch
 //    (one walk of its two sides) instead of any re-solve: an arrival that fits
@@ -50,17 +55,18 @@
 //    changed endpoint — rates outside that component cannot change, so the
 //    fallback is always sufficient).
 //
-// Completion events go through a fabric-owned index rather than the simulation
-// queue: each flow's predicted completion time lives in a lazy binary min-heap
-// on (time, id), and a single "next completion" event tracks the minimum. A
-// rate change pushes the flow's new key in O(log n) and leaves the old one
-// behind as a stale entry, recognised (and dropped) when it surfaces because
-// the flow no longer carries that key — no re-key ever shifts memory, and no
-// per-flow simulation event is cancelled and rescheduled, the dominant cost of
-// churn once solving itself is pruned (a max-min cascade re-times many
-// completions per delta). Rates are solved and applied in ascending flow-id
-// order, and the heap orders by (time, id) alone, so the event schedule (and
-// the run digest) never depends on traversal order or addresses.
+// Completion events go through the fabric rather than the simulation queue:
+// each flow carries its predicted completion time, the fabric caches the
+// earliest live (time, id), and a single "next completion" event tracks it. A
+// rate change that lowers a key lowers the cache; one that moves the cached
+// flow later, or its completion, invalidates it, and an invalid cache is
+// rescanned from the registry when the timer next needs it (a flush that
+// re-applies every live flow recomputes it on the way). No per-flow simulation
+// event is ever cancelled and rescheduled, the dominant cost of churn once
+// solving itself is pruned (a max-min cascade re-times many completions per
+// delta). Rates are solved and applied in ascending flow-id order, and the
+// cache orders by (time, id) alone, so the event schedule (and the run digest)
+// never depends on traversal order or addresses.
 #ifndef MONOTASKS_SRC_CLUSTER_NETWORK_H_
 #define MONOTASKS_SRC_CLUSTER_NETWORK_H_
 
@@ -180,14 +186,15 @@ class NetworkFabricSim : public Auditable {
   const RateTrace& ingress_trace(int machine) const;
   double MeanIngressUtilization(int machine, SimTime from, SimTime to) const;
 
-  // Invariant auditing (audit.h): flow counts consistent with the per-machine flow
-  // lists (both directions), the incrementally-maintained side rate sums equal
-  // to their recomputed totals, per-NIC ingress/egress rate sums within the NIC
-  // bandwidth, flow rates non-negative, every flow's rate certified max-min
-  // fair (it touches at least one saturated NIC side where no flow has a larger
-  // share), and no flows left when the simulation drains. Pending epoch work is
-  // flushed first, so the audit always certifies the batched solution, never
-  // the mid-epoch transient.
+  // Invariant auditing (audit.h): flow counts consistent with the per-machine
+  // flow lists (both directions), the incrementally-maintained side rate sums
+  // equal to their recomputed totals, the per-pair live counts and live-pair
+  // list matching a recount of the registry, per-NIC ingress/egress rate sums
+  // within the NIC bandwidth, flow rates non-negative, every flow's rate
+  // certified max-min fair (it touches at least one saturated NIC side where
+  // no flow has a larger share), and no flows left when the simulation drains.
+  // Pending epoch work is flushed first, so the audit always certifies the
+  // batched solution, never the mid-epoch transient.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
@@ -201,34 +208,17 @@ class NetworkFabricSim : public Auditable {
     monoutil::BytesPerSecond rate;
     SimTime last_update;
     InlineCallback done;
-    // Absolute predicted completion time, the flow's live key in the completion
-    // heap; negative while the flow has no rate yet and once it is freed.
+    // Absolute predicted completion time; negative until the flow's first rate
+    // is applied.
     SimTime predicted_done{-1.0};
     uint64_t visit_stamp = 0;  // Affected-set membership stamp (one stamp per flush).
   };
 
-  // One completion-heap entry. Live only while `flow` still carries this id and
-  // this predicted completion time; every other entry is a superseded key left
-  // behind by a rate change (or by the flow's completion) and is dropped when it
-  // reaches the top. `flow` points into the flow arena, which never releases a
-  // block, so even a stale entry's pointer stays readable; it is never
-  // compared — the heap orders by (at, id).
-  struct CompletionEntry {
-    SimTime at;
-    FlowId id;
-    Flow* flow;
-
-    bool live() const { return flow->id == id && flow->predicted_done == at; }
-  };
-  // Heap comparator: true when `a` completes after `b`, making the heap a
-  // min-heap on (at, id).
-  static bool CompletesLater(const CompletionEntry& a, const CompletionEntry& b) {
-    return b.at < a.at || (a.at == b.at && b.id < a.id);
-  }
-
   // NIC sides are keyed 2m (egress of machine m) / 2m+1 (ingress of m).
   static int EgressKey(int machine) { return 2 * machine; }
   static int IngressKey(int machine) { return 2 * machine + 1; }
+  // Pair classes are keyed src * num_machines + dst.
+  int PairKey(const Flow& flow) const { return flow.src * num_machines() + flow.dst; }
 
   // Marks both endpoint sides of a change dirty and registers the end-of-epoch
   // flush with the simulation (once per open epoch).
@@ -276,27 +266,33 @@ class NetworkFabricSim : public Auditable {
   // the flows' cache lines.
   void SortByFlowId(std::vector<Flow*>* flows);
 
-  // Progressive-filling max-min rates for `component`, written into `new_rates`
-  // (parallel to `component`). Flows *not* in `component` (those not carrying
-  // the current visit stamp) are held at their existing rates: each slot's
-  // capacity is reduced by their consumption, which is what lets FlushPending
-  // solve a pruned affected set instead of the whole closure. A full-closure
-  // component has no such flows on any of its sides, so its base reductions are
-  // exactly zero and the solve is identical to a from-scratch pass. The next
-  // bottleneck side is found by scanning a flat array of per-slot saturation
-  // caps, re-derived only for the slots a freeze touches. Non-const: the slot
-  // table lives in persistent scratch members so the per-epoch solve does not
-  // pay a fresh round of allocations; the per-slot levels are left behind for
-  // the boundary check. With `identity_slots` the caller vouches that
-  // `component` spans every live flow; slots are then the side keys themselves
-  // and the stamped side->slot map is skipped entirely.
-  void SolveMaxMin(const std::vector<Flow*>& component, std::vector<double>* new_rates,
-                   bool identity_slots = false);
+  // Progressive-filling max-min rates, one per pair class, written into
+  // pair_rate_. With `spanning` the caller vouches that the solve covers every
+  // live flow: the classes are then the live pairs, slots are the side keys
+  // themselves, and `component` is not walked. Otherwise the id-sorted
+  // `component` is grouped into classes in first-seen order, which numbers the
+  // slots exactly as a per-flow walk would. Flows *not* in `component` (those
+  // not carrying the current visit stamp) are held at their existing rates:
+  // each slot's capacity is reduced by their consumption, which is what lets
+  // FlushPending solve a pruned affected set instead of the whole closure. A
+  // full-closure component has no such flows on any of its sides, so its base
+  // reductions are exactly zero and the solve is identical to a from-scratch
+  // pass. The next bottleneck side is found by scanning a flat array of
+  // per-slot saturation caps, re-derived only for the slots a freeze touches.
+  // Non-const: the slot and class tables live in persistent scratch members so
+  // the per-epoch solve does not pay a fresh round of allocations; the
+  // per-slot levels are left behind for the boundary check.
+  void SolveMaxMin(const std::vector<Flow*>& component, bool spanning);
+  // The progressive fill itself, over the classes and slots SolveMaxMin set up.
+  void FillClasses();
+  // Grows every per-slot scratch array to hold at least `slots` entries.
+  void GrowSlotArrays(size_t slots);
 
   // Fills slot_total_ / slot_max_affected_ from the last solve's rates, for the
-  // boundary check. Split out of SolveMaxMin so fallback solves — which have no
-  // boundary to check — skip it.
-  void RecordSlotTotals(const std::vector<double>& new_rates);
+  // boundary check, summing per flow of `component` in ascending id. Split out
+  // of SolveMaxMin so fallback solves — which have no boundary to check — skip
+  // it.
+  void RecordSlotTotals(const std::vector<Flow*>& component);
 
   // After a sub-solve: true if some side of `flow` still certifies its (fixed)
   // rate — saturated, with `flow` holding a maximal share. Sides in the solve
@@ -311,16 +307,16 @@ class NetworkFabricSim : public Auditable {
   bool SubSolveCertified(double eps);
 
   // Advances `flow`'s progress under its old rate, then installs `new_rate`,
-  // updates the side rate sums, and pushes the flow's new completion key.
-  // Skips flows whose rate is unchanged, so symmetric recomputes cost nothing.
+  // updates the side rate sums, and re-keys the flow's predicted completion
+  // (lowering or invalidating the cached earliest completion). Skips flows
+  // whose rate is unchanged, so symmetric recomputes cost nothing.
   void ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate);
 
-  // Completion heap maintenance: pushing a flow's current key (rebuilding the
-  // heap from the registry once stale entries outnumber live ones), popping
-  // stale tops, the single simulation event tracking the minimum, and the
-  // handler that completes every flow due at the fired timestamp.
-  void PushCompletion(Flow* flow);
-  void DropStaleCompletions();
+  // The earliest live (predicted_done, id), rescanning the registry if the
+  // cache is invalid; nullptr when no flow has a rate yet. Then the single
+  // simulation event tracking it, and the handler that completes every flow
+  // due at the fired timestamp.
+  const Flow* EarliestDue();
   void UpdateCompletionTimer();
   void OnNextCompletion();
 
@@ -349,14 +345,9 @@ class NetworkFabricSim : public Auditable {
 
   // Arena allocation: pop the free list (growing it by a block when empty) and
   // reset the recycled struct's solver-visible fields; completed flows go back
-  // on the list with their completion key cleared, so no heap entry left
-  // behind can read as live. The live flow with `id`, found by binary search on
-  // the id-ordered registry; nullptr when absent.
+  // on the list. The live flow with `id`, found by binary search on the
+  // id-ordered registry; nullptr when absent.
   Flow* AllocFlow();
-  void FreeFlow(Flow* flow) {
-    flow->predicted_done = SimTime(-1.0);
-    free_flows_.push_back(flow);
-  }
   Flow* FindFlow(FlowId id) const;
 
   monoutil::BytesPerSecond LegacyMinShare(const Flow& flow) const;
@@ -400,13 +391,19 @@ class NetworkFabricSim : public Auditable {
   // rate change updates it as `-= old; += new`, so the sums (and the saturation
   // counts derived from them) are a pure function of the rate-change sequence.
   std::vector<monoutil::BytesPerSecond> side_rate_sum_;
-  // Predicted completion times: a binary min-heap on (at, id) (see
-  // CompletionEntry), with stale entries dropped lazily when they reach the top
-  // and the whole heap rebuilt from the registry once it exceeds twice the live
-  // flow count (plus a floor), reusing its capacity. One simulation event
-  // tracks the minimum; per-flow events would pay a queue cancel+reschedule for
-  // every rate change a cascade re-times.
-  std::vector<CompletionEntry> completions_;
+  // Pair classes, indexed by PairKey: the live flow count of each pair and the
+  // pairs with at least one live flow, in the order they last became live
+  // (reserved at construction for every pair). Kept in step with the registry
+  // on arrival and departure.
+  std::vector<int> pair_count_;
+  std::vector<int> live_pairs_;
+  // The cached earliest live completion (see EarliestDue): the flow with the
+  // minimum (predicted_done, id), or nullptr when no flow has a rate. While
+  // invalid it is recomputed on demand. One simulation event tracks it;
+  // per-flow events would pay a queue cancel+reschedule for every rate change
+  // a cascade re-times.
+  const Flow* earliest_ = nullptr;
+  bool earliest_valid_ = true;
   EventHandle next_completion_;
   SimTime next_completion_time_{-1.0};
   FlowId next_id_ = 1;
@@ -419,17 +416,27 @@ class NetworkFabricSim : public Auditable {
   std::vector<uint64_t> side_visit_stamp_;
   std::vector<int> pending_sides_;
 
-  // Solver scratch (SolveMaxMin): the side-key -> slot map is stamped per solve,
-  // and per-slot state keeps its capacity across solves, so the steady-state
-  // solve allocates nothing.
+  // Solver scratch (SolveMaxMin): the side-key -> slot and pair-key -> class
+  // maps are stamped per solve, and per-slot and per-class state keeps its
+  // capacity across solves, so the steady-state solve allocates nothing.
   uint64_t solve_stamp_ = 0;
   std::vector<uint64_t> slot_stamp_;  // Side key -> last solve that used it.
   std::vector<int> slot_of_;          // Side key -> slot within that solve.
+  std::vector<uint64_t> pair_stamp_;  // Pair key -> last solve that classed it.
+  std::vector<int> pair_class_;       // Pair key -> class within that solve.
+  // The solved rate of each pair key; negative while its class is unfrozen.
+  std::vector<double> pair_rate_;
+  // Per-class state: pair key, multiplicity, and egress/ingress slots.
+  std::vector<int> class_key_;
+  std::vector<int> class_count_;
+  std::vector<int> class_egress_;
+  std::vector<int> class_ingress_;
+  int num_slots_ = 0;
   std::vector<double> slot_consumed_;
-  std::vector<int> slot_unfrozen_;
+  std::vector<int> slot_unfrozen_;    // Flows not yet frozen, per slot.
   std::vector<double> slot_cap_;  // Fill level at which the slot saturates.
-  // Slot -> component-flow-index adjacency, CSR layout (slot_cursor_ is the
-  // fill pass's write cursor).
+  // Slot -> class-index adjacency, CSR layout (slot_cursor_ is the fill
+  // pass's write cursor).
   std::vector<int> slot_adj_offset_;
   std::vector<int> slot_adj_;
   std::vector<int> slot_cursor_;
@@ -444,15 +451,11 @@ class NetworkFabricSim : public Auditable {
   std::vector<double> slot_level_;
   std::vector<double> slot_total_;
   std::vector<double> slot_max_affected_;
-  std::vector<int> egress_slot_;
-  std::vector<int> ingress_slot_;
-  std::vector<char> frozen_;
 
   // Flush scratch (FlushPending), reused across epochs. `affected_sides_` is the
   // NIC sides crossed by the current affected set (plus the emptied dirty ones).
   std::vector<Flow*> component_scratch_;
   std::vector<std::pair<FlowId, Flow*>> sort_scratch_;
-  std::vector<double> rates_scratch_;
   std::vector<int> touched_scratch_;
   std::vector<int> affected_sides_;
   // Fallback flushes left that may take the full flow list without re-walking
@@ -491,6 +494,7 @@ class NetworkFabricSim : public Auditable {
   mutable std::vector<double> audit_ingress_max_;
   mutable std::vector<double> audit_egress_sum_;
   mutable std::vector<double> audit_egress_max_;
+  mutable std::vector<int> audit_pair_count_;
 };
 
 }  // namespace monosim

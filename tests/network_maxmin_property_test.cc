@@ -6,6 +6,7 @@
 // compare every active flow's rate against the independent global reference solver
 // (maxmin_reference.h). Departures are the completions the byte sizes induce, so
 // each sequence exercises both directions of the incremental update.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -13,6 +14,7 @@
 
 #include "src/cluster/network.h"
 #include "src/common/rng.h"
+#include "src/simcore/audit.h"
 #include "src/simcore/simulation.h"
 #include "tests/maxmin_reference.h"
 
@@ -122,6 +124,69 @@ TEST(NetworkMaxMinPropertyTest, SameTimestampBurstsMatchReferenceSolver) {
   // The sequences must actually have exercised epoch batching: at least some
   // epochs carried more than one arrival/departure into a single solve.
   EXPECT_GT(total_batched, 0u);
+}
+
+TEST(NetworkMaxMinPropertyTest, ParallelFlowsPerPairMatchReferenceSolver) {
+  // Pair classes: the solver gives every flow of one (src, dst) pair one rate
+  // and weighs the class by its multiplicity. Four machines carry up to 12
+  // concurrent flows per pair, arriving one at a time and in same-timestamp
+  // bursts on one pair (half of them with one shared size, so members of a
+  // class also depart together). Every epoch is checked against the per-flow
+  // reference solver under the fatal invariant audit, which also recounts the
+  // per-pair bookkeeping.
+  constexpr double kBandwidth = 100.0;
+  constexpr int kMachines = 4;
+  constexpr int kMaxPerPair = 12;
+  ScopedAudit audit;
+  int max_multiplicity = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    monoutil::Rng rng(9000 + seed);
+    Simulation sim;
+    NetworkFabricSim fabric(&sim, kMachines, monoutil::BytesPerSecond(kBandwidth));
+    std::vector<int> live(kMachines * kMachines, 0);
+    int launched = 0;
+    int completed = 0;
+    const auto launch = [&](int src, int dst, monoutil::Bytes bytes) {
+      const auto pair = static_cast<size_t>(src * kMachines + dst);
+      if (live[pair] == kMaxPerPair) {
+        return;
+      }
+      max_multiplicity = std::max(max_multiplicity, ++live[pair]);
+      ++launched;
+      fabric.StartFlow(src, dst, bytes, [&live, &completed, pair] {
+        --live[pair];
+        ++completed;
+      });
+    };
+    for (int event = 0; event < 30; ++event) {
+      const int src = static_cast<int>(rng.NextBelow(kMachines));
+      int dst = static_cast<int>(rng.NextBelow(kMachines - 1));
+      if (dst >= src) {
+        ++dst;
+      }
+      const int width = rng.NextBelow(2) == 0 ? 1 : 2 + static_cast<int>(rng.NextBelow(11));
+      const bool same_size = rng.NextBelow(2) == 0;
+      std::vector<monoutil::Bytes> sizes;
+      for (int i = 0; i < width; ++i) {
+        sizes.push_back(same_size && i > 0 ? sizes.front()
+                                           : static_cast<monoutil::Bytes>(1 + rng.NextBelow(400)));
+      }
+      sim.ScheduleAt(monoutil::Seconds(rng.Uniform(0.0, 3.0)), [&launch, src, dst, sizes] {
+        for (const monoutil::Bytes bytes : sizes) {
+          launch(src, dst, bytes);
+        }
+      });
+    }
+    while (sim.Step()) {
+      ExpectRatesMatchReference(fabric, kBandwidth, kMachines, sim.now());
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+    EXPECT_EQ(completed, launched) << "seed " << seed;
+  }
+  // The sequences must have stacked many flows onto one pair.
+  EXPECT_GE(max_multiplicity, 8);
 }
 
 TEST(NetworkMaxMinPropertyTest, PruningEligibleDeltasArePatchedAndStayCorrect) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -200,6 +202,52 @@ TEST(NetworkFabricTest, ZeroByteFlowCompletes) {
   fabric.StartFlow(0, 1, Bytes(0), [&] { done = true; });
   sim.Run();
   EXPECT_TRUE(done);
+}
+
+TEST(NetworkFabricTest, EarliestCompletionReKeyedLaterFiresInOrder) {
+  // Flow a (0->1) is the earliest completion (t=1) until an arrival on its
+  // sides halves its rate at t=0.5, moving it to t=1.5 — past flow b (2->3,
+  // due t=1.4 on disjoint sides). The fabric must notice its earliest moved
+  // later: b completes first, at its own time, then a.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 4, monoutil::BytesPerSecond(100.0));
+  std::vector<std::pair<char, double>> done;
+  fabric.StartFlow(0, 1, Bytes(100), [&] { done.emplace_back('a', sim.now().seconds()); });
+  fabric.StartFlow(2, 3, Bytes(140), [&] { done.emplace_back('b', sim.now().seconds()); });
+  sim.ScheduleAt(monoutil::Seconds(0.5), [&] {
+    fabric.StartFlow(0, 1, Bytes(1000), [&] { done.emplace_back('c', sim.now().seconds()); });
+  });
+  sim.Run();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].first, 'b');
+  EXPECT_NEAR(done[0].second, 1.4, 1e-9);
+  EXPECT_EQ(done[1].first, 'a');
+  EXPECT_NEAR(done[1].second, 1.5, 1e-9);
+  EXPECT_EQ(done[2].first, 'c');
+}
+
+TEST(NetworkFabricTest, ZeroByteFlowStartedAtSharedInstantCompletesInSameLoop) {
+  // Three equal flows on disjoint pairs all come due at t=1. The first one's
+  // completion starts a zero-byte flow on a free pair, due immediately: it
+  // must complete in the same completion loop, after the flows already due at
+  // that instant (its id is larger), without another timer event firing.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 8, monoutil::BytesPerSecond(100.0));
+  std::vector<std::pair<int, double>> done;
+  const auto record = [&](int flow) { done.emplace_back(flow, sim.now().seconds()); };
+  fabric.StartFlow(0, 1, Bytes(100), [&] {
+    record(1);
+    fabric.StartFlow(6, 7, Bytes(0), [&] { record(4); });
+  });
+  fabric.StartFlow(2, 3, Bytes(100), [&] { record(2); });
+  fabric.StartFlow(4, 5, Bytes(100), [&] { record(3); });
+  sim.Run();
+  ASSERT_EQ(done.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(done[static_cast<size_t>(i)].first, i + 1);
+    EXPECT_NEAR(done[static_cast<size_t>(i)].second, 1.0, 1e-9);
+  }
+  EXPECT_EQ(sim.fired_events(), 1u);
 }
 
 TEST(NetworkFabricTest, ControlMessageTakesRequestLatency) {

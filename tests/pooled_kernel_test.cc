@@ -155,6 +155,56 @@ TEST(PooledKernelDigest, FabricEqualShareReLevelMatchesParent) {
   EXPECT_EQ(0x94ce7195a51c1263ull, sim.digest());
 }
 
+TEST(PooledKernelDigest, FabricParallelPairsMatchesParent) {
+  // Parallel flows per (src, dst) pair: each wave stacks 4-7 equal-sized flows
+  // on every pair it uses, so the solver sees classes of high multiplicity,
+  // members of a class share one rate, and a whole class completes at one
+  // instant. The first member of each class to complete in the first two
+  // waves starts a reverse flow sized by the completion count, which makes the
+  // (time, id) order inside a class observable in the schedule; `order` folds
+  // the completion sequence in directly. Harvested from the fabric with the
+  // per-flow solver and the completion heap.
+  constexpr int kMachines = 8;
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, kMachines, monoutil::BytesPerSecond(1e8));
+  int completed = 0;
+  uint64_t order = 14695981039346656037ULL;
+  const auto start = [&](int src, int dst, int member, int wave) {
+    fabric.StartFlow(src, dst, monoutil::Bytes((1 << 17) + wave * 8192),
+                     [&, src, dst, member, wave] {
+      ++completed;
+      order = (order ^ static_cast<uint64_t>(((wave * kMachines + src) * kMachines + dst) * 8 +
+                                             member)) *
+              1099511628211ULL;
+      if (wave < 2 && member == 0) {
+        fabric.StartFlow(dst, src, monoutil::Bytes((1 << 15) + (completed % 7) * 2048),
+                         [&completed] { ++completed; });
+      }
+    });
+  };
+  for (int wave = 0; wave < 4; ++wave) {
+    sim.ScheduleAt(monoutil::Seconds(0.003 * wave), [&start, wave] {
+      for (int src = 0; src < kMachines; ++src) {
+        for (int step = 1; step <= 3; ++step) {
+          const int dst = (src + step * (wave + 1)) % kMachines;
+          if (dst == src) {
+            continue;
+          }
+          const int members = 4 + (src + step + wave) % 4;
+          for (int member = 0; member < members; ++member) {
+            start(src, dst, member, wave);
+          }
+        }
+      }
+    }, "wave");
+  }
+  sim.Run();
+  EXPECT_EQ(532, completed);
+  EXPECT_EQ(0x2ab745d92602fc7dull, order);
+  EXPECT_EQ(111u, sim.fired_events());
+  EXPECT_EQ(0x78fd37f5f5c93f74ull, sim.digest());
+}
+
 TEST(PooledKernelDigest, SortJobMatchesPreChangeKernel) {
   SimEnvironment env(monoload::SmallHddClusterConfig());
   monoload::SortParams params;
@@ -298,11 +348,11 @@ TEST(PooledKernelAlloc, FabricChurnIsHeapFree) {
   // (even machines send a third flow) that a departure frees capacity others
   // can take, plus one megabyte lane per machine whose far-future completion
   // keys go stale on every re-level. Departures and arrivals therefore go
-  // through batched re-solves, cascade re-keys and completion-heap rebuilds;
-  // the isolated 8->9 lane is absorbed by the local patches every time it
-  // turns over. The lane pattern is fixed, so every per-side list, solver
-  // scratch vector and the completion heap reach their high-water capacity
-  // during warmup.
+  // through batched re-solves, cascade re-keys and earliest-completion
+  // rescans; the isolated 8->9 lane is absorbed by the local patches every
+  // time it turns over. The lane pattern is fixed, so every per-side list and
+  // solver scratch vector reaches its high-water capacity during warmup (the
+  // live-pair list is reserved for every pair up front).
   Simulation sim;
   NetworkFabricSim fabric(&sim, 10, monoutil::BytesPerSecond(1e8));
   int completed = 0;

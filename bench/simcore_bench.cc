@@ -3,9 +3,8 @@
 // recomputation. Emits BENCH_simcore.json so perf work is measured, not asserted.
 //
 // The cancel-churn scenario prices tombstone compaction under the fabric's
-// cancel-and-reschedule pattern. The fabric scenarios run the legacy min-share
-// model and the work-conserving max-min fabric side by side, pricing the
-// fidelity fix.
+// cancel-and-reschedule pattern. The fabric scenarios price the
+// work-conserving max-min fabric.
 //
 // Each fabric scenario runs twice: bare, and with the invariant audit installed
 // (the "_audit" variants, equivalent to MONO_SIM_AUDIT=report). The audit sweeps
@@ -117,8 +116,7 @@ Scenario BenchCancelChurn(const char* name) {
 // This is the shuffle inner loop of the figure benches. With `audited` the full
 // invariant audit (including the max-min bottleneck certification) sweeps every
 // epoch boundary, as under MONO_SIM_AUDIT=report; a violation fails the bench.
-Scenario BenchFabricChurn(monosim::NetworkFabricSim::SharePolicy policy,
-                          const char* name, bool audited, bool telemetry = true) {
+Scenario BenchFabricChurn(const char* name, bool audited, bool telemetry = true) {
   constexpr int kMachines = 16;
   constexpr int kLanes = 64;
   constexpr int kFlowsPerLane = 400;
@@ -130,7 +128,6 @@ Scenario BenchFabricChurn(monosim::NetworkFabricSim::SharePolicy policy,
   sim.flight_recorder().set_enabled(telemetry);
   monosim::NetworkFabricSim fabric(&sim, kMachines,
                                    /*nic_bandwidth=*/monoutil::BytesPerSecond(1e8));
-  fabric.set_share_policy_for_test(policy);
   monoutil::Rng rng(7);
   size_t max_queue = 0;
   int completed = 0;
@@ -159,10 +156,7 @@ Scenario BenchFabricChurn(monosim::NetworkFabricSim::SharePolicy policy,
   sim.Run();
   const double seconds = Elapsed(start);
   const auto events = sim.fired_events();
-  // The legacy policy is *expected* to fail the max-min certification; only the
-  // max-min policy's audited run must come back clean.
-  if (audited && policy == monosim::NetworkFabricSim::SharePolicy::kMaxMinFair &&
-      !audit->audit().ok()) {
+  if (audited && !audit->audit().ok()) {
     std::cerr << name << ": audit violations\n" << audit->audit().Summary() << "\n";
     std::exit(1);
   }
@@ -292,7 +286,6 @@ int main(int argc, char** argv) {
   const auto wanted = [&](const char* name) {
     return filter.empty() || std::string(name).find(filter) != std::string::npos;
   };
-  using SharePolicy = monosim::NetworkFabricSim::SharePolicy;
   std::vector<Scenario> scenarios;
   const auto run_schedule_fire_on = [] {
     return BenchScheduleFire(true, "event_queue_schedule_fire");
@@ -321,21 +314,12 @@ int main(int argc, char** argv) {
   // Fabric scenarios. The pair-gated maxmin on/off twins are measured as an
   // interleaved warmed pair (see BestOfPair); the rest run once (their
   // baseline gates are generous enough for single measurements).
-  if (wanted("fabric_churn_legacy_minshare")) {
-    scenarios.push_back(BenchFabricChurn(SharePolicy::kMinShareLegacy,
-                                         "fabric_churn_legacy_minshare", false));
-  }
-  if (wanted("fabric_churn_legacy_minshare_audit")) {
-    scenarios.push_back(BenchFabricChurn(SharePolicy::kMinShareLegacy,
-                                         "fabric_churn_legacy_minshare_audit", true));
-  }
   const auto run_maxmin_on = [] {
-    return BenchFabricChurn(SharePolicy::kMaxMinFair, "fabric_churn_maxmin", false);
+    return BenchFabricChurn("fabric_churn_maxmin", false);
   };
   const auto run_maxmin_off = [] {
     return WithTelemetryOff([] {
-      return BenchFabricChurn(SharePolicy::kMaxMinFair,
-                              "fabric_churn_maxmin_telemetry_off", false, false);
+      return BenchFabricChurn("fabric_churn_maxmin_telemetry_off", false, false);
     });
   };
   {
@@ -352,8 +336,7 @@ int main(int argc, char** argv) {
       scenarios.push_back(BestOf(3, run_maxmin_on));
     }
     if (wanted("fabric_churn_maxmin_audit")) {
-      scenarios.push_back(BenchFabricChurn(SharePolicy::kMaxMinFair,
-                                           "fabric_churn_maxmin_audit", true));
+      scenarios.push_back(BenchFabricChurn("fabric_churn_maxmin_audit", true));
     }
     if (pair.has_value()) {
       scenarios.push_back(std::move(pair->second));

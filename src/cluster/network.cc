@@ -29,8 +29,6 @@ NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
     : sim_(sim),
       nic_bandwidth_(nic_bandwidth),
       request_latency_(request_latency),
-      ingress_count_(static_cast<size_t>(num_machines), 0),
-      egress_count_(static_cast<size_t>(num_machines), 0),
       ingress_flows_(static_cast<size_t>(num_machines)),
       egress_flows_(static_cast<size_t>(num_machines)),
       side_rate_sum_(static_cast<size_t>(2 * num_machines)),
@@ -59,6 +57,90 @@ NetworkFabricSim::~NetworkFabricSim() {
   sim_->UnregisterAuditable(this);
 }
 
+void AuditFabricAllocation(SimAudit& audit, SimTime now,
+                           std::span<const NetworkFabricSim::FlowInfo> flows, int num_machines,
+                           monoutil::BytesPerSecond bandwidth, FabricSideTotals& sides) {
+  const char* source = "network-fabric";
+  const double bw = bandwidth.bps();
+  const double eps = 1e-9 * std::max(1.0, bw);
+  const size_t machines = static_cast<size_t>(num_machines);
+  sides.egress_sum.assign(machines, 0.0);
+  sides.egress_max.assign(machines, 0.0);
+  sides.ingress_sum.assign(machines, 0.0);
+  sides.ingress_max.assign(machines, 0.0);
+  for (const NetworkFabricSim::FlowInfo& flow : flows) {
+    const size_t src = static_cast<size_t>(flow.src);
+    const size_t dst = static_cast<size_t>(flow.dst);
+    const double rate = flow.rate.bps();
+    sides.egress_sum[src] += rate;
+    sides.egress_max[src] = std::max(sides.egress_max[src], rate);
+    sides.ingress_sum[dst] += rate;
+    sides.ingress_max[dst] = std::max(sides.ingress_max[dst], rate);
+  }
+  // Each NIC is full duplex: the flows it carries in each direction cannot
+  // together exceed its bandwidth. The predicates are folded into one boolean
+  // per invariant and reported through a single ExpectLazy whose detail lambda
+  // re-walks to name an offender — the sweep runs every epoch, so the passing
+  // path must stay a tight loop, while the failing path can afford a second
+  // pass.
+  const auto within = [&](const std::vector<double>& sums, const char* invariant,
+                          const char* direction) {
+    bool ok = true;
+    for (const double sum : sums) {
+      ok = ok && sum <= bw + eps;
+    }
+    audit.ExpectLazy(ok, now, source, invariant, [&] {
+      std::ostringstream d;
+      for (size_t m = 0; m < machines; ++m) {
+        if (sums[m] > bw + eps) {
+          d << "machine " << m << " " << direction << " rate " << sums[m]
+            << " exceeds NIC bandwidth " << bandwidth;
+          break;
+        }
+      }
+      return d.str();
+    });
+  };
+  within(sides.ingress_sum, "ingress-within-bandwidth", "ingress");
+  within(sides.egress_sum, "egress-within-bandwidth", "egress");
+
+  // Max-min certification: an allocation is max-min fair iff every flow crosses at
+  // least one saturated NIC side on which it has a maximal share. This bounds the
+  // rates from *below* — the bandwidth checks above only bound them from above, so
+  // a work-conservation bug (stranded capacity) passes them silently. Batched and
+  // patched solutions alike must pass: a patch is only taken when it provably
+  // leaves every flow pinned to a saturated side (see TryPatchArrival /
+  // CanPatchDeparture), so this certification is what pins the pruning logic.
+  const auto certified = [&](const NetworkFabricSim::FlowInfo& flow) {
+    const size_t src = static_cast<size_t>(flow.src);
+    const size_t dst = static_cast<size_t>(flow.dst);
+    return (sides.egress_sum[src] >= bw - eps &&
+            flow.rate.bps() >= sides.egress_max[src] - eps) ||
+           (sides.ingress_sum[dst] >= bw - eps &&
+            flow.rate.bps() >= sides.ingress_max[dst] - eps);
+  };
+  bool all_certified = true;
+  for (const NetworkFabricSim::FlowInfo& flow : flows) {
+    all_certified = all_certified && certified(flow);
+  }
+  audit.ExpectLazy(all_certified, now, source, "max-min-bottleneck", [&] {
+    std::ostringstream d;
+    for (const NetworkFabricSim::FlowInfo& flow : flows) {
+      if (!certified(flow)) {
+        const size_t src = static_cast<size_t>(flow.src);
+        const size_t dst = static_cast<size_t>(flow.dst);
+        d << "flow " << flow.id << " (" << flow.src << "->" << flow.dst << ") rate "
+          << flow.rate << " is not bottlenecked at a saturated NIC (egress sum "
+          << sides.egress_sum[src] << " max " << sides.egress_max[src] << ", ingress sum "
+          << sides.ingress_sum[dst] << " max " << sides.ingress_max[dst] << ", bandwidth "
+          << bandwidth << "): capacity is stranded";
+        break;
+      }
+    }
+    return d.str();
+  });
+}
+
 void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
   // Certify the batched solution, never the mid-epoch transient: any still-pending
   // arrivals/departures are solved first (no-op when the fabric is clean, which is
@@ -66,54 +148,26 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   FlushPendingConst();
   const SimTime now = sim_->now();
   const char* source = "network-fabric";
-  const double bw = nic_bandwidth_.bps();
-  const double eps = 1e-9 * std::max(1.0, bw);
+  const double eps = 1e-9 * std::max(1.0, nic_bandwidth_.bps());
 
-  // Per-NIC-side rate sums and maxima, reused below by the bandwidth checks and
-  // the max-min bottleneck certification. Recomputed from the flow lists — the
-  // audit cross-checks the incrementally-maintained side rate sums against this
-  // ground truth, so it must not read them. The sweep runs every epoch; the
-  // scratch members are persistent so it costs a fill, not four allocations.
-  const size_t machines = static_cast<size_t>(num_machines());
-  std::vector<double>& ingress_sum = audit_ingress_sum_;
-  std::vector<double>& ingress_max = audit_ingress_max_;
-  std::vector<double>& egress_sum = audit_egress_sum_;
-  std::vector<double>& egress_max = audit_egress_max_;
-  ingress_sum.resize(machines);
-  ingress_max.resize(machines);
-  egress_sum.resize(machines);
-  egress_max.resize(machines);
-  std::fill(ingress_sum.begin(), ingress_sum.end(), 0.0);
-  std::fill(ingress_max.begin(), ingress_max.end(), 0.0);
-  std::fill(egress_sum.begin(), egress_sum.end(), 0.0);
-  std::fill(egress_max.begin(), egress_max.end(), 0.0);
+  // One contiguous walk over the id-ordered flow list fills the allocation
+  // snapshot and evaluates the per-flow bookkeeping predicates; each flow is
+  // dereferenced once. As in AuditFabricAllocation, each invariant is one
+  // boolean reported through a single ExpectLazy. The sweep runs every
+  // epoch; the scratch members are persistent so it costs a fill, not an
+  // allocation.
+  std::vector<FlowInfo>& snapshot = audit_flows_;
+  snapshot.clear();
   std::vector<int>& pair_recount = audit_pair_count_;
   pair_recount.assign(pair_count_.size(), 0);
-
-  // One contiguous walk over the id-ordered flow list recomputes every
-  // per-side aggregate and evaluates the per-flow predicates; each flow is
-  // dereferenced once. The predicates are folded into one boolean per
-  // invariant, reported through a single ExpectLazy whose detail lambda
-  // re-walks to name an offender — the sweep runs every epoch, so the passing
-  // path must stay a tight loop, while the failing path can afford a second
-  // pass. The per-machine bookkeeping checks below compare against these
-  // ground truths without walking the per-machine lists again.
-  size_t listed_ingress = 0;
-  size_t listed_egress = 0;
   bool ids_ordered = true;
   bool rates_nonneg = true;
   FlowId last_id = 0;
   for (const Flow* flow : flows_by_id_) {
     ids_ordered = ids_ordered && flow->id > last_id;
     last_id = flow->id;
-    const size_t src = static_cast<size_t>(flow->src);
-    const size_t dst = static_cast<size_t>(flow->dst);
-    const double rate = flow->rate.bps();
-    egress_sum[src] += rate;
-    egress_max[src] = std::max(egress_max[src], rate);
-    ingress_sum[dst] += rate;
-    ingress_max[dst] = std::max(ingress_max[dst], rate);
-    rates_nonneg = rates_nonneg && rate >= 0.0;
+    snapshot.push_back(FlowInfo{flow->id, flow->src, flow->dst, flow->rate});
+    rates_nonneg = rates_nonneg && flow->rate.bps() >= 0.0;
     ++pair_recount[static_cast<size_t>(PairKey(*flow))];
   }
   audit.ExpectLazy(rates_nonneg, now, source, "flow-rate-non-negative", [&] {
@@ -132,12 +186,12 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
       << " entries) is not in strictly ascending id order";
     return d.str();
   });
-  bool counts_ok = true;
-  bool ingress_within = true;
-  bool egress_within = true;
-  bool side_sums_ok = true;
-  // The incrementally-maintained side rate sums must match the recomputed
-  // ground truth, or the solver's bases and the patches' decisions drift.
+  AuditFabricAllocation(audit, now, snapshot, num_machines(), nic_bandwidth_, audit_sides_);
+
+  // The incrementally-maintained side rate sums must match the ground truth
+  // recomputed from the snapshot, or the solver's bases and the patches'
+  // decisions drift.
+  const FabricSideTotals& sides = audit_sides_;
   const auto egress_rate_sum = [&](int m) {
     return side_rate_sum_[static_cast<size_t>(EgressKey(m))];
   };
@@ -146,59 +200,17 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   };
   const auto side_sums_match = [&](int m) {
     const auto mu = static_cast<size_t>(m);
-    return std::abs(egress_rate_sum(m).bps() - egress_sum[mu]) <= eps &&
-           std::abs(ingress_rate_sum(m).bps() - ingress_sum[mu]) <= eps;
+    return std::abs(egress_rate_sum(m).bps() - sides.egress_sum[mu]) <= eps &&
+           std::abs(ingress_rate_sum(m).bps() - sides.ingress_sum[mu]) <= eps;
   };
+  size_t listed_ingress = 0;
+  size_t listed_egress = 0;
+  bool side_sums_ok = true;
   for (int m = 0; m < num_machines(); ++m) {
-    const auto mu = static_cast<size_t>(m);
-    const auto& ingress = ingress_flows_[mu];
-    const auto& egress = egress_flows_[mu];
-    listed_ingress += ingress.size();
-    listed_egress += egress.size();
-    counts_ok = counts_ok && ingress_count_[mu] == static_cast<int>(ingress.size()) &&
-                egress_count_[mu] == static_cast<int>(egress.size());
-    // Each NIC is full duplex: the flows it carries in each direction cannot
-    // together exceed its bandwidth.
-    ingress_within = ingress_within && ingress_sum[mu] <= bw + eps;
-    egress_within = egress_within && egress_sum[mu] <= bw + eps;
+    listed_ingress += ingress_flows_[static_cast<size_t>(m)].size();
+    listed_egress += egress_flows_[static_cast<size_t>(m)].size();
     side_sums_ok = side_sums_ok && side_sums_match(m);
   }
-  audit.ExpectLazy(counts_ok, now, source, "flow-count-bookkeeping", [&] {
-    std::ostringstream d;
-    for (int m = 0; m < num_machines(); ++m) {
-      const auto mu = static_cast<size_t>(m);
-      if (ingress_count_[mu] != static_cast<int>(ingress_flows_[mu].size()) ||
-          egress_count_[mu] != static_cast<int>(egress_flows_[mu].size())) {
-        d << "machine " << m << ": counts (" << ingress_count_[mu] << ", "
-          << egress_count_[mu] << ") != list sizes (" << ingress_flows_[mu].size()
-          << ", " << egress_flows_[mu].size() << ")";
-        break;
-      }
-    }
-    return d.str();
-  });
-  audit.ExpectLazy(ingress_within, now, source, "ingress-within-bandwidth", [&] {
-    std::ostringstream d;
-    for (int m = 0; m < num_machines(); ++m) {
-      if (ingress_sum[static_cast<size_t>(m)] > bw + eps) {
-        d << "machine " << m << " ingress rate " << ingress_sum[static_cast<size_t>(m)]
-          << " exceeds NIC bandwidth " << nic_bandwidth_;
-        break;
-      }
-    }
-    return d.str();
-  });
-  audit.ExpectLazy(egress_within, now, source, "egress-within-bandwidth", [&] {
-    std::ostringstream d;
-    for (int m = 0; m < num_machines(); ++m) {
-      if (egress_sum[static_cast<size_t>(m)] > bw + eps) {
-        d << "machine " << m << " egress rate " << egress_sum[static_cast<size_t>(m)]
-          << " exceeds NIC bandwidth " << nic_bandwidth_;
-        break;
-      }
-    }
-    return d.str();
-  });
   audit.ExpectLazy(side_sums_ok, now, source, "side-rate-sum", [&] {
     std::ostringstream d;
     for (int m = 0; m < num_machines(); ++m) {
@@ -206,7 +218,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
         const auto mu = static_cast<size_t>(m);
         d << "machine " << m << ": maintained rate sums (" << egress_rate_sum(m)
           << " egress, " << ingress_rate_sum(m) << " ingress) drifted from totals ("
-          << egress_sum[mu] << ", " << ingress_sum[mu] << ")";
+          << sides.egress_sum[mu] << ", " << sides.ingress_sum[mu] << ")";
         break;
       }
     }
@@ -233,6 +245,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
           std::count(live_pairs_.begin(), live_pairs_.end(), static_cast<int>(key)));
       const int recount = std::abs(pair_recount[key]);
       if (pair_count_[key] != recount || listed != (recount > 0 ? 1 : 0)) {
+        const auto machines = static_cast<size_t>(num_machines());
         d << "pair " << key / machines << "->" << key % machines << ": maintained count "
           << pair_count_[key] << ", registry holds " << recount << ", listed " << listed
           << " time(s) among " << live_pairs_.size() << " live pairs";
@@ -251,43 +264,6 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     std::ostringstream d;
     d << "per-machine egress lists hold " << listed_egress << " flows, registry holds "
       << flows_by_id_.size();
-    return d.str();
-  });
-
-  // Max-min certification: an allocation is max-min fair iff every flow crosses at
-  // least one saturated NIC side on which it has a maximal share. This bounds the
-  // rates from *below* — the bandwidth checks above only bound them from above, so
-  // a work-conservation bug (stranded capacity) passes them silently. Batched and
-  // patched solutions alike must pass: a patch is only taken when it provably
-  // leaves every flow pinned to a saturated side (see TryPatchArrival /
-  // CanPatchDeparture), so this certification is what pins the pruning logic.
-  const auto certified = [&](const Flow& flow) {
-    const size_t src = static_cast<size_t>(flow.src);
-    const size_t dst = static_cast<size_t>(flow.dst);
-    return (egress_sum[src] >= bw - eps &&
-            flow.rate.bps() >= egress_max[src] - eps) ||
-           (ingress_sum[dst] >= bw - eps &&
-            flow.rate.bps() >= ingress_max[dst] - eps);
-  };
-  bool all_certified = true;
-  for (const Flow* flow : flows_by_id_) {
-    all_certified = all_certified && certified(*flow);
-  }
-  audit.ExpectLazy(all_certified, now, source, "max-min-bottleneck", [&] {
-    std::ostringstream d;
-    for (const Flow* flow : flows_by_id_) {
-      if (!certified(*flow)) {
-        const size_t src = static_cast<size_t>(flow->src);
-        const size_t dst = static_cast<size_t>(flow->dst);
-        d << "flow " << flow->id << " (" << flow->src << "->" << flow->dst
-          << ") rate " << flow->rate
-          << " is not bottlenecked at a saturated NIC (egress sum "
-          << egress_sum[src] << " max " << egress_max[src] << ", ingress sum "
-          << ingress_sum[dst] << " max " << ingress_max[dst] << ", bandwidth "
-          << nic_bandwidth_ << "): capacity is stranded";
-        break;
-      }
-    }
     return d.str();
   });
 
@@ -329,14 +305,6 @@ NetworkFabricSim::Flow* NetworkFabricSim::FindFlow(FlowId id) const {
   return (it != flows_by_id_.end() && (*it)->id == id) ? *it : nullptr;
 }
 
-monoutil::BytesPerSecond NetworkFabricSim::LegacyMinShare(const Flow& flow) const {
-  const monoutil::BytesPerSecond egress_share =
-      nic_bandwidth_ / static_cast<double>(egress_count_[static_cast<size_t>(flow.src)]);
-  const monoutil::BytesPerSecond ingress_share =
-      nic_bandwidth_ / static_cast<double>(ingress_count_[static_cast<size_t>(flow.dst)]);
-  return std::min(egress_share, ingress_share);
-}
-
 NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
                                                          monoutil::Bytes bytes,
                                                          InlineCallback&& done) {
@@ -366,21 +334,19 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   // Close out the interval ending now before the busy-side set grows. The new
   // flow starts at rate 0, so the side rate sums and saturation are untouched.
   AccumulateSideTime(sim_->now());
-  if (egress_count_[static_cast<size_t>(src)] == 0) {
+  std::vector<Flow*>& egress = egress_flows_[static_cast<size_t>(src)];
+  std::vector<Flow*>& ingress = ingress_flows_[static_cast<size_t>(dst)];
+  if (egress.empty()) {
     ++busy_side_count_;
   }
-  if (ingress_count_[static_cast<size_t>(dst)] == 0) {
+  if (ingress.empty()) {
     ++busy_side_count_;
   }
-  ++egress_count_[static_cast<size_t>(src)];
-  ++ingress_count_[static_cast<size_t>(dst)];
-  egress_flows_[static_cast<size_t>(src)].push_back(raw);
-  ingress_flows_[static_cast<size_t>(dst)].push_back(raw);
+  egress.push_back(raw);
+  ingress.push_back(raw);
   total_bytes_ += bytes;
 
-  if (share_policy_ == SharePolicy::kMinShareLegacy) {
-    RecomputeAffected(src, dst);
-  } else if (TryPatchArrival(raw)) {
+  if (TryPatchArrival(raw)) {
     ++stats_.patched_arrivals;
   } else {
     ++stats_.batched_changes;
@@ -1077,39 +1043,20 @@ void NetworkFabricSim::FlushPending() {
   }
 }
 
-void NetworkFabricSim::RecomputeAffected(int src, int dst) {
-  // Eager legacy-policy path: rates can only change inside the connected
-  // component(s) of the flow-sharing graph that touch the changed endpoints.
-  std::vector<Flow*> component;
-  CollectFromSides({EgressKey(src), IngressKey(dst)}, &component);
-  for (Flow* flow : component) {
-    ApplyRate(flow, LegacyMinShare(*flow));
-  }
-  UpdateCompletionTimer();
-  std::vector<int> touched_ingress;
-  touched_ingress.push_back(dst);  // Record even when the last flow just departed.
-  for (const Flow* flow : component) {
-    touched_ingress.push_back(flow->dst);
-  }
-  RecordIngressTouched(touched_ingress);
-  // Audit eagerly, as the eager path historically did: the allocations this
-  // policy strands exist *between* a change and the next epoch boundary (the
-  // epoch-boundary sweep only sees the state after in-flight departures).
-  if (SimAudit* audit = SimAudit::current()) {
-    AuditInvariants(*audit, AuditPhase::kEventBoundary);
-  }
-}
-
 void NetworkFabricSim::RecordIngressTouched(std::span<const int> machines) {
-  if (trace_enabled_) {
-    RecordIngressRates(machines);
+  monotrace::Tracer* tracer = monotrace::Tracer::current();
+  if (!trace_enabled_ && tracer == nullptr) {
+    return;
   }
-  if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
-    for (const int machine : machines) {
-      double total = 0.0;
-      for (const Flow* flow : ingress_flows_[static_cast<size_t>(machine)]) {
-        total += flow->rate.bps();
-      }
+  for (const int machine : machines) {
+    double total = 0.0;
+    for (const Flow* flow : ingress_flows_[static_cast<size_t>(machine)]) {
+      total += flow->rate.bps();
+    }
+    if (trace_enabled_) {
+      ingress_traces_[static_cast<size_t>(machine)].Record(sim_->now(), total);
+    }
+    if (tracer != nullptr) {
       tracer->Counter("devices", "machine" + std::to_string(machine) + ".nic-in",
                       sim_->now().seconds(), total / nic_bandwidth_.bps());
     }
@@ -1138,8 +1085,7 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   InlineCallback done = std::move(flow->done);
   // Decide on the local patch while the departing flow still counts in its
   // sides' sums and flow lists (the decision reads both).
-  const bool patched =
-      share_policy_ == SharePolicy::kMaxMinFair && CanPatchDeparture(*flow);
+  const bool patched = CanPatchDeparture(*flow);
 
   auto erase_from = [](std::vector<Flow*>& list, Flow* target) {
     list.erase(std::remove(list.begin(), list.end(), target), list.end());
@@ -1147,12 +1093,10 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   erase_from(egress_flows_[static_cast<size_t>(src)], flow);
   erase_from(ingress_flows_[static_cast<size_t>(dst)], flow);
   AccumulateSideTime(now);
-  --egress_count_[static_cast<size_t>(src)];
-  --ingress_count_[static_cast<size_t>(dst)];
-  if (egress_count_[static_cast<size_t>(src)] == 0) {
+  if (egress_flows_[static_cast<size_t>(src)].empty()) {
     --busy_side_count_;
   }
-  if (ingress_count_[static_cast<size_t>(dst)] == 0) {
+  if (ingress_flows_[static_cast<size_t>(dst)].empty()) {
     --busy_side_count_;
   }
   for (const int key : {EgressKey(src), IngressKey(dst)}) {
@@ -1175,9 +1119,7 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   // into locals above).
   free_flows_.push_back(flow);
 
-  if (share_policy_ == SharePolicy::kMinShareLegacy) {
-    RecomputeAffected(src, dst);
-  } else if (patched) {
+  if (patched) {
     ++stats_.patched_departures;
     RecordIngressTouched(dst);
   } else {
@@ -1192,12 +1134,12 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
 
 int NetworkFabricSim::ingress_flows(int machine) const {
   MONO_CHECK(machine >= 0 && machine < num_machines());
-  return ingress_count_[static_cast<size_t>(machine)];
+  return static_cast<int>(ingress_flows_[static_cast<size_t>(machine)].size());
 }
 
 int NetworkFabricSim::egress_flows(int machine) const {
   MONO_CHECK(machine >= 0 && machine < num_machines());
-  return egress_count_[static_cast<size_t>(machine)];
+  return static_cast<int>(egress_flows_[static_cast<size_t>(machine)].size());
 }
 
 void NetworkFabricSim::AccumulateSideTime(SimTime now) const {
@@ -1243,16 +1185,6 @@ void NetworkFabricSim::EnableTrace() {
     if (ingress_traces_[m].empty()) {
       ingress_traces_[m].Record(sim_->now(), 0.0);
     }
-  }
-}
-
-void NetworkFabricSim::RecordIngressRates(std::span<const int> machines) {
-  for (int machine : machines) {
-    double total = 0.0;
-    for (const Flow* flow : ingress_flows_[static_cast<size_t>(machine)]) {
-      total += flow->rate.bps();
-    }
-    ingress_traces_[static_cast<size_t>(machine)].Record(sim_->now(), total);
   }
 }
 

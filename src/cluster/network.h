@@ -15,8 +15,7 @@
 // with flows m0→m1, m0→m1, m0→m2, m4→m2 it gave the fourth flow bw/2 where max-min
 // gives 2bw/3 — distorting exactly the asymmetric shuffle-fetch patterns that
 // distinguish Spark's many-concurrent-fetch behaviour from the monotasks
-// receiver-driven scheduler (§3.4). It is kept, test-only, as
-// SharePolicy::kMinShareLegacy so the audit layer can demonstrate catching it.
+// receiver-driven scheduler (§3.4).
 //
 // Incremental solving is organised around three mechanisms (DESIGN §4):
 //
@@ -86,6 +85,16 @@
 
 namespace monosim {
 
+// Per-machine aggregates of one fabric allocation, indexed by machine: each
+// NIC side's rate sum and its largest single flow rate (AuditFabricAllocation
+// fills them).
+struct FabricSideTotals {
+  std::vector<double> egress_sum;
+  std::vector<double> egress_max;
+  std::vector<double> ingress_sum;
+  std::vector<double> ingress_max;
+};
+
 class NetworkFabricSim : public Auditable {
  public:
   // The fabric is its own ownership domain: flows and control messages are the
@@ -106,18 +115,6 @@ class NetworkFabricSim : public Auditable {
 
   using FlowId = uint64_t;
 
-  // How NIC bandwidth is divided among flows. kMaxMinFair is the model;
-  // kMinShareLegacy reinstates the historical min-of-equal-shares shortcut (which
-  // strands capacity under asymmetric fan-in) so tests can demonstrate that the
-  // max-min-bottleneck audit detects it. The legacy policy re-solves eagerly per
-  // change (no batching or pruning), preserving the historical cost profile the
-  // benches compare against.
-  enum class SharePolicy {
-    kMaxMinFair,
-    kMinShareLegacy,
-  };
-  void set_share_policy_for_test(SharePolicy policy) { share_policy_ = policy; }
-
   // Starts a bulk data flow of `bytes` from machine `src` to machine `dst` (src !=
   // dst); `done` (any void() callable; oversize captures draw pooled storage
   // from the owning simulation's arena) fires when the last byte arrives.
@@ -132,7 +129,7 @@ class NetworkFabricSim : public Auditable {
     SendControlImpl(src, dst, WrapCallback(std::forward<F>(deliver)));
   }
 
-  int num_machines() const { return static_cast<int>(ingress_count_.size()); }
+  int num_machines() const { return static_cast<int>(ingress_flows_.size()); }
   monoutil::BytesPerSecond nic_bandwidth() const { return nic_bandwidth_; }
   monoutil::SimTime request_latency() const { return request_latency_; }
 
@@ -186,15 +183,14 @@ class NetworkFabricSim : public Auditable {
   const RateTrace& ingress_trace(int machine) const;
   double MeanIngressUtilization(int machine, SimTime from, SimTime to) const;
 
-  // Invariant auditing (audit.h): flow counts consistent with the per-machine
-  // flow lists (both directions), the incrementally-maintained side rate sums
-  // equal to their recomputed totals, the per-pair live counts and live-pair
-  // list matching a recount of the registry, per-NIC ingress/egress rate sums
-  // within the NIC bandwidth, flow rates non-negative, every flow's rate
-  // certified max-min fair (it touches at least one saturated NIC side where
-  // no flow has a larger share), and no flows left when the simulation drains.
-  // Pending epoch work is flushed first, so the audit always certifies the
-  // batched solution, never the mid-epoch transient.
+  // Invariant auditing (audit.h): the bookkeeping checks — the registry in
+  // ascending id order and matched by the per-machine flow lists (both
+  // directions), the incrementally-maintained side rate sums equal to their
+  // recomputed totals, the per-pair live counts and live-pair list matching a
+  // recount of the registry, flow rates non-negative, and no flows left when
+  // the simulation drains — plus AuditFabricAllocation over a snapshot of the
+  // live flows. Pending epoch work is flushed first, so the audit always
+  // certifies the batched solution, never the mid-epoch transient.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
@@ -243,11 +239,6 @@ class NetworkFabricSim : public Auditable {
   // provably leaves every remaining rate unchanged.
   bool TryPatchArrival(Flow* flow);
   bool CanPatchDeparture(const Flow& flow) const;
-
-  // Re-derives the rate of every flow in the connected component(s) of the
-  // flow-sharing graph touching `src`'s egress or `dst`'s ingress side, eagerly.
-  // Legacy-policy path only; the max-min policy batches via MarkDirty/FlushPending.
-  void RecomputeAffected(int src, int dst);
 
   // All flows transitively sharing a NIC side with the seed sides, appended to
   // `component` (which is cleared first).
@@ -321,7 +312,8 @@ class NetworkFabricSim : public Auditable {
   void OnNextCompletion();
 
   // Records the ingress rate trace and tracer counters for `machines` (deduped
-  // by the caller where it matters; harmless when repeated).
+  // by the caller where it matters; harmless when repeated), summing each
+  // machine's ingress rates once for both.
   void RecordIngressTouched(std::span<const int> machines);
   void RecordIngressTouched(int machine) { RecordIngressTouched({&machine, 1}); }
 
@@ -349,9 +341,6 @@ class NetworkFabricSim : public Auditable {
   // id-ordered registry; nullptr when absent.
   Flow* AllocFlow();
   Flow* FindFlow(FlowId id) const;
-
-  monoutil::BytesPerSecond LegacyMinShare(const Flow& flow) const;
-  void RecordIngressRates(std::span<const int> machines);
 
   // Advances the side-time integrals to `now` under the current busy/saturated
   // side counts (both constant since the last accumulation). Called before any
@@ -383,8 +372,6 @@ class NetworkFabricSim : public Auditable {
   // never do (recycled addresses would otherwise leak into the schedule).
   std::vector<std::unique_ptr<Flow[]>> flow_blocks_;
   std::vector<Flow*> free_flows_;
-  std::vector<int> ingress_count_;
-  std::vector<int> egress_count_;
   std::vector<std::vector<Flow*>> ingress_flows_;
   std::vector<std::vector<Flow*>> egress_flows_;
   // Current rate sum of each NIC side, indexed by EgressKey/IngressKey. Every
@@ -408,7 +395,6 @@ class NetworkFabricSim : public Auditable {
   SimTime next_completion_time_{-1.0};
   FlowId next_id_ = 1;
   monoutil::Bytes total_bytes_;
-  SharePolicy share_policy_ = SharePolicy::kMaxMinFair;
 
   // Closure-collection scratch (CollectFromSides), reused across calls: flows and
   // sides are marked visited by stamp so nothing needs clearing between runs.
@@ -487,15 +473,27 @@ class NetworkFabricSim : public Auditable {
   bool trace_enabled_ = false;
   std::vector<RateTrace> ingress_traces_;
 
-  // Audit scratch: per-machine ground-truth sums/maxima recomputed by every
-  // epoch-boundary sweep. Mutable because AuditInvariants is const — the sweep
-  // reuses the buffers, it does not change observable fabric state.
-  mutable std::vector<double> audit_ingress_sum_;
-  mutable std::vector<double> audit_ingress_max_;
-  mutable std::vector<double> audit_egress_sum_;
-  mutable std::vector<double> audit_egress_max_;
+  // Audit scratch, refilled by every epoch-boundary sweep: the live-flow
+  // snapshot, its per-side ground-truth aggregates, and the per-pair recount.
+  // Mutable because AuditInvariants is const — the sweep reuses the buffers,
+  // it does not change observable fabric state.
+  mutable std::vector<FlowInfo> audit_flows_;
+  mutable FabricSideTotals audit_sides_;
   mutable std::vector<int> audit_pair_count_;
 };
+
+// The allocation-level fabric invariants, over a flow snapshot on
+// `num_machines` NICs of `bandwidth` each way: every NIC side's rate sum
+// within the bandwidth (ingress-within-bandwidth, egress-within-bandwidth),
+// and every flow max-min certified — it crosses at least one saturated side
+// on which no flow has a larger share (max-min-bottleneck). The certification
+// bounds rates from below, so stranded capacity fails it even where the
+// bandwidth checks pass. NetworkFabricSim::AuditInvariants runs it on its live
+// flows; tests run it on allocations they build. `sides` is caller-owned
+// scratch, left holding the per-side aggregates.
+void AuditFabricAllocation(SimAudit& audit, SimTime now,
+                           std::span<const NetworkFabricSim::FlowInfo> flows, int num_machines,
+                           monoutil::BytesPerSecond bandwidth, FabricSideTotals& sides);
 
 }  // namespace monosim
 

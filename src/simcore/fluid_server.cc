@@ -109,53 +109,41 @@ void FluidServer::Reschedule() {
     MONO_CHECK_MSG(cap > 0, "capacity function must be positive for active requests");
     last_capacity_ = cap;
     max_capacity_seen_ = std::max(max_capacity_seen_, cap);
-    if (share_policy_ == SharePolicy::kEqualSplitLegacy) {
-      // The historical bug: weights feed the capacity function but the split
-      // ignores them. Kept (test-only) so the audit layer can be shown to catch it.
-      double share = cap / static_cast<double>(n);
-      if (per_request_cap_ != kUnlimited) {
-        share = std::min(share, per_request_cap_);
+    // Weighted fair sharing with a per-request ceiling: start from shares
+    // proportional to share weight and water-fill. A request whose proportional
+    // share reaches the cap is pinned to it and drops out; the capacity it leaves
+    // behind is re-split (again by share weight) among the rest. Every pass pins
+    // at least one request or terminates, so the loop runs at most n times.
+    std::vector<Request*>& open = reschedule_open_;
+    open.clear();
+    open.reserve(active_.size());
+    for (auto& req : active_) {
+      open.push_back(&req);
+    }
+    double remaining_cap = cap;
+    while (!open.empty()) {
+      double open_weight = 0.0;
+      for (const Request* req : open) {
+        open_weight += req->share_weight;
       }
-      for (auto& req : active_) {
-        req.rate = share;
+      const double pass_cap = remaining_cap;
+      bool pinned_any = false;
+      for (auto it = open.begin(); it != open.end();) {
+        const double proportional = pass_cap * (*it)->share_weight / open_weight;
+        if (per_request_cap_ != kUnlimited && proportional >= per_request_cap_) {
+          (*it)->rate = per_request_cap_;
+          remaining_cap -= per_request_cap_;
+          it = open.erase(it);
+          pinned_any = true;
+        } else {
+          ++it;
+        }
       }
-    } else {
-      // Weighted fair sharing with a per-request ceiling: start from shares
-      // proportional to share weight and water-fill. A request whose proportional
-      // share reaches the cap is pinned to it and drops out; the capacity it leaves
-      // behind is re-split (again by share weight) among the rest. Every pass pins
-      // at least one request or terminates, so the loop runs at most n times.
-      std::vector<Request*>& open = reschedule_open_;
-      open.clear();
-      open.reserve(active_.size());
-      for (auto& req : active_) {
-        open.push_back(&req);
-      }
-      double remaining_cap = cap;
-      while (!open.empty()) {
-        double open_weight = 0.0;
-        for (const Request* req : open) {
-          open_weight += req->share_weight;
+      if (!pinned_any) {
+        for (Request* req : open) {
+          req->rate = pass_cap * req->share_weight / open_weight;
         }
-        const double pass_cap = remaining_cap;
-        bool pinned_any = false;
-        for (auto it = open.begin(); it != open.end();) {
-          const double proportional = pass_cap * (*it)->share_weight / open_weight;
-          if (per_request_cap_ != kUnlimited && proportional >= per_request_cap_) {
-            (*it)->rate = per_request_cap_;
-            remaining_cap -= per_request_cap_;
-            it = open.erase(it);
-            pinned_any = true;
-          } else {
-            ++it;
-          }
-        }
-        if (!pinned_any) {
-          for (Request* req : open) {
-            req->rate = pass_cap * req->share_weight / open_weight;
-          }
-          break;
-        }
+        break;
       }
     }
     for (const auto& req : active_) {
@@ -250,36 +238,34 @@ double FluidServer::MeanUtilization(SimTime from, SimTime to) const {
   return rate_trace_.MeanUtilization(from, to, nominal_capacity_);
 }
 
-void FluidServer::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
-  const SimTime now = sim_->now();
-  const char* source = name_.c_str();
-  const double cap = last_capacity_;
-  const double eps = 1e-9 * std::max(1.0, cap);
-
+void AuditFluidShares(SimAudit& audit, SimTime now, const char* source,
+                      std::span<const FluidServer::ShareInfo> shares, double capacity,
+                      double per_request_cap) {
+  const double eps = 1e-9 * std::max(1.0, capacity);
+  const bool has_cap = per_request_cap != FluidServer::kUnlimited;
   double total_rate = 0.0;
   double reference_ratio = -1.0;
-  for (const auto& req : active_) {
-    total_rate += req.rate;
-    audit.ExpectLazy(req.rate >= 0.0, now, source, "rate-non-negative", [&] {
+  for (const FluidServer::ShareInfo& share : shares) {
+    total_rate += share.rate;
+    audit.ExpectLazy(share.rate >= 0.0, now, source, "rate-non-negative", [&] {
       std::ostringstream d;
-      d << "request " << req.id << " has rate " << req.rate;
+      d << "request " << share.id << " has rate " << share.rate;
       return d.str();
     });
-    const bool capped =
-        per_request_cap_ != kUnlimited && req.rate >= per_request_cap_ - eps;
-    if (per_request_cap_ != kUnlimited) {
-      audit.ExpectLazy(req.rate <= per_request_cap_ + eps, now, source,
-                       "per-request-cap", [&] {
+    const bool capped = has_cap && share.rate >= per_request_cap - eps;
+    if (has_cap) {
+      audit.ExpectLazy(share.rate <= per_request_cap + eps, now, source, "per-request-cap",
+                       [&] {
                          std::ostringstream d;
-                         d << "request " << req.id << " rate " << req.rate
-                           << " exceeds cap " << per_request_cap_;
+                         d << "request " << share.id << " rate " << share.rate
+                           << " exceeds cap " << per_request_cap;
                          return d.str();
                        });
     }
     if (!capped) {
       // Weighted fairness: every request not pinned at the per-request cap must
       // receive rate proportional to its share weight (equal rate/share ratios).
-      const double ratio = req.rate / req.share_weight;
+      const double ratio = share.rate / share.share_weight;
       if (reference_ratio < 0.0) {
         reference_ratio = ratio;
       } else {
@@ -288,7 +274,7 @@ void FluidServer::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
             1e-6 * std::max(ratio, reference_ratio) + eps;
         audit.ExpectLazy(proportional, now, source, "weighted-share", [&] {
           std::ostringstream d;
-          d << "request " << req.id << " rate/weight " << ratio
+          d << "request " << share.id << " rate/weight " << ratio
             << " != reference " << reference_ratio
             << " (shares not proportional to weights)";
           return d.str();
@@ -296,13 +282,23 @@ void FluidServer::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
       }
     }
   }
-  if (!active_.empty()) {
-    audit.ExpectLazy(total_rate <= cap + eps, now, source, "rate-conservation", [&] {
+  if (!shares.empty()) {
+    audit.ExpectLazy(total_rate <= capacity + eps, now, source, "rate-conservation", [&] {
       std::ostringstream d;
-      d << "total rate " << total_rate << " exceeds instantaneous capacity " << cap;
+      d << "total rate " << total_rate << " exceeds instantaneous capacity " << capacity;
       return d.str();
     });
   }
+}
+
+void FluidServer::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
+  const SimTime now = sim_->now();
+  const char* source = name_.c_str();
+  audit_shares_.clear();
+  for (const auto& req : active_) {
+    audit_shares_.push_back(ShareInfo{req.id, req.rate, req.share_weight});
+  }
+  AuditFluidShares(audit, now, source, audit_shares_, last_capacity_, per_request_cap_);
 
   // Served work can never exceed the largest capacity ever granted × elapsed time.
   const double elapsed = (now - created_at_).seconds();

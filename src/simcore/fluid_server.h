@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -63,15 +64,6 @@ class FluidServer : public Auditable {
 
   FluidServer(const FluidServer&) = delete;
   FluidServer& operator=(const FluidServer&) = delete;
-
-  // How capacity is divided among active requests. kWeightedFair is the model;
-  // kEqualSplitLegacy reinstates the historical `cap / n` bug (weights ignored at
-  // the split) so tests can demonstrate that the audit layer detects it.
-  enum class SharePolicy {
-    kWeightedFair,
-    kEqualSplitLegacy,
-  };
-  void set_share_policy_for_test(SharePolicy policy) { share_policy_ = policy; }
 
   // Identifies an in-service request.
   using RequestId = uint64_t;
@@ -144,10 +136,18 @@ class FluidServer : public Auditable {
 
   const std::string& name() const { return name_; }
 
-  // Invariant auditing (audit.h): rates non-negative and within the per-request
-  // cap, total rate within the instantaneous capacity, uncapped shares proportional
-  // to weights, served work bounded by capacity × elapsed, and no requests left
-  // active when the simulation drains.
+  // One active request's slice of the capacity split, as AuditFluidShares
+  // checks it.
+  struct ShareInfo {
+    RequestId id;
+    // mono_lint: allow(raw-unit-double) -- abstract work units per second.
+    double rate;
+    double share_weight;
+  };
+
+  // Invariant auditing (audit.h): AuditFluidShares over a snapshot of the
+  // active requests, served work bounded by capacity × elapsed, and no
+  // requests left active when the simulation drains.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
@@ -200,7 +200,6 @@ class FluidServer : public Auditable {
   SimTime busy_seconds_;
   SimTime saturated_seconds_;
   EventHandle completion_event_;
-  SharePolicy share_policy_ = SharePolicy::kWeightedFair;
 
   // Audit bookkeeping: when the server was created, the capacity in effect for the
   // current active set, and the largest capacity ever granted (the conservation
@@ -209,10 +208,24 @@ class FluidServer : public Auditable {
   SimTime created_at_;
   double last_capacity_ = 0.0;
   double max_capacity_seen_ = 0.0;
+  // AuditInvariants' snapshot of the active requests; persistent so the
+  // per-reschedule audit costs a fill, not an allocation.
+  mutable std::vector<ShareInfo> audit_shares_;
 
   bool trace_enabled_ = false;
   RateTrace rate_trace_;
 };
+
+// The per-request invariants of one split of `capacity` among `shares`, each
+// reported under `source`: rates non-negative (rate-non-negative) and within
+// `per_request_cap` unless it is FluidServer::kUnlimited (per-request-cap),
+// every rate not pinned at the cap proportional to its share weight
+// (weighted-share), and the total within the capacity (rate-conservation).
+// FluidServer::AuditInvariants runs it on its active requests; tests run it on
+// splits they build.
+void AuditFluidShares(SimAudit& audit, SimTime now, const char* source,
+                      std::span<const FluidServer::ShareInfo> shares, double capacity,
+                      double per_request_cap);
 
 // Convenience capacity functions.
 

@@ -7,6 +7,7 @@
 // (maxmin_reference.h). Departures are the completions the byte sizes induce, so
 // each sequence exercises both directions of the incremental update.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -16,26 +17,63 @@
 #include "src/common/rng.h"
 #include "src/simcore/audit.h"
 #include "src/simcore/simulation.h"
+#include "tests/legacy_share_fakes.h"
 #include "tests/maxmin_reference.h"
 
 namespace monosim {
 namespace {
 
+// Runs the fabric's allocation checks over `flows`; true if they flagged
+// anything.
+bool AllocationFlagged(const std::vector<NetworkFabricSim::FlowInfo>& flows, int num_machines,
+                       double bandwidth) {
+  SimAudit audit;  // Standalone: sees only this allocation.
+  FabricSideTotals sides;
+  AuditFabricAllocation(audit, SimTime(), flows, num_machines,
+                        monoutil::BytesPerSecond(bandwidth), sides);
+  return !audit.ok();
+}
+
 // Every flow's rate must equal its reference max-min rate (relative tolerance
-// covering the two implementations' different accumulation orders).
+// covering the two implementations' different accumulation orders). The
+// reference allocation must also pass the fabric's allocation checks, and the
+// min-share fake must be flagged exactly when it differs from the reference:
+// the max-min allocation is unique and the certification characterizes it.
+// Counts the sets on which the fake was flagged into `min_share_flagged`.
 void ExpectRatesMatchReference(const NetworkFabricSim& fabric, double bandwidth,
-                               int num_machines, SimTime now) {
+                               int num_machines, SimTime now,
+                               int* min_share_flagged = nullptr) {
+  const std::vector<NetworkFabricSim::FlowInfo> active = fabric.ActiveFlows();
   std::vector<testutil::ReferenceFlow> reference_flows;
-  for (const NetworkFabricSim::FlowInfo& info : fabric.ActiveFlows()) {
+  for (const NetworkFabricSim::FlowInfo& info : active) {
     reference_flows.push_back({info.id, info.src, info.dst});
   }
   const auto reference =
       testutil::SolveMaxMinReference(reference_flows, num_machines, bandwidth);
-  for (const NetworkFabricSim::FlowInfo& info : fabric.ActiveFlows()) {
+  std::vector<NetworkFabricSim::FlowInfo> reference_allocation = active;
+  for (NetworkFabricSim::FlowInfo& info : reference_allocation) {
+    info.rate = monoutil::BytesPerSecond(reference.at(info.id));
+  }
+  for (const NetworkFabricSim::FlowInfo& info : active) {
     const double want = reference.at(info.id);
     ASSERT_NEAR(info.rate.bps(), want, 1e-6 * want)
         << "flow " << info.id << " (" << info.src << "->" << info.dst << ") at t="
         << now << " with " << reference_flows.size() << " active flows";
+  }
+  ASSERT_FALSE(AllocationFlagged(reference_allocation, num_machines, bandwidth))
+      << "reference allocation of " << active.size() << " flows flagged at t=" << now;
+  const std::vector<NetworkFabricSim::FlowInfo> min_share =
+      testutil::MinShareAllocation(active, num_machines, bandwidth);
+  bool differs = false;
+  for (size_t i = 0; i < min_share.size(); ++i) {
+    const double want = reference_allocation[i].rate.bps();
+    differs = differs || std::abs(min_share[i].rate.bps() - want) > 1e-6 * want;
+  }
+  const bool flagged = AllocationFlagged(min_share, num_machines, bandwidth);
+  ASSERT_EQ(flagged, differs) << "min-share fake over " << active.size()
+                              << " flows at t=" << now;
+  if (flagged && min_share_flagged != nullptr) {
+    ++*min_share_flagged;
   }
 }
 
@@ -230,10 +268,12 @@ TEST(NetworkMaxMinPropertyTest, PruningEligibleDeltasArePatchedAndStayCorrect) {
 TEST(NetworkMaxMinPropertyTest, HeavyFanInSequencesStayWorkConserving) {
   // Skewed sequences: most flows converge on one hot receiver (Spark's
   // many-concurrent-fetch shuffle pattern), the rest are scattered — the shape the
-  // legacy min-share model distorted. Work conservation here means every flow is
-  // bottlenecked at a saturated NIC, which ExpectRatesMatchReference implies
-  // (reference rates are max-min, hence work-conserving).
+  // legacy min-share model distorted, so its fake must be flagged on some. Work
+  // conservation here means every flow is bottlenecked at a saturated NIC, which
+  // ExpectRatesMatchReference implies (reference rates are max-min, hence
+  // work-conserving).
   constexpr double kBandwidth = 100.0;
+  int min_share_flagged = 0;
   for (uint64_t seed = 0; seed < 40; ++seed) {
     monoutil::Rng rng(1000 + seed);
     const int machines = 4 + static_cast<int>(rng.NextBelow(5));  // 4..8
@@ -258,12 +298,14 @@ TEST(NetworkMaxMinPropertyTest, HeavyFanInSequencesStayWorkConserving) {
       });
     }
     while (sim.Step()) {
-      ExpectRatesMatchReference(fabric, kBandwidth, machines, sim.now());
+      ExpectRatesMatchReference(fabric, kBandwidth, machines, sim.now(), &min_share_flagged);
       if (::testing::Test::HasFatalFailure()) {
         return;
       }
     }
   }
+  // The skewed sets must include asymmetric ones the min-share model strands.
+  EXPECT_GT(min_share_flagged, 0);
 }
 
 }  // namespace

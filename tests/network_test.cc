@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/simcore/audit.h"
 #include "src/simcore/simulation.h"
 
 namespace monosim {
@@ -88,21 +87,6 @@ TEST(NetworkFabricTest, StrandedEgressCapacityIsRedistributedToo) {
   fabric.StartFlow(2, 0, Bytes(1000), [] {});
   const NetworkFabricSim::FlowId fan_out = fabric.StartFlow(2, 4, Bytes(200), [] {});
   EXPECT_NEAR(fabric.flow_rate(fan_out).bps(), 200.0 / 3.0, 1e-6);
-  sim.Run();
-}
-
-TEST(NetworkFabricTest, LegacyMinSharePolicyReproducesTheStrandedRate) {
-  // Documents what the old model computed for the same flow set (and pins the
-  // test-only policy the audit demonstration in audit_test.cc relies on).
-  Simulation sim;
-  NetworkFabricSim fabric(&sim, 5, monoutil::BytesPerSecond(100.0));
-  fabric.set_share_policy_for_test(NetworkFabricSim::SharePolicy::kMinShareLegacy);
-  ScopedAudit absorb(ScopedAudit::kReport);  // Absorb the max-min violations.
-  fabric.StartFlow(0, 1, Bytes(1000), [] {});
-  fabric.StartFlow(0, 1, Bytes(1000), [] {});
-  fabric.StartFlow(0, 2, Bytes(1000), [] {});
-  const NetworkFabricSim::FlowId fan_in = fabric.StartFlow(4, 2, Bytes(200), [] {});
-  EXPECT_NEAR(fabric.flow_rate(fan_in).bps(), 50.0, 1e-9);
   sim.Run();
 }
 

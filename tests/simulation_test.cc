@@ -1,6 +1,7 @@
 #include "src/simcore/simulation.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,60 @@ class PhaseRecorder : public Auditable {
   Simulation* sim_;
   mutable int drain_sweeps_ = 0;
 };
+
+// Test double that reports one violation on every sweep.
+class AlwaysViolating : public Auditable {
+ public:
+  explicit AlwaysViolating(Simulation* sim) : sim_(sim) { sim_->RegisterAuditable(this); }
+  ~AlwaysViolating() override { sim_->UnregisterAuditable(this); }
+
+  void AuditInvariants(SimAudit& audit, AuditPhase /*phase*/) const override {
+    audit.Expect(false, sim_->now(), "always-violating", "broken", "reported every sweep");
+  }
+
+ private:
+  Simulation* sim_;
+};
+
+// Runs three epochs under a nested report-mode audit with an always-violating
+// component registered; returns what the run wrote to stderr and how many
+// violations the audit collected.
+std::string StderrOfViolatingRun(bool recorder_enabled, size_t* violations) {
+  ScopedAudit scoped(ScopedAudit::kReport);
+  Simulation sim;
+  sim.flight_recorder().set_enabled(recorder_enabled);
+  AlwaysViolating broken(&sim);
+  for (int i = 1; i <= 3; ++i) {
+    sim.ScheduleAt(monoutil::Seconds(i), [] {});
+  }
+  ::testing::internal::CaptureStderr();
+  sim.Run();
+  *violations = scoped.audit().violations().size();
+  return ::testing::internal::GetCapturedStderr();
+}
+
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(SimulationTest, AuditViolationDumpsFlightRecorderOncePerSimulation) {
+  size_t violations = 0;
+  const std::string err = StderrOfViolatingRun(/*recorder_enabled=*/true, &violations);
+  EXPECT_GE(violations, 4u);  // Three epoch sweeps and the drain sweep.
+  EXPECT_EQ(Occurrences(err, "dumping flight recorder"), 1u) << err;
+}
+
+TEST(SimulationTest, DisabledFlightRecorderIsNotDumpedOnViolation) {
+  size_t violations = 0;
+  const std::string err = StderrOfViolatingRun(/*recorder_enabled=*/false, &violations);
+  EXPECT_GE(violations, 4u);
+  EXPECT_EQ(Occurrences(err, "dumping flight recorder"), 0u) << err;
+}
 
 TEST(SimulationTest, StartsAtTimeZero) {
   Simulation sim;

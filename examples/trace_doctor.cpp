@@ -10,8 +10,11 @@
 // independent paths agree, the trace is telling the truth.
 //
 // Run:  ./trace_doctor               self-run a disk-bound sort and diagnose it
+//                                    (with MONO_TRACE=<path> set, the self-run's
+//                                    trace is also written there)
 //       ./trace_doctor out.json      diagnose an existing MONO_TRACE file
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -93,6 +96,11 @@ int main(int argc, char** argv) {
   std::printf("Spark stage utilization measured: %s;  monotasks run: %s\n\n",
               spark_result.stages[0].utilization.measured ? "yes" : "no (trace off)",
               mono_result.stages[0].utilization.measured ? "yes" : "no (trace off)");
+
+  if (monotrace::TraceRequestedByEnv() &&
+      !scoped.tracer().WriteFile(std::getenv("MONO_TRACE"))) {
+    return 1;
+  }
 
   // Round-trip through the JSON, exactly as an offline consumer would.
   const monomodel::ParsedTrace trace =

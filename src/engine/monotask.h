@@ -44,15 +44,6 @@ class Monotask {
   ResourceType resource() const { return resource_; }
   const std::string& label() const { return label_; }
 
-  // Service time in seconds, valid after completion.
-  double service_seconds() const { return service_seconds_; }
-  void set_service_seconds(double seconds) { service_seconds_ = seconds; }
-
-  // Time spent queued in the resource scheduler (submit -> worker pickup),
-  // valid after the task starts running.
-  double queue_wait_seconds() const { return queue_wait_seconds_; }
-  void set_queue_wait_seconds(double seconds) { queue_wait_seconds_ = seconds; }
-
   // Lifecycle stamps (engine telemetry; only stamped while telemetry is on):
   // when the DAG scheduler registered the task and when it was handed to its
   // resource scheduler. registered -> submitted is dependency-blocked time,
@@ -73,8 +64,6 @@ class Monotask {
   Id id_;
   ResourceType resource_;
   std::string label_;
-  double service_seconds_ = 0.0;
-  double queue_wait_seconds_ = 0.0;
 };
 
 // A monotask wrapping a closure; the common case. The closure runs on the resource

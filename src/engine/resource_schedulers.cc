@@ -24,7 +24,7 @@ monotrace::LatencyHistogram* EngineHistogram(ResourceType resource, const char* 
 }  // namespace
 
 // Lifecycle decomposition (telemetry): the same queue-wait vs. service split the
-// simulated schedulers record under mono.{cpu,disk}.*, measured here with real
+// simulated executor records under mono.{cpu,disk}.*, measured here with real
 // clocks on the worker threads. The histograms are lock-free, so recording from
 // every worker concurrently is safe and cheap.
 ResourceScheduler::ResourceScheduler(ResourceType resource, int threads,
@@ -84,19 +84,15 @@ void ResourceScheduler::WorkerLoop() {
       task = queue_.Pop();
     }
     const auto start = std::chrono::steady_clock::now();
-    // The wait is 0 when the submit stamp is missing (telemetry was off at
-    // submit time).
-    double wait = 0.0;
+    // No wait is recorded when the submit stamp is missing (telemetry was off
+    // at submit time).
     if (monotrace::TelemetryEnabled() &&
         task->submitted_at != std::chrono::steady_clock::time_point{}) {
-      wait = std::chrono::duration<double>(start - task->submitted_at).count();
-      wait_hist_->Add(wait);
+      wait_hist_->Add(std::chrono::duration<double>(start - task->submitted_at).count());
     }
-    task->set_queue_wait_seconds(wait);
     task->Run();
     const double service =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    task->set_service_seconds(service);
     if (monotrace::TelemetryEnabled()) {
       service_hist_->Add(service);
     }

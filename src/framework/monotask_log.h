@@ -6,9 +6,12 @@
 //
 // where `ready` is when its dependencies were met and it entered a resource
 // scheduler's queue, `dispatch` is when the resource started working on it,
-// and `done` is completion. The executor records one MonotaskRecord per
-// monotask as a side effect of its completion callbacks — the paper's §3.1
-// point that this instrumentation falls out of the architecture for free.
+// and `done` is completion. The simulated monotasks executor builds exactly
+// one MonotaskRecord per monotask, at its completion, and derives all of its
+// per-monotask views from that record: the stage's MonotaskTimes, this log,
+// the trace span and the latency histograms — the paper's §3.1 point that
+// this instrumentation falls out of the architecture for free, because each
+// monotask uses exactly one resource.
 //
 // Unlike the Tracer (opt-in, unbounded, wall-format JSON), the log is a plain
 // bounded vector of PODs: the critical-path analyzer (src/model) walks it to
@@ -56,10 +59,14 @@ struct MonotaskRecord {
   monoutil::SimTime service() const { return done - dispatch; }
 };
 
+// The log's memory, and with it the peak RSS of every traced run, scales with
+// this size: widen the record only deliberately.
+static_assert(sizeof(MonotaskRecord) <= 56, "MonotaskRecord must not grow");
+
 class MonotaskLog {
  public:
-  // Default cap: 1M records ≈ 64 MB, far beyond any workload in the repo but
-  // a hard bound nonetheless.
+  // Default cap: 1M records of 56 bytes ≈ 56 MiB, far beyond any workload in
+  // the repo but a hard bound nonetheless.
   static constexpr size_t kDefaultCapacity = 1 << 20;
 
   explicit MonotaskLog(size_t capacity = kDefaultCapacity)

@@ -1,5 +1,6 @@
 #include "src/monotask/mono_multitask.h"
 
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,12 +19,21 @@ using monoutil::Bytes;
 
 namespace {
 
-// Attributes one disk monotask's service to the machine whose disk performed it.
-void RecordDiskService(monosim::MonotaskTimes* times, int machine, SimTime service,
-                       monoutil::Bytes bytes) {
-  times->disk_seconds_per_machine[static_cast<size_t>(machine)] += service.seconds();
-  times->disk_bytes_per_machine[static_cast<size_t>(machine)] += bytes;
-}
+// A resource's mono.<resource>.{service,queue_wait}_seconds pair.
+struct LatencyHistograms {
+  monotrace::LatencyHistogram* service;
+  monotrace::LatencyHistogram* wait;
+
+  explicit LatencyHistograms(const std::string& prefix)
+      : service(monotrace::MetricsRegistry::Global().Histogram(prefix +
+                                                               ".service_seconds")),
+        wait(monotrace::MetricsRegistry::Global().Histogram(prefix +
+                                                            ".queue_wait_seconds")) {}
+  void Add(SimTime service_time, SimTime wait_time) const {
+    service->Add(service_time.seconds());
+    wait->Add(wait_time.seconds());
+  }
+};
 
 }  // namespace
 
@@ -38,27 +48,74 @@ MonoMultitaskSim::MonoMultitaskSim(MonotasksExecutorSim* executor,
   write_is_io_ = write_total_ > Bytes(0) && !shuffle_in_memory;
 }
 
-void MonoMultitaskSim::TraceSpan(int machine, const std::string& lane_base,
-                                 const char* name, const char* category,
-                                 monoutil::SimTime start) {
+void MonoMultitaskSim::Complete(MonoResource resource, const char* phase, int machine,
+                                int disk, SimTime service, SimTime wait, Bytes bytes,
+                                SimTime flow_start) {
+  StageResult& stage = assignment_.stage->result();
+  const SimTime done = executor_->sim_->now();
+  const MonotaskRecord record{dispatch_id_, stage.stage_index,   machine, resource,
+                              phase,        done - service - wait, done - service, done};
+
+  MonotaskTimes& times = stage.monotask_times;
+  switch (resource) {
+    case MonoResource::kCpu:
+      times.compute_seconds += service.seconds();
+      times.compute_queue_wait_seconds += wait.seconds();
+      times.compute_deser_seconds += assignment_.deser_cpu_seconds;
+      times.compute_decompress_seconds += assignment_.decompress_cpu_seconds;
+      ++times.compute_count;
+      break;
+    case MonoResource::kDisk:
+      (std::strcmp(phase, "disk-write") == 0 ? times.disk_write_seconds
+                                             : times.disk_read_seconds) +=
+          service.seconds();
+      times.disk_queue_wait_seconds += wait.seconds();
+      ++times.disk_count;
+      // Attributed to the machine whose disk did the work.
+      times.disk_seconds_per_machine[static_cast<size_t>(machine)] += service.seconds();
+      times.disk_bytes_per_machine[static_cast<size_t>(machine)] += bytes;
+      break;
+    case MonoResource::kNetwork:
+      times.network_seconds += service.seconds();
+      ++times.network_count;
+      break;
+  }
+
+  if (MonotaskLog* log = executor_->monotask_log()) {
+    log->Record(record);
+  }
+
   if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
-    tracer->CompleteOnLane(executor_->TraceProcess(machine), lane_base, name,
-                           category, start.seconds(), executor_->sim_->now().seconds(),
+    const std::string lane = resource == MonoResource::kDisk  ? "disk" + std::to_string(disk)
+                             : resource == MonoResource::kCpu ? "cpu"
+                                                              : "net-in";
+    const SimTime start = resource == MonoResource::kNetwork ? flow_start : record.dispatch;
+    tracer->CompleteOnLane(executor_->TraceProcess(machine), lane, phase,
+                           MonoResourceName(resource), start.seconds(), done.seconds(),
                            assignment_.stage->trace_label());
+  }
+
+  // Always-on per-resource latency decomposition (telemetry.h); flows have no
+  // scheduler queue, their admission wait is RecordAdmissionWait's.
+  if (monotrace::TelemetryEnabled()) {
+    if (resource == MonoResource::kCpu) {
+      static const LatencyHistograms cpu("mono.cpu");
+      cpu.Add(service, wait);
+    } else if (resource == MonoResource::kDisk) {
+      static const LatencyHistograms disk_hist("mono.disk");
+      disk_hist.Add(service, wait);
+    }
   }
 }
 
-void MonoMultitaskSim::LogMonotask(MonoResource resource, const char* phase,
-                                   int machine, SimTime service, SimTime wait) {
-  MonotaskLog* log = executor_->monotask_log();
-  if (log == nullptr) {
-    return;
+void MonoMultitaskSim::RecordAdmissionWait(SimTime wait) {
+  assignment_.stage->result().monotask_times.network_acquire_wait_seconds +=
+      wait.seconds();
+  if (monotrace::TelemetryEnabled()) {
+    static monotrace::LatencyHistogram* wait_hist =
+        monotrace::MetricsRegistry::Global().Histogram("mono.net.acquire_wait_seconds");
+    wait_hist->Add(wait.seconds());
   }
-  const monoutil::SimTime done = executor_->sim_->now();
-  log->Record(MonotaskRecord{dispatch_id_,
-                             assignment_.stage->result().stage_index, machine,
-                             resource, phase,
-                             done - service - wait, done - service, done});
 }
 
 void MonoMultitaskSim::Start() {
@@ -92,10 +149,6 @@ void MonoMultitaskSim::Start() {
 void MonoMultitaskSim::StartInputPhase() {
   StageExecution* stage = assignment_.stage;
   const StageSpec& spec = stage->spec();
-  // Captured by value into every monotask callback: the stage (and with it
-  // this result struct) outlives the multitask, while a by-reference capture
-  // of a local alias would not survive this frame.
-  MonotaskTimes* times = &stage->result().monotask_times;
 
   const bool has_input_io =
       (spec.input == InputSource::kDfs || spec.input == InputSource::kShuffle) &&
@@ -111,17 +164,10 @@ void MonoMultitaskSim::StartInputPhase() {
       executor_->disk_scheduler(assignment_.machine, assignment_.input_disk)
           .EnqueueRead(DiskPhase::kRead, assignment_.input_bytes,
                        // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                       [this, times](SimTime service, SimTime wait) {
-                         times->disk_read_seconds += service.seconds();
-                         times->disk_queue_wait_seconds += wait.seconds();
-                         ++times->disk_count;
-                         RecordDiskService(times, assignment_.machine, service,
-                                           assignment_.input_bytes);
-                         LogMonotask(MonoResource::kDisk, "disk-read",
-                                     assignment_.machine, service, wait);
-                         TraceSpan(assignment_.machine,
-                                   "disk" + std::to_string(assignment_.input_disk),
-                                   "disk-read", "disk", executor_->sim_->now() - service);
+                       [this](SimTime service, SimTime wait) {
+                         Complete(MonoResource::kDisk, "disk-read", assignment_.machine,
+                                  assignment_.input_disk, service, wait,
+                                  assignment_.input_bytes);
                          OnInputPieceDone();
                        });
     } else {
@@ -129,45 +175,33 @@ void MonoMultitaskSim::StartInputPhase() {
       network_slot_held_ = true;
       executor_->network_scheduler(assignment_.machine)
           // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-          .Acquire([this, times](SimTime acquire_wait) {
-        times->network_acquire_wait_seconds += acquire_wait.seconds();
+          .Acquire([this](SimTime acquire_wait) {
+        RecordAdmissionWait(acquire_wait);
         // Value-captured below: the fabric belongs to the cluster and outlives
         // every flow; the spelled-out type keeps the pointee lintable.
         NetworkFabricSim* fabric = &executor_->cluster_->fabric();
         fabric->SendControl(
             assignment_.machine, assignment_.input_machine,
             // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-            [this, times, fabric] {
+            [this, fabric] {
               executor_->disk_scheduler(assignment_.input_machine, assignment_.input_disk)
                   .EnqueueRead(
                       DiskPhase::kServe, assignment_.input_bytes,
                       // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                      [this, times, fabric](SimTime service, SimTime wait) {
-                        times->disk_read_seconds += service.seconds();
-                        times->disk_queue_wait_seconds += wait.seconds();
-                        ++times->disk_count;
-                        RecordDiskService(times, assignment_.input_machine, service,
-                                          assignment_.input_bytes);
-                        LogMonotask(MonoResource::kDisk, "serve-read",
-                                    assignment_.input_machine, service, wait);
-                        TraceSpan(assignment_.input_machine,
-                                  "disk" + std::to_string(assignment_.input_disk),
-                                  "serve-read", "disk", executor_->sim_->now() - service);
+                      [this, fabric](SimTime service, SimTime wait) {
+                        Complete(MonoResource::kDisk, "serve-read",
+                                 assignment_.input_machine, assignment_.input_disk,
+                                 service, wait, assignment_.input_bytes);
                         const SimTime flow_start = executor_->sim_->now();
                         fabric->StartFlow(assignment_.input_machine, assignment_.machine,
                                           assignment_.input_bytes,
                                           // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                                          [this, times, flow_start] {
-                                            times->network_seconds +=
-                                                (executor_->sim_->now() - flow_start)
-                                                    .seconds();
-                                            ++times->network_count;
-                                            LogMonotask(MonoResource::kNetwork,
-                                                        "block-flow", assignment_.machine,
-                                                        executor_->sim_->now() - flow_start,
-                                                        SimTime());
-                                            TraceSpan(assignment_.machine, "net-in",
-                                                      "block-flow", "network", flow_start);
+                                          [this, flow_start] {
+                                            Complete(MonoResource::kNetwork, "block-flow",
+                                                     assignment_.machine, /*disk=*/-1,
+                                                     executor_->sim_->now() - flow_start,
+                                                     SimTime(), assignment_.input_bytes,
+                                                     flow_start);
                                             executor_->network_scheduler(assignment_.machine)
                                                 .Release();
                                             network_slot_held_ = false;
@@ -206,16 +240,9 @@ void MonoMultitaskSim::StartInputPhase() {
       executor_->disk_scheduler(assignment_.machine, disk)
           .EnqueueRead(DiskPhase::kRead, local_bytes,
                        // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                       [this, times, local_bytes, disk](SimTime service,
-                                                        SimTime wait) {
-            times->disk_read_seconds += service.seconds();
-            times->disk_queue_wait_seconds += wait.seconds();
-            ++times->disk_count;
-            RecordDiskService(times, assignment_.machine, service, local_bytes);
-            LogMonotask(MonoResource::kDisk, "shuffle-read", assignment_.machine,
-                        service, wait);
-            TraceSpan(assignment_.machine, "disk" + std::to_string(disk),
-                      "shuffle-read", "disk", executor_->sim_->now() - service);
+                       [this, local_bytes, disk](SimTime service, SimTime wait) {
+            Complete(MonoResource::kDisk, "shuffle-read", assignment_.machine, disk,
+                     service, wait, local_bytes);
             OnInputPieceDone();
           });
     } else {
@@ -236,13 +263,13 @@ void MonoMultitaskSim::StartInputPhase() {
     // go out together, so its data arrives before later multitasks' data (§3.3).
     executor_->network_scheduler(assignment_.machine)
         // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-        .Acquire([this, remote = std::move(remote), serve_from_disk,
-                  times](SimTime acquire_wait) {
-          times->network_acquire_wait_seconds += acquire_wait.seconds();
+        .Acquire([this, remote = std::move(remote),
+                  serve_from_disk](SimTime acquire_wait) {
+          RecordAdmissionWait(acquire_wait);
           auto remaining = std::make_shared<int>(static_cast<int>(remote.size()));
           for (const ShufflePortion& portion : remote) {
             // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-            auto piece_done = [this, remaining, times] {
+            auto piece_done = [this, remaining] {
               if (--*remaining == 0) {
                 executor_->network_scheduler(assignment_.machine).Release();
                 network_slot_held_ = false;
@@ -253,24 +280,19 @@ void MonoMultitaskSim::StartInputPhase() {
             fabric->SendControl(
                 assignment_.machine, portion.src_machine,
                 // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                [this, portion, serve_from_disk, piece_done, times, fabric] {
+                [this, portion, serve_from_disk, piece_done, fabric] {
                   // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                  auto send_back = [this, portion, piece_done, times, fabric] {
+                  auto send_back = [this, portion, piece_done, fabric] {
                     const SimTime flow_start = executor_->sim_->now();
                     fabric->StartFlow(portion.src_machine, assignment_.machine,
                                      portion.bytes,
                                      // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                                     [piece_done, flow_start, times, this] {
-                                       times->network_seconds +=
-                                           (executor_->sim_->now() - flow_start)
-                                               .seconds();
-                                       ++times->network_count;
-                                       LogMonotask(MonoResource::kNetwork,
-                                                   "shuffle-fetch", assignment_.machine,
-                                                   executor_->sim_->now() - flow_start,
-                                                   SimTime());
-                                       TraceSpan(assignment_.machine, "net-in",
-                                                 "shuffle-fetch", "network", flow_start);
+                                     [piece_done, flow_start, bytes = portion.bytes,
+                                      this] {
+                                       Complete(MonoResource::kNetwork, "shuffle-fetch",
+                                                assignment_.machine, /*disk=*/-1,
+                                                executor_->sim_->now() - flow_start,
+                                                SimTime(), bytes, flow_start);
                                        piece_done();
                                      });
                   };
@@ -279,19 +301,11 @@ void MonoMultitaskSim::StartInputPhase() {
                     executor_->disk_scheduler(portion.src_machine, disk)
                         .EnqueueRead(DiskPhase::kServe, portion.bytes,
                                      // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-                                     [this, send_back, times, portion,
+                                     [this, send_back, portion,
                                       disk](SimTime service, SimTime wait) {
-                                       times->disk_read_seconds += service.seconds();
-                                       times->disk_queue_wait_seconds += wait.seconds();
-                                       ++times->disk_count;
-                                       RecordDiskService(times, portion.src_machine,
-                                                         service, portion.bytes);
-                                       LogMonotask(MonoResource::kDisk, "serve-read",
-                                                   portion.src_machine, service, wait);
-                                       TraceSpan(portion.src_machine,
-                                                 "disk" + std::to_string(disk),
-                                                 "serve-read", "disk",
-                                                 executor_->sim_->now() - service);
+                                       Complete(MonoResource::kDisk, "serve-read",
+                                                portion.src_machine, disk, service, wait,
+                                                portion.bytes);
                                        send_back();
                                      });
                   } else {
@@ -311,7 +325,6 @@ void MonoMultitaskSim::OnInputPieceDone() {
 }
 
 void MonoMultitaskSim::StartComputePhase() {
-  MonotaskTimes* times = &assignment_.stage->result().monotask_times;
   // Blocked-on-dependency: the compute monotask only became ready now, after
   // the whole input phase; everything since dispatch was spent waiting on the
   // DAG rather than in any resource queue.
@@ -323,17 +336,9 @@ void MonoMultitaskSim::StartComputePhase() {
   }
   executor_->cpu_scheduler(assignment_.machine)
       // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-      .Enqueue(assignment_.cpu_seconds, [this, times](SimTime service,
-                                                      SimTime wait) {
-        times->compute_seconds += service.seconds();
-        times->compute_queue_wait_seconds += wait.seconds();
-        times->compute_deser_seconds += assignment_.deser_cpu_seconds;
-        times->compute_decompress_seconds += assignment_.decompress_cpu_seconds;
-        ++times->compute_count;
-        LogMonotask(MonoResource::kCpu, "compute", assignment_.machine, service,
-                    wait);
-        TraceSpan(assignment_.machine, "cpu", "compute", "cpu",
-                  executor_->sim_->now() - service);
+      .Enqueue(assignment_.cpu_seconds, [this](SimTime service, SimTime wait) {
+        Complete(MonoResource::kCpu, "compute", assignment_.machine, /*disk=*/-1,
+                 service, wait, Bytes());
         // Input buffers are released once compute has transformed them; the output
         // buffer exists until the write monotask retires it.
         executor_->RemoveBuffered(assignment_.machine, assignment_.input_bytes);
@@ -348,20 +353,12 @@ void MonoMultitaskSim::StartWritePhase() {
     Finish();
     return;
   }
-  MonotaskTimes* times = &assignment_.stage->result().monotask_times;
   const int disk = executor_->PickWriteDisk(assignment_.machine);
   executor_->disk_scheduler(assignment_.machine, disk)
       // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
-      .EnqueueWrite(write_total_, [this, times, disk](SimTime service,
-                                                      SimTime wait) {
-        times->disk_write_seconds += service.seconds();
-        times->disk_queue_wait_seconds += wait.seconds();
-        ++times->disk_count;
-        RecordDiskService(times, assignment_.machine, service, write_total_);
-        LogMonotask(MonoResource::kDisk, "disk-write", assignment_.machine,
-                    service, wait);
-        TraceSpan(assignment_.machine, "disk" + std::to_string(disk),
-                  "disk-write", "disk", executor_->sim_->now() - service);
+      .EnqueueWrite(write_total_, [this, disk](SimTime service, SimTime wait) {
+        Complete(MonoResource::kDisk, "disk-write", assignment_.machine, disk, service,
+                 wait, write_total_);
         executor_->RemoveBuffered(assignment_.machine, write_total_);
         Finish();
       });

@@ -11,12 +11,11 @@
 //
 // This class plays the role of the paper's Local DAG Scheduler for its multitask: it
 // submits each monotask to the right per-resource scheduler only when the monotask's
-// dependencies have completed, and accumulates per-monotask service times into the
-// stage's metrics.
+// dependencies have completed, and records each finished monotask once (Complete),
+// deriving the stage's metrics, the monotask log, the trace and the telemetry from
+// that one record.
 #ifndef MONOTASKS_SRC_MONOTASK_MONO_MULTITASK_H_
 #define MONOTASKS_SRC_MONOTASK_MONO_MULTITASK_H_
-
-#include <string>
 
 #include "src/common/domain.h"
 #include "src/framework/monotask_log.h"
@@ -57,17 +56,21 @@ class MonoMultitaskSim {
   void StartWritePhase();
   void Finish();
 
-  // Records a completed monotask span ending now on `machine`'s lane group
-  // `lane_base`, tagged with this multitask's stage label. One branch when
-  // tracing is off.
-  void TraceSpan(int machine, const std::string& lane_base, const char* name,
-                 const char* category, monoutil::SimTime start);
+  // The one call each completion site makes: a monotask of `phase` finished now
+  // on `machine` (on disk `disk` for disk monotasks) after `wait` in its
+  // scheduler's queue and `service` on `resource`, moving `bytes`. Builds its
+  // MonotaskRecord and derives every per-monotask view from it: the stage's
+  // MonotaskTimes (with the per-machine disk split), the MonotaskLog, the trace
+  // span and the mono.{cpu,disk} latency histograms. A network flow passes its
+  // `flow_start` as the span's start; other spans start at dispatch.
+  void Complete(MonoResource resource, const char* phase, int machine, int disk,
+                monoutil::SimTime service, monoutil::SimTime wait,
+                monoutil::Bytes bytes, monoutil::SimTime flow_start = {});
 
-  // Appends one lifecycle record (monotask_log.h) for a monotask of `phase`
-  // that finished now on `machine` after `service` of resource use and `wait`
-  // in the scheduler queue. No-op without an attached log.
-  void LogMonotask(MonoResource resource, const char* phase, int machine,
-                   monoutil::SimTime service, monoutil::SimTime wait);
+  // Records the receiver-admission wait of this multitask's fetch set (or
+  // remote input block) into the stage's MonotaskTimes and the
+  // mono.net.acquire_wait_seconds histogram.
+  void RecordAdmissionWait(monoutil::SimTime wait);
 
   MonotasksExecutorSim* executor_;
   TaskAssignment assignment_;

@@ -1,28 +1,11 @@
 #include "src/monotask/resource_schedulers.h"
 
-#include <string>
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/tracing/metrics_registry.h"
-#include "src/common/tracing/telemetry.h"
 #include "src/common/tracing/tracer.h"
 
 namespace monosim {
-
-namespace {
-
-void RecordNetAcquireWait(SimTime wait) {
-  if (!monotrace::TelemetryEnabled()) {
-    return;
-  }
-  static monotrace::LatencyHistogram* wait_hist =
-      monotrace::MetricsRegistry::Global().Histogram(
-          "mono.net.acquire_wait_seconds");
-  wait_hist->Add(wait.seconds());
-}
-
-}  // namespace
 
 void QueueLengthTrace::Record(const Simulation* sim, int length) {
   if (sim == nullptr) {
@@ -91,7 +74,6 @@ void SlotSchedulerSim::Dispatch() {
     auto on_done = [this, dispatched, wait, done = std::move(item.done)] {
       --running_;
       const SimTime service = sim_->now() - dispatched;
-      RecordTimes(service, wait);
       // Admit the next monotask before reporting completion so the device never
       // idles waiting for downstream bookkeeping.
       Dispatch();
@@ -111,22 +93,6 @@ void SlotSchedulerSim::Dispatch() {
   }
 }
 
-// Always-on per-resource latency decomposition (telemetry.h). Recording is one
-// branch plus a relaxed fetch_add when telemetry is on.
-void SlotSchedulerSim::RecordTimes(SimTime service, SimTime wait) {
-  if (!monotrace::TelemetryEnabled()) {
-    return;
-  }
-  if (service_hist_ == nullptr) {
-    monotrace::MetricsRegistry& registry = monotrace::MetricsRegistry::Global();
-    const std::string prefix = machine_ != nullptr ? "mono.cpu" : "mono.disk";
-    service_hist_ = registry.Histogram(prefix + ".service_seconds");
-    wait_hist_ = registry.Histogram(prefix + ".queue_wait_seconds");
-  }
-  service_hist_->Add(service.seconds());
-  wait_hist_->Add(wait.seconds());
-}
-
 NetworkSchedulerSim::NetworkSchedulerSim(int multitask_limit, Simulation* sim)
     : limit_(multitask_limit), sim_(sim) {
   MONO_CHECK(multitask_limit >= 1);
@@ -136,7 +102,6 @@ void NetworkSchedulerSim::Acquire(std::function<void(SimTime)> granted) {
   MONO_CHECK(granted != nullptr);
   if (active_ < limit_) {
     ++active_;
-    RecordNetAcquireWait(SimTime());
     granted(SimTime());
     return;
   }
@@ -152,7 +117,6 @@ void NetworkSchedulerSim::Release() {
     waiting_.pop_front();
     RecordQueue();
     const SimTime wait = sim_ != nullptr ? sim_->now() - waiter.enqueued : SimTime();
-    RecordNetAcquireWait(wait);
     waiter.granted(wait);  // Slot transfers directly to the next waiter.
     return;
   }

@@ -16,9 +16,9 @@
 // Every completion callback receives the monotask's *service* time (queueing
 // excluded) and its *queue wait* (ready-to-dispatch): this is the built-in
 // instrumentation that feeds the §6 model and the always-on telemetry layer.
-// Each scheduler also records both segments into the process-global
-// mono.{cpu,disk}.{queue_wait,service}_seconds histograms (telemetry.h), so
-// every run carries per-resource latency distributions without tracing.
+// The schedulers only measure; the executor's one completion record per
+// monotask (MonoMultitaskSim::Complete) turns both segments into the stage
+// metrics, the monotask log, the trace and the latency histograms.
 #ifndef MONOTASKS_SRC_MONOTASK_RESOURCE_SCHEDULERS_H_
 #define MONOTASKS_SRC_MONOTASK_RESOURCE_SCHEDULERS_H_
 
@@ -34,10 +34,6 @@
 #include "src/common/phase_queue.h"
 #include "src/simcore/rate_trace.h"
 #include "src/simcore/simulation.h"
-
-namespace monotrace {
-class LatencyHistogram;
-}  // namespace monotrace
 
 namespace monosim {
 
@@ -132,7 +128,6 @@ class SlotSchedulerSim {
   // Queues `item` in phase queue `phase` and dispatches.
   void Push(int phase, Item item);
   void Dispatch();
-  void RecordTimes(SimTime service, SimTime wait);
   void RecordQueue() { queue_trace_.Record(sim_, queue_.size()); }
 
   Simulation* sim_;
@@ -143,9 +138,6 @@ class SlotSchedulerSim {
   std::function<bool()> under_pressure_;
   int running_ = 0;
   monoutil::PhaseQueue<Item> queue_;
-  // mono.{cpu,disk}.{service,queue_wait}_seconds, resolved on first use.
-  monotrace::LatencyHistogram* service_hist_ = nullptr;
-  monotrace::LatencyHistogram* wait_hist_ = nullptr;
   QueueLengthTrace queue_trace_;
 };
 
@@ -167,8 +159,7 @@ class NetworkSchedulerSim {
 
   // Requests a fetch slot; `granted` runs (possibly immediately) when one is
   // free, receiving the time spent waiting for admission (zero when granted
-  // immediately, and always zero when constructed without a `sim`). The wait is
-  // also recorded into the mono.net.acquire_wait_seconds histogram.
+  // immediately, and always zero when constructed without a `sim`).
   void Acquire(std::function<void(SimTime wait)> granted);
   // Releases a slot previously granted; admits the next waiter.
   void Release();

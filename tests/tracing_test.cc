@@ -3,8 +3,11 @@
 // against the executors' MonotaskTimes accounting, metrics, and the
 // tracer-off zero-allocation guarantee.
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <new>
 #include <set>
@@ -17,6 +20,7 @@
 #include "src/common/tracing/metrics_registry.h"
 #include "src/common/tracing/tracer.h"
 #include "src/framework/environment.h"
+#include "src/framework/monotask_log.h"
 #include "src/model/monotasks_model.h"
 #include "src/model/trace_report.h"
 #include "src/monotask/mono_executor.h"
@@ -50,8 +54,10 @@ monoload::SortParams DiskBoundSort() {
 struct TracedRun {
   monosim::JobResult spark;
   monosim::JobResult mono;
+  std::vector<monosim::MonotaskRecord> mono_log;  // The mono run's MonotaskLog.
   std::string json;
   std::map<std::string, double> metrics;
+  monotrace::TelemetrySnapshot telemetry;
 };
 
 const TracedRun& GetTracedRun() {
@@ -73,9 +79,11 @@ const TracedRun& GetTracedRun() {
       monosim::MonotasksExecutorSim mono(&env.sim(), &env.cluster(), &env.pool(), {});
       env.AttachExecutor(&mono);
       r->mono = env.driver().RunJob(monoload::MakeSortJob(&env.dfs(), DiskBoundSort()));
+      r->mono_log = env.monotask_log().records();
     }
     r->json = scoped.tracer().ToJson();
     r->metrics = monotrace::MetricsRegistry::Global().Snapshot();
+    r->telemetry = monotrace::MetricsRegistry::Global().TakeTelemetrySnapshot();
     return r;
   }();
   return *run;
@@ -284,6 +292,124 @@ TEST(TracedSortTest, MetricsCountCompletedWork) {
   EXPECT_DOUBLE_EQ(run.metrics.at("spark.tasks_completed"), 64.0);
   EXPECT_DOUBLE_EQ(run.metrics.at("mono.multitasks_completed"), 64.0);
   EXPECT_GT(run.metrics.at("cache.bytes_flushed"), 0.0);
+}
+
+// 64-bit FNV-1a over raw bytes; doubles and SimTimes fold in as bit patterns,
+// so a one-ulp change to any recorded time moves the hash.
+class Fnv1a {
+ public:
+  void Raw(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 1099511628211ULL;
+    }
+  }
+  void Int(int64_t value) { Raw(&value, sizeof(value)); }
+  void Double(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Raw(&bits, sizeof(bits));
+  }
+  void Str(const std::string& value) {
+    Int(static_cast<int64_t>(value.size()));
+    Raw(value.data(), value.size());
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+uint64_t HashBytes(const std::string& bytes) {
+  Fnv1a fnv;
+  fnv.Raw(bytes.data(), bytes.size());
+  return fnv.hash();
+}
+
+uint64_t HashLog(const std::vector<monosim::MonotaskRecord>& log) {
+  Fnv1a fnv;
+  for (const monosim::MonotaskRecord& record : log) {
+    fnv.Int(static_cast<int64_t>(record.dispatch_id));
+    fnv.Int(record.stage_index);
+    fnv.Int(record.machine);
+    fnv.Int(static_cast<int64_t>(record.resource));
+    fnv.Str(record.phase);
+    fnv.Double(record.ready.seconds());
+    fnv.Double(record.dispatch.seconds());
+    fnv.Double(record.done.seconds());
+  }
+  return fnv.hash();
+}
+
+uint64_t HashMonotaskTimes(const monosim::JobResult& job) {
+  Fnv1a fnv;
+  for (const auto& stage : job.stages) {
+    const monosim::MonotaskTimes& t = stage.monotask_times;
+    for (double value :
+         {t.compute_seconds, t.compute_deser_seconds, t.compute_decompress_seconds,
+          t.disk_read_seconds, t.disk_write_seconds, t.network_seconds,
+          t.compute_queue_wait_seconds, t.disk_queue_wait_seconds,
+          t.network_acquire_wait_seconds}) {
+      fnv.Double(value);
+    }
+    fnv.Int(t.compute_count);
+    fnv.Int(t.disk_count);
+    fnv.Int(t.network_count);
+    for (double seconds : t.disk_seconds_per_machine) {
+      fnv.Double(seconds);
+    }
+    for (monoutil::Bytes bytes : t.disk_bytes_per_machine) {
+      fnv.Int(bytes.count());
+    }
+  }
+  return fnv.hash();
+}
+
+// Pins every per-monotask view of the mono run — the Chrome trace, the
+// monotask log and each stage's MonotaskTimes — bit for bit. The constants
+// were harvested before the executor's completion sites were folded into one
+// record; restructuring how those views are derived must not move them.
+TEST(TracedSortTest, ObservabilityMatchesParent) {
+  const TracedRun& run = GetTracedRun();
+  std::set<std::string> phases;
+  for (const monosim::MonotaskRecord& record : run.mono_log) {
+    phases.insert(record.phase);
+  }
+  EXPECT_EQ(phases, (std::set<std::string>{"disk-read", "serve-read", "block-flow",
+                                           "shuffle-read", "shuffle-fetch", "compute",
+                                           "disk-write"}));
+  EXPECT_EQ(HashBytes(run.json), 0x7e322dce9985c05bULL);
+  EXPECT_EQ(HashLog(run.mono_log), 0x213ed3c89fdf1a03ULL);
+  EXPECT_EQ(HashMonotaskTimes(run.mono), 0x9708cb7149af530eULL);
+}
+
+// Every view is derived from the same completion, so they must count the same
+// monotasks: a completion site that skipped one view shows up here.
+TEST(TracedSortTest, MonotaskLogAgreesWithStageCountsAndHistograms) {
+  const TracedRun& run = GetTracedRun();
+  std::map<int, std::array<int, 3>> by_stage;  // stage -> records per resource.
+  std::array<uint64_t, 3> total{};
+  for (const monosim::MonotaskRecord& record : run.mono_log) {
+    const auto resource = static_cast<size_t>(record.resource);
+    ++by_stage[record.stage_index][resource];
+    ++total[resource];
+  }
+  ASSERT_EQ(by_stage.size(), run.mono.stages.size());
+  for (const auto& stage : run.mono.stages) {
+    const std::array<int, 3>& counts = by_stage[stage.stage_index];
+    const monosim::MonotaskTimes& times = stage.monotask_times;
+    EXPECT_EQ(counts[static_cast<size_t>(monosim::MonoResource::kCpu)],
+              times.compute_count) << stage.name;
+    EXPECT_EQ(counts[static_cast<size_t>(monosim::MonoResource::kDisk)],
+              times.disk_count) << stage.name;
+    EXPECT_EQ(counts[static_cast<size_t>(monosim::MonoResource::kNetwork)],
+              times.network_count) << stage.name;
+  }
+  const auto& histograms = run.telemetry.histograms;
+  EXPECT_EQ(histograms.at("mono.cpu.service_seconds").count,
+            total[static_cast<size_t>(monosim::MonoResource::kCpu)]);
+  EXPECT_EQ(histograms.at("mono.disk.service_seconds").count,
+            total[static_cast<size_t>(monosim::MonoResource::kDisk)]);
 }
 
 TEST(TracedSortTest, UtilizationMeasuredFlagTracksClusterTrace) {

@@ -109,7 +109,6 @@ class MonoContext {
   mutable std::atomic<uint64_t> stage_counter_{0};
   // source name -> per-partition location.
   std::map<std::string, std::vector<SourceBlock>> sources_;
-  int next_shuffle_id_ = 0;
   EngineJobMetrics last_metrics_;
 };
 

@@ -60,7 +60,6 @@ class ByteReader {
     return value;
   }
   uint64_t GetU64() { return GetPod<uint64_t>(); }
-  bool AtEnd() const { return pos_ == size_; }
 
  private:
   const uint8_t* data_;

@@ -26,24 +26,9 @@ struct DiskConfig {
   // Sequential bandwidth for a single streaming request.
   monoutil::BytesPerSecond bandwidth = monoutil::MiBps(90);
   // HDD only: aggregate throughput degrades as 1 / (1 + alpha * (w - 1)) where w is
-  // the total contention weight of the in-service requests (see the weights below).
-  // Weights encode what actually costs head movement on a disk: concurrent
-  // *sequential readers* are nearly free (OS readahead amortizes the seeks), writes
-  // alone are nearly free (the elevator batches them), but writes interleaved with
-  // reads thrash. Calibrated jointly against §5.2's sort (Spark/MonoSpark = 1.54x,
-  // from mixed read+flush traffic) and Fig 8's read-only job (Spark ~flat).
+  // the total contention weight of the in-service requests (the request weights
+  // and the SSD capacity curve are calibration constants in disk.cc).
   double seek_alpha = 0.2;
-  // SSD only: number of requests needed to reach peak bandwidth (paper §3.3 found 4),
-  // and the fraction of peak available to a single stream.
-  int ssd_channels = 4;
-  double ssd_single_stream_fraction = 0.55;
-  // Contention weight of a sequential read stream (readahead absorbs most seeks).
-  double read_contention_weight = 0.25;
-  // Contention weight of a write when no reads are in service (elevator-batched,
-  // mostly appends) and when interleaved with reads (head thrashes between the read
-  // and write regions).
-  double write_contention_weight_solo = 0.3;
-  double write_contention_weight_mixed = 6.0;
 
   static DiskConfig Hdd() { return DiskConfig{}; }
   static DiskConfig Ssd() {

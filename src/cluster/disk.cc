@@ -8,13 +8,32 @@
 namespace monosim {
 namespace {
 
+// SSD: number of requests needed to reach peak bandwidth (paper §3.3 found 4), and
+// the fraction of peak available to a single stream.
+constexpr int kSsdChannels = 4;
+constexpr double kSsdSingleStreamFraction = 0.55;
+
+// Per-request contention weights, summed over the requests in service: the `w` of
+// the HDD degradation (DiskConfig::seek_alpha) and the load on the SSD ramp. They
+// encode what actually costs head movement on a disk: concurrent *sequential
+// readers* are nearly free (OS readahead amortizes the seeks), writes alone are
+// nearly free (the elevator batches them), but writes interleaved with reads
+// thrash. Calibrated jointly against §5.2's sort (Spark/MonoSpark = 1.54x, from
+// mixed read+flush traffic) and Fig 8's read-only job (Spark ~flat).
+//
+// A sequential read stream (readahead absorbs most seeks).
+constexpr double kReadContentionWeight = 0.25;
+// A write when no reads are in service (elevator-batched, mostly appends) and when
+// interleaved with reads (head thrashes between the read and write regions).
+constexpr double kWriteContentionWeightSolo = 0.3;
+constexpr double kWriteContentionWeightMixed = 6.0;
+
 CapacityFn MakeCapacity(const DiskConfig& config) {
   switch (config.type) {
     case DiskType::kHdd:
       return HddCapacity(config.bandwidth.bps(), config.seek_alpha);
     case DiskType::kSsd:
-      return SsdCapacity(config.bandwidth.bps(), config.ssd_channels,
-                         config.ssd_single_stream_fraction);
+      return SsdCapacity(config.bandwidth.bps(), kSsdChannels, kSsdSingleStreamFraction);
   }
   MONO_CHECK_MSG(false, "unknown disk type");
   return nullptr;
@@ -72,7 +91,7 @@ void DiskSim::ReadImpl(monoutil::Bytes bytes, InlineCallback&& done) {
         --active_reads_;
         done();
       },
-      config_.read_contention_weight, /*share_weight=*/1.0);
+      kReadContentionWeight, /*share_weight=*/1.0);
 }
 
 void DiskSim::WriteImpl(monoutil::Bytes bytes, InlineCallback&& done) {
@@ -88,8 +107,8 @@ void DiskSim::WriteImpl(monoutil::Bytes bytes, InlineCallback&& done) {
   // not get served 24x faster than a read. All disk requests therefore carry share
   // weight 1 (equal bandwidth split), which is also what the contention weights
   // were calibrated against.
-  const double weight = active_reads_ > 0 ? config_.write_contention_weight_mixed
-                                          : config_.write_contention_weight_solo;
+  const double weight =
+      active_reads_ > 0 ? kWriteContentionWeightMixed : kWriteContentionWeightSolo;
   server_.Submit(static_cast<double>(bytes.count()), std::move(done), weight,
                  /*share_weight=*/1.0);
 }

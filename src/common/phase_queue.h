@@ -4,9 +4,7 @@
 // resuming after the last phase served, so a backlog in one phase (say, disk
 // writes) cannot starve another (the reads that feed the CPU) — the convoy
 // effect §3.3 "Queueing monotasks" describes. With a single phase the policy
-// is a plain FIFO, which is what the CPU and network schedulers use. A caller
-// may also name a phase to serve first whenever it is non-empty (§3.5: under
-// memory pressure, writes jump the rotation to clear buffered output).
+// is a plain FIFO, which is what the CPU and network schedulers use.
 //
 // Pure policy: no clock, no threads, no callbacks. The simulator drives it
 // from events (src/monotask) and the threaded engine under its scheduler
@@ -48,19 +46,14 @@ class PhaseQueue {
     return static_cast<int>(queues_[static_cast<size_t>(phase)].size());
   }
 
-  // Removes and returns the next item to serve. `first`, when it names a
-  // non-empty phase, is served ahead of the rotation; otherwise the first
-  // non-empty phase at or after the cursor is. Either way the rotation then
-  // resumes after the phase served. Requires !empty().
-  T Pop(int first = -1) {
+  // Removes and returns the head of the first non-empty phase at or after the
+  // cursor; the rotation then resumes after the phase served. Requires !empty().
+  T Pop() {
     MONO_CHECK(size_ > 0);
     const int phases = static_cast<int>(queues_.size());
-    int phase = first;
-    if (phase < 0 || queues_[static_cast<size_t>(phase)].empty()) {
-      phase = cursor_;
-      while (queues_[static_cast<size_t>(phase)].empty()) {
-        phase = (phase + 1) % phases;
-      }
+    int phase = cursor_;
+    while (queues_[static_cast<size_t>(phase)].empty()) {
+      phase = (phase + 1) % phases;
     }
     cursor_ = (phase + 1) % phases;
     std::deque<T>& queue = queues_[static_cast<size_t>(phase)];

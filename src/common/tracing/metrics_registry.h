@@ -15,7 +15,7 @@
 //   LatencyHistogram* wait =
 //       MetricsRegistry::Global().Histogram("mono.cpu.queue_wait_seconds");
 //   ...
-//   flushed->Add(chunk_bytes);
+//   flushed->Add(flush_bytes);
 //   wait->Add(now - enqueued);
 //
 // Get()/Histogram()/Gauge() return stable pointers for the life of the

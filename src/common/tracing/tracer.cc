@@ -114,15 +114,6 @@ void Tracer::EndSpan(const TrackRef& track, double ts) {
       Event{'E', track.pid, track.tid, ts, 0.0, std::string(), nullptr, std::string(), 0.0});
 }
 
-void Tracer::CompleteSpan(const TrackRef& track, const std::string& name,
-                          const char* category, double start, double end,
-                          const std::string& stage) {
-  MONO_CHECK(track.valid());
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(Event{'X', track.pid, track.tid, start, std::max(0.0, end - start),
-                          name, category, stage, 0.0});
-}
-
 void Tracer::CompleteOnLane(const std::string& process, const std::string& lane_base,
                             const std::string& name, const char* category, double start,
                             double end, const std::string& stage) {

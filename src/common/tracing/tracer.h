@@ -82,10 +82,6 @@ class Tracer {
                  double ts, const std::string& stage = std::string());
   void EndSpan(const TrackRef& track, double ts);
 
-  // A finished interval on a fixed track ('X').
-  void CompleteSpan(const TrackRef& track, const std::string& name, const char* category,
-                    double start, double end, const std::string& stage = std::string());
-
   // A finished interval parked on an automatically-chosen lane of the group
   // `lane_base` within `process`: the first lane whose previous span ended at
   // or before `start`, else a new lane "<lane_base>#k". Correct as long as

@@ -320,16 +320,7 @@ constexpr Bytes GiB(double n) {
 // Convenience constructors for time quantities (seconds are the base unit).
 constexpr SimTime Seconds(double n) { return SimTime(n); }
 constexpr SimTime Millis(double n) { return SimTime(n / 1e3); }
-constexpr SimTime Micros(double n) { return SimTime(n / 1e6); }
 constexpr SimTime Minutes(double n) { return SimTime(n * 60.0); }
-
-// Converts a byte count to fractional mebibytes/gibibytes (for reporting).
-constexpr double ToMiB(Bytes b) {
-  return static_cast<double>(b.count()) / static_cast<double>(kMiB);
-}
-constexpr double ToGiB(Bytes b) {
-  return static_cast<double>(b.count()) / static_cast<double>(kGiB);
-}
 
 // Convenience constructors for throughputs.
 constexpr BytesPerSecond MiBps(double n) {

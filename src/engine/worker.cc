@@ -6,6 +6,12 @@
 namespace monotasks {
 namespace {
 
+// Outstanding monotasks per disk: the engine's block devices are HDD-like, so
+// one at a time (§3.3).
+constexpr int kDiskOutstanding = 1;
+// Receiver-side limit on multitasks with outstanding fetches (§3.3).
+constexpr int kNetworkMultitaskLimit = 4;
+
 // std::atomic<double> has no fetch_add until C++20's on floating types is spotty in
 // practice; a CAS loop keeps the accounting portable.
 void AtomicAdd(std::atomic<double>* target, double delta) {
@@ -35,10 +41,10 @@ Worker::Worker(int id, const EngineConfig& config, InProcessFabric* fabric)
                                              on_complete);
   for (int d = 0; d < config.disks_per_worker; ++d) {
     disk_schedulers_.push_back(std::make_unique<ResourceScheduler>(
-        ResourceType::kDisk, config.disk_outstanding, on_complete));
+        ResourceType::kDisk, kDiskOutstanding, on_complete));
   }
   network_ = std::make_unique<ResourceScheduler>(
-      ResourceType::kNetwork, config.network_multitask_limit, on_complete);
+      ResourceType::kNetwork, kNetworkMultitaskLimit, on_complete);
   dag_ = std::make_unique<LocalDagScheduler>([this](Monotask* task) { Route(task); });
 }
 
@@ -111,26 +117,13 @@ void Worker::SubmitDetached(std::unique_ptr<Monotask> task, std::function<void()
 
 int Worker::MultitaskLimit() const {
   int limit = config_.cores_per_worker;
-  limit += config_.disks_per_worker * config_.disk_outstanding;
-  limit += config_.network_multitask_limit;
+  limit += config_.disks_per_worker * kDiskOutstanding;
+  limit += kNetworkMultitaskLimit;
   return limit + 1;
 }
 
 int Worker::PickWriteDisk() {
   return next_write_disk_.fetch_add(1) % num_disks();
-}
-
-int Worker::PickServeDisk() {
-  return next_serve_disk_.fetch_add(1) % num_disks();
-}
-
-int Worker::DiskWithBlock(const std::string& block_id) const {
-  for (size_t d = 0; d < disks_.size(); ++d) {
-    if (disks_[d]->HasBlock(block_id)) {
-      return static_cast<int>(d);
-    }
-  }
-  return -1;
 }
 
 }  // namespace monotasks

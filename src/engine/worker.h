@@ -42,10 +42,6 @@ struct EngineConfig {
   // (1 + alpha*(n-1))x its bytes. The monotasks disk scheduler serializes operations
   // and so never pays it; task threads do.
   double disk_seek_alpha = 0.35;
-  // Outstanding monotasks per disk (1 = HDD; flash reaches peak with ~4).
-  int disk_outstanding = 1;
-  // Receiver-side limit on multitasks with outstanding fetches (§3.3).
-  int network_multitask_limit = 4;
   // Wall-clock acceleration of the simulated devices: with time_scale = 50, one
   // "device second" takes 20 ms of real time. Relative timing is preserved.
   double time_scale = 50.0;
@@ -98,11 +94,8 @@ class Worker {
   // reads issued on behalf of a remote multitask.
   void SubmitDetached(std::unique_ptr<Monotask> task, std::function<void()> done);
 
-  // Round-robin placement for write / shuffle-serve monotasks.
+  // Round-robin placement for write monotasks.
   int PickWriteDisk();
-  int PickServeDisk();
-  // Finds the disk holding `block_id`, or -1.
-  int DiskWithBlock(const std::string& block_id) const;
 
   const WorkerCounters& counters() const { return counters_; }
 
@@ -122,7 +115,6 @@ class Worker {
   std::unique_ptr<ResourceScheduler> network_;
   std::unique_ptr<LocalDagScheduler> dag_;
   std::atomic<int> next_write_disk_{0};
-  std::atomic<int> next_serve_disk_{0};
   WorkerCounters counters_;
 };
 

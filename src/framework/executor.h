@@ -13,6 +13,12 @@ namespace monosim {
 
 class MonotaskLog;
 
+// Fixed cost of launching a multitask on a machine, the same under both
+// architectures: Spark's task deserialization before the pipeline starts, and
+// the leading compute monotask that deserializes the task description and
+// builds the monotask DAG (Fig 4 caption).
+inline constexpr monoutil::SimTime kTaskLaunchOverhead = monoutil::Millis(5);
+
 class ExecutorSim {
  public:
   virtual ~ExecutorSim() = default;

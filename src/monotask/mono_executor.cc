@@ -12,6 +12,15 @@
 #include "src/monotask/mono_multitask.h"
 
 namespace monosim {
+namespace {
+
+// One outstanding monotask per HDD: no seek thrash (§3.3).
+constexpr int kHddOutstanding = 1;
+// The "+1" of §3.4: extra multitasks assigned beyond the schedulers' concurrency
+// sum so round-robin queues never run empty while the driver is asked for work.
+constexpr int kExtraMultitasks = 1;
+
+}  // namespace
 
 MonotasksExecutorSim::MonotasksExecutorSim(Simulation* sim, ClusterSim* cluster,
                                            TaskPool* pool, MonoConfig config)
@@ -19,7 +28,6 @@ MonotasksExecutorSim::MonotasksExecutorSim(Simulation* sim, ClusterSim* cluster,
   MONO_CHECK(sim_ != nullptr);
   MONO_CHECK(cluster_ != nullptr);
   MONO_CHECK(pool_ != nullptr);
-  MONO_CHECK(config_.hdd_outstanding >= 1);
   MONO_CHECK(config_.ssd_outstanding >= 1);
   MONO_CHECK(config_.network_multitask_limit >= 1);
 
@@ -31,21 +39,15 @@ MonotasksExecutorSim::MonotasksExecutorSim(Simulation* sim, ClusterSim* cluster,
     worker.cpu->SetTraceSeries(TraceProcess(m), "cpu-queue");
     for (int d = 0; d < machine.num_disks(); ++d) {
       const int outstanding = machine.disk(d).config().type == DiskType::kHdd
-                                  ? config_.hdd_outstanding
+                                  ? kHddOutstanding
                                   : config_.ssd_outstanding;
       worker.disks.push_back(std::make_unique<SlotSchedulerSim>(
           sim_, &machine.disk(d), outstanding, config_.fifo_disk_queues));
       worker.disks.back()->SetTraceSeries(TraceProcess(m),
                                           "disk" + std::to_string(d) + "-queue");
-      if (config_.memory_pressure_threshold > monoutil::Bytes(0)) {
-        WorkerState* state = &worker;
-        const monoutil::Bytes threshold = config_.memory_pressure_threshold;
-        worker.disks.back()->set_memory_pressure_fn(
-            [state, threshold] { return state->buffered_bytes > threshold; });
-      }
     }
     worker.network =
-        std::make_unique<NetworkSchedulerSim>(config_.network_multitask_limit, sim_);
+        std::make_unique<NetworkSchedulerSim>(sim_, config_.network_multitask_limit);
     worker.network->SetTraceSeries(TraceProcess(m), "net-queue");
   }
   sim_->RegisterAuditable(this);
@@ -107,7 +109,7 @@ int MonotasksExecutorSim::MultitaskLimit(int machine) const {
     limit += disk->max_concurrency();
   }
   limit += worker.network->max_concurrency();
-  return limit + config_.extra_multitasks;
+  return limit + kExtraMultitasks;
 }
 
 SlotSchedulerSim& MonotasksExecutorSim::cpu_scheduler(int machine) {
@@ -159,7 +161,7 @@ bool MonotasksExecutorSim::DispatchOne(int machine) {
   running_.emplace(raw->dispatch_id(), std::move(multitask));
   // The leading compute monotask that deserializes the task description and builds
   // the DAG (Fig 4 caption) is modeled as a fixed launch delay.
-  sim_->ScheduleAfter(config_.task_launch_overhead, [raw] { raw->Start(); });
+  sim_->ScheduleAfter(kTaskLaunchOverhead, [raw] { raw->Start(); });
   return true;
 }
 

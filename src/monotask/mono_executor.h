@@ -15,7 +15,9 @@
 //   * one monotask per HDD at a time -> no seek thrash; the flash scheduler allows a
 //     configurable number of outstanding monotasks;
 //   * shuffle fetches are admitted receiver-side, at most four multitasks' worth at a
-//     time, and shuffle data is always read back from disk on the serving machine.
+//     time, and shuffle data is always read back from disk on the serving machine;
+//   * buffered task data is measured (peak_buffered_bytes), never regulated: as in
+//     the paper's implementation, memory pressure does not reorder disk work (§3.5).
 #ifndef MONOTASKS_SRC_MONOTASK_MONO_EXECUTOR_H_
 #define MONOTASKS_SRC_MONOTASK_MONO_EXECUTOR_H_
 
@@ -38,28 +40,17 @@ namespace monosim {
 class MonoMultitaskSim;
 
 struct MonoConfig {
-  // Outstanding monotasks per disk. HDDs use 1 (§3.3); flash reaches peak throughput
-  // with ~4 outstanding.
-  int hdd_outstanding = 1;
+  // Outstanding monotasks per flash disk: flash reaches peak throughput with ~4
+  // outstanding (an HDD always runs one, kHddOutstanding).
   int ssd_outstanding = 4;
   // Receiver-side limit on multitasks with outstanding shuffle requests.
   int network_multitask_limit = 4;
-  // The "+1" of §3.4: extra multitasks assigned beyond the schedulers' concurrency
-  // sum so round-robin queues never run empty while the driver is asked for work.
-  int extra_multitasks = 1;
   // §8 "Disk scheduling" extension: route disk-write monotasks to the disk with the
   // shortest write queue instead of round-robin. Off by default (paper behaviour).
   bool load_aware_disk_writes = false;
   // Ablation: replace the disk scheduler's per-phase round-robin with a single FIFO
   // queue (reproduces the convoy effect §3.3 argues against). Off by default.
   bool fifo_disk_queues = false;
-  // §3.5 memory regulation: when a machine's buffered task data exceeds this many
-  // bytes, its disk schedulers prioritize write monotasks (clearing output buffers
-  // out of memory) over reads. 0 disables the policy (the paper's implementation).
-  monoutil::Bytes memory_pressure_threshold;
-  // Fixed cost of the leading compute monotask that deserializes the task
-  // description and builds the monotask DAG.
-  monoutil::SimTime task_launch_overhead = monoutil::Millis(5);
 };
 
 class MonotasksExecutorSim : public ExecutorSim, public Auditable {

@@ -7,17 +7,13 @@
 
 namespace monosim {
 
-void QueueLengthTrace::Record(const Simulation* sim, int length) {
-  if (sim == nullptr) {
-    return;
-  }
+void QueueLengthTrace::Record(SimTime now, int length) {
   if (on_) {
-    trace_.Record(sim->now(), static_cast<double>(length));
+    trace_.Record(now, static_cast<double>(length));
   }
   if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
     if (!series_.empty()) {
-      tracer->Counter(process_, series_, sim->now().seconds(),
-                      static_cast<double>(length));
+      tracer->Counter(process_, series_, now.seconds(), static_cast<double>(length));
     }
   }
 }
@@ -63,10 +59,7 @@ void SlotSchedulerSim::Push(int phase, Item item) {
 
 void SlotSchedulerSim::Dispatch() {
   while (running_ < slots_ && !queue_.empty()) {
-    // Under memory pressure, writes jump the phase rotation to clear buffered
-    // data out of memory (§3.5).
-    const bool pressure = under_pressure_ && under_pressure_();
-    Item item = queue_.Pop(pressure ? static_cast<int>(DiskPhase::kWrite) : -1);
+    Item item = queue_.Pop();
     RecordQueue();
     ++running_;
     const SimTime dispatched = sim_->now();
@@ -93,8 +86,9 @@ void SlotSchedulerSim::Dispatch() {
   }
 }
 
-NetworkSchedulerSim::NetworkSchedulerSim(int multitask_limit, Simulation* sim)
-    : limit_(multitask_limit), sim_(sim) {
+NetworkSchedulerSim::NetworkSchedulerSim(Simulation* sim, int multitask_limit)
+    : sim_(sim), limit_(multitask_limit) {
+  MONO_CHECK(sim_ != nullptr);
   MONO_CHECK(multitask_limit >= 1);
 }
 
@@ -105,8 +99,7 @@ void NetworkSchedulerSim::Acquire(std::function<void(SimTime)> granted) {
     granted(SimTime());
     return;
   }
-  waiting_.push_back(Waiter{sim_ != nullptr ? sim_->now() : SimTime(),
-                            std::move(granted)});
+  waiting_.push_back(Waiter{sim_->now(), std::move(granted)});
   RecordQueue();
 }
 
@@ -116,8 +109,7 @@ void NetworkSchedulerSim::Release() {
     Waiter waiter = std::move(waiting_.front());
     waiting_.pop_front();
     RecordQueue();
-    const SimTime wait = sim_ != nullptr ? sim_->now() - waiter.enqueued : SimTime();
-    waiter.granted(wait);  // Slot transfers directly to the next waiter.
+    waiter.granted(sim_->now() - waiter.enqueued);  // Slot transfers to the next waiter.
     return;
   }
   --active_;

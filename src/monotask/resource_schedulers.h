@@ -11,7 +11,8 @@
 //                            write / shuffle-serve) via the shared PhaseQueue policy
 //                            (src/common/phase_queue.h).
 //   * NetworkSchedulerSim  — receiver-side admission: fetch sets from at most N
-//                            multitasks outstanding (N = 4 in the paper).
+//                            multitasks outstanding (N = 4 in the paper), each
+//                            waiter's admission wait read off the simulation clock.
 //
 // Every completion callback receives the monotask's *service* time (queueing
 // excluded) and its *queue wait* (ready-to-dispatch): this is the built-in
@@ -58,8 +59,7 @@ class QueueLengthTrace {
     process_ = std::move(process);
     series_ = std::move(series);
   }
-  // `sim` may be null for a standalone scheduler; nothing is recorded then.
-  void Record(const Simulation* sim, int length);
+  void Record(SimTime now, int length);
   const RateTrace& trace() const { return trace_; }
 
  private:
@@ -97,12 +97,6 @@ class SlotSchedulerSim {
   void EnqueueRead(DiskPhase phase, monoutil::Bytes bytes, MonotaskDone done);
   void EnqueueWrite(monoutil::Bytes bytes, MonotaskDone done);
 
-  // §3.5: when `under_pressure` returns true, the scheduler serves the write queue
-  // first (clearing buffered output out of memory) instead of round-robin. Optional.
-  void set_memory_pressure_fn(std::function<bool()> under_pressure) {
-    under_pressure_ = std::move(under_pressure);
-  }
-
   int running() const { return running_; }
   int queue_length() const { return queue_.size(); }
   // Queued monotasks in the write phase (used by load-aware write placement).
@@ -128,14 +122,13 @@ class SlotSchedulerSim {
   // Queues `item` in phase queue `phase` and dispatches.
   void Push(int phase, Item item);
   void Dispatch();
-  void RecordQueue() { queue_trace_.Record(sim_, queue_.size()); }
+  void RecordQueue() { queue_trace_.Record(sim_->now(), queue_.size()); }
 
   Simulation* sim_;
   MachineSim* machine_ = nullptr;  // CPU scheduler.
   DiskSim* disk_ = nullptr;        // Disk scheduler.
   int slots_;
   bool fifo_ = false;
-  std::function<bool()> under_pressure_;
   int running_ = 0;
   monoutil::PhaseQueue<Item> queue_;
   QueueLengthTrace queue_trace_;
@@ -150,16 +143,14 @@ class NetworkSchedulerSim {
   MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
-  // `sim` is only needed for queue-wait and queue-length timestamps; pass nullptr
-  // when the scheduler is used standalone (tests) and no counter track is named.
-  explicit NetworkSchedulerSim(int multitask_limit, Simulation* sim = nullptr);
+  NetworkSchedulerSim(Simulation* sim, int multitask_limit);
 
   NetworkSchedulerSim(const NetworkSchedulerSim&) = delete;
   NetworkSchedulerSim& operator=(const NetworkSchedulerSim&) = delete;
 
   // Requests a fetch slot; `granted` runs (possibly immediately) when one is
   // free, receiving the time spent waiting for admission (zero when granted
-  // immediately, and always zero when constructed without a `sim`).
+  // immediately).
   void Acquire(std::function<void(SimTime wait)> granted);
   // Releases a slot previously granted; admits the next waiter.
   void Release();
@@ -168,7 +159,7 @@ class NetworkSchedulerSim {
   int queue_length() const { return static_cast<int>(waiting_.size()); }
   int max_concurrency() const { return limit_; }
 
-  // See SlotSchedulerSim::SetTraceSeries. Requires a non-null `sim`.
+  // See SlotSchedulerSim::SetTraceSeries.
   void SetTraceSeries(std::string process, std::string series) {
     queue_trace_.SetSeries(std::move(process), std::move(series));
   }
@@ -178,10 +169,12 @@ class NetworkSchedulerSim {
     SimTime enqueued;
     std::function<void(SimTime)> granted;
   };
-  void RecordQueue() { queue_trace_.Record(sim_, static_cast<int>(waiting_.size())); }
+  void RecordQueue() {
+    queue_trace_.Record(sim_->now(), static_cast<int>(waiting_.size()));
+  }
 
-  int limit_;
   Simulation* sim_;
+  int limit_;
   int active_ = 0;
   std::deque<Waiter> waiting_;
   QueueLengthTrace queue_trace_;

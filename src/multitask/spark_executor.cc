@@ -20,9 +20,6 @@ SparkExecutorSim::SparkExecutorSim(Simulation* sim, ClusterSim* cluster, TaskPoo
   MONO_CHECK(sim_ != nullptr);
   MONO_CHECK(cluster_ != nullptr);
   MONO_CHECK(pool_ != nullptr);
-  MONO_CHECK(config_.chunk_bytes > monoutil::Bytes(0));
-  MONO_CHECK(config_.readahead_chunks >= 1);
-  MONO_CHECK(config_.max_parallel_fetches >= 1);
   sim_->RegisterAuditable(this);
 }
 
@@ -108,7 +105,7 @@ bool SparkExecutorSim::DispatchOne(int machine) {
   running_.emplace(raw->dispatch_id(), std::move(task));
   // The launch overhead (task deserialization on the executor) occupies the slot
   // before the pipeline starts.
-  sim_->ScheduleAfter(config_.task_launch_overhead, [raw] { raw->Start(); });
+  sim_->ScheduleAfter(kTaskLaunchOverhead, [raw] { raw->Start(); });
   return true;
 }
 

@@ -38,20 +38,12 @@ class SparkTaskSim;
 struct SparkConfig {
   // Concurrent tasks per machine; 0 means "number of cores" (Spark's default).
   int slots_per_machine = 0;
-  // Pipelining granularity: how much data moves between resources at once.
-  monoutil::Bytes chunk_bytes = monoutil::MiB(4);
-  // Read-ahead depth: chunks that may be read but not yet consumed by compute.
-  int readahead_chunks = 2;
-  // Concurrent shuffle fetch streams per reduce task.
-  int max_parallel_fetches = 5;
   // Synchronously flush writes to disk instead of leaving them in the buffer cache.
   bool write_through = false;
   // Concurrent shuffle-serve disk reads per machine (the shuffle service's I/O
   // thread pool). Unlike the monotask disk scheduler this does not coordinate with
   // the tasks' own reads and writes, so contention remains.
   int serve_read_concurrency = 4;
-  // Fixed cost of launching a task in its slot (task deserialization etc.).
-  monoutil::SimTime task_launch_overhead = monoutil::Millis(5);
   // Coefficient of variation of per-chunk CPU time (0 = deterministic). Real tasks
   // see per-record skew and JVM pauses; enabling this reproduces the fine-grained
   // bottleneck oscillation of Fig 2 without changing mean runtimes.

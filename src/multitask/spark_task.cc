@@ -14,6 +14,18 @@ namespace monosim {
 
 using monoutil::Bytes;
 
+namespace {
+
+// Pipelining granularity: how much data moves between resources at once.
+constexpr Bytes kChunkBytes = monoutil::MiB(4);
+// Read-ahead depth: chunks that may be read but not yet consumed by compute, and
+// computed chunks the writer may fall behind by.
+constexpr int kReadaheadChunks = 2;
+// Concurrent shuffle fetch streams per reduce task.
+constexpr int kMaxParallelFetches = 5;
+
+}  // namespace
+
 SparkTaskSim::SparkTaskSim(SparkExecutorSim* executor, TaskAssignment assignment,
                            uint64_t dispatch_id)
     : executor_(executor),
@@ -21,7 +33,6 @@ SparkTaskSim::SparkTaskSim(SparkExecutorSim* executor, TaskAssignment assignment
       dispatch_id_(dispatch_id),
       start_time_(executor->sim_->now()) {
   const StageSpec& spec = assignment_.stage->spec();
-  const Bytes chunk = executor_->config().chunk_bytes;
 
   has_input_io_ = (spec.input == InputSource::kDfs || spec.input == InputSource::kShuffle) &&
                   assignment_.input_bytes > Bytes(0);
@@ -32,10 +43,11 @@ SparkTaskSim::SparkTaskSim(SparkExecutorSim* executor, TaskAssignment assignment
 
   if (assignment_.input_bytes > Bytes(0)) {
     total_chunks_ = static_cast<int>(
-        (assignment_.input_bytes + chunk - Bytes(1)).count() / chunk.count());
+        (assignment_.input_bytes + kChunkBytes - Bytes(1)).count() / kChunkBytes.count());
   } else if (write_total > Bytes(0)) {
     total_chunks_ =
-        static_cast<int>((write_total + chunk - Bytes(1)).count() / chunk.count());
+        static_cast<int>((write_total + kChunkBytes - Bytes(1)).count() /
+                         kChunkBytes.count());
   } else {
     total_chunks_ = 1;
   }
@@ -133,14 +145,13 @@ void SparkTaskSim::AdvanceReader() {
 }
 
 void SparkTaskSim::IssueBlockRead() {
-  // Sequential stream with bounded read-ahead: at most `readahead_chunks` chunks may
+  // Sequential stream with bounded read-ahead: at most kReadaheadChunks chunks may
   // be issued beyond what compute has consumed, and the stream keeps a limited number
   // of requests in flight (two when a network hop is pipelined behind the disk).
   const int consumed = chunks_computed_ + (compute_busy_ ? 1 : 0);
-  const int readahead = executor_->config().readahead_chunks;
   const int max_in_flight = assignment_.input_local ? 1 : 2;
   while (reads_issued_ < total_chunks_ && reads_in_flight_ < max_in_flight &&
-         reads_issued_ - consumed < readahead) {
+         reads_issued_ - consumed < kReadaheadChunks) {
     ++reads_issued_;
     ++reads_in_flight_;
     const double bytes = chunk_input_bytes_;
@@ -186,7 +197,7 @@ void SparkTaskSim::IssueBlockRead() {
 
 void SparkTaskSim::StartNextFetch() {
   auto& usage = assignment_.stage->result().usage;
-  while (active_fetches_ < executor_->config().max_parallel_fetches &&
+  while (active_fetches_ < kMaxParallelFetches &&
          !fetch_queue_.empty()) {
     const FetchPortion portion = fetch_queue_.front();
     fetch_queue_.pop_front();
@@ -269,7 +280,7 @@ void SparkTaskSim::AdvanceCompute() {
   // Backpressure: the writer buffer is bounded, so compute stalls if writing falls
   // too far behind (e.g. the buffer cache is throttling).
   const int write_backlog = chunks_computed_ - chunks_written_;
-  if (has_output_io_ && write_backlog > executor_->config().readahead_chunks) {
+  if (has_output_io_ && write_backlog > kReadaheadChunks) {
     return;
   }
   if (chunks_ready() <= chunks_computed_) {

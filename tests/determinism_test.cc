@@ -50,10 +50,11 @@ struct RunWitness {
   double duration = 0;
 };
 
-// Runs the sort job from a fresh environment under the chosen architecture and
-// returns the simulation's digest once the job completes.
-RunWitness RunSort(bool monotasks, uint64_t seed, int values_per_key) {
-  SimEnvironment env(monoload::SmallHddClusterConfig());
+// Runs the sort job on `cluster` from a fresh environment under the chosen
+// architecture and returns the simulation's digest once the job completes.
+RunWitness RunSortOn(const ClusterConfig& cluster, bool monotasks, uint64_t seed,
+                     int values_per_key) {
+  SimEnvironment env(cluster);
   const monoload::SortParams params = SmallSortParams(seed, values_per_key);
   JobSpec job = monoload::MakeSortJob(&env.dfs(), params);
   RunWitness witness;
@@ -69,6 +70,10 @@ RunWitness RunSort(bool monotasks, uint64_t seed, int values_per_key) {
   witness.digest = env.sim().digest();
   witness.fired = env.sim().fired_events();
   return witness;
+}
+
+RunWitness RunSort(bool monotasks, uint64_t seed, int values_per_key) {
+  return RunSortOn(monoload::SmallHddClusterConfig(), monotasks, seed, values_per_key);
 }
 
 TEST(DeterminismTest, SameSeedSortRunsProduceIdenticalDigests) {
@@ -163,6 +168,30 @@ TEST(DeterminismTest, StrongUnitTypesPreservePreRefactorDigests) {
         << (oracle.monotasks ? "monotasks" : "spark") << " sort, "
         << oracle.values_per_key
         << " values/key: schedule drifted from the pre-refactor oracle";
+    EXPECT_EQ(witness.fired, oracle.fired);
+  }
+}
+
+TEST(DeterminismTest, SsdSortPreservesParentDigests) {
+  // The HDD oracles above never reach the flash capacity curve or the
+  // monotasks flash scheduler's outstanding count. Oracle digests harvested
+  // while the flash calibration values were still DiskConfig fields; turning
+  // them into constants must leave the schedule bit-identical.
+  struct Oracle {
+    bool monotasks;
+    uint64_t digest;
+    uint64_t fired;
+  };
+  static constexpr Oracle kOracles[] = {
+      {false, 890097797205877701ull, 478},
+      {true, 2187055062138411932ull, 153},
+  };
+  for (const Oracle& oracle : kOracles) {
+    const RunWitness witness = RunSortOn(monoload::SsdClusterConfig(4, 2),
+                                         oracle.monotasks, 7, /*values_per_key=*/10);
+    EXPECT_EQ(witness.digest, oracle.digest)
+        << (oracle.monotasks ? "monotasks" : "spark")
+        << " SSD sort: schedule drifted from the parent oracle";
     EXPECT_EQ(witness.fired, oracle.fired);
   }
 }

@@ -274,8 +274,6 @@ TEST(WorkerTest, MultitaskLimitFollowsFormula) {
   config.num_workers = 1;
   config.cores_per_worker = 4;
   config.disks_per_worker = 2;
-  config.disk_outstanding = 1;
-  config.network_multitask_limit = 4;
   InProcessFabric fabric(1, config.nic_bandwidth, config.time_scale);
   Worker worker(0, config, &fabric);
   // 4 cores + 2 disks + 4 network + 1 = 11.

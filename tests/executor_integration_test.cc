@@ -293,5 +293,34 @@ TEST(ExecutorIntegrationTest, SsdMultitaskLimitCountsChannels) {
   EXPECT_EQ(executor.MultitaskLimit(0), 21);
 }
 
+TEST(ExecutorIntegrationTest, LoadAwareWritesPickTheShortestWriteQueue) {
+  SimEnvironment env(SmallCluster());
+  MonoConfig config;
+  config.load_aware_disk_writes = true;
+  MonotasksExecutorSim executor(&env.sim(), &env.cluster(), &env.pool(), config);
+  auto queue_writes = [&](int disk, int count) {
+    for (int i = 0; i < count; ++i) {
+      executor.disk_scheduler(0, disk).EnqueueWrite(MiB(1), [](SimTime, SimTime) {});
+    }
+  };
+  EXPECT_EQ(executor.PickWriteDisk(0), 0);  // Equal depths: the lowest index.
+  queue_writes(0, 2);                       // Disk 0: one running, one queued.
+  EXPECT_EQ(executor.PickWriteDisk(0), 1);
+  EXPECT_EQ(executor.PickWriteDisk(0), 1);  // Picking queues nothing by itself.
+  queue_writes(1, 3);
+  EXPECT_EQ(executor.PickWriteDisk(0), 0);
+  env.sim().Run();
+
+  // The default placement is round-robin whatever the queues hold.
+  SimEnvironment rr_env(SmallCluster());
+  MonotasksExecutorSim round_robin(&rr_env.sim(), &rr_env.cluster(), &rr_env.pool(),
+                                   MonoConfig{});
+  round_robin.disk_scheduler(0, 0).EnqueueWrite(MiB(1), [](SimTime, SimTime) {});
+  EXPECT_EQ(round_robin.PickWriteDisk(0), 0);
+  EXPECT_EQ(round_robin.PickWriteDisk(0), 1);
+  EXPECT_EQ(round_robin.PickWriteDisk(0), 0);
+  rr_env.sim().Run();
+}
+
 }  // namespace
 }  // namespace monosim

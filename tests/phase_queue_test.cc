@@ -29,7 +29,7 @@ TEST(PhaseQueueTest, SinglePhaseIsFifo) {
   }
   EXPECT_EQ(queue.size(), 4);
   EXPECT_EQ(queue.Pop(), "a");
-  EXPECT_EQ(queue.Pop(/*first=*/0), "b");  // Naming the only phase changes nothing.
+  EXPECT_EQ(queue.Pop(), "b");
   queue.Push(0, "e");
   EXPECT_EQ(Drain(queue), (std::vector<std::string>{"c", "d", "e"}));
 }
@@ -48,22 +48,6 @@ TEST(PhaseQueueTest, RoundRobinResumesAfterLastPhaseServed) {
   EXPECT_EQ(queue.size(), 5);
   EXPECT_EQ(queue.size(kWrite), 2);
   EXPECT_EQ(Drain(queue), (std::vector<std::string>{"s0", "r0", "w1", "r1", "w2"}));
-}
-
-TEST(PhaseQueueTest, PressureFirstJumpsTheRotationThenResumesAfterIt) {
-  PhaseQueue<std::string> queue(kNumDiskPhases);
-  queue.Push(kRead, "r0");
-  queue.Push(kRead, "r1");
-  queue.Push(kWrite, "w0");
-  queue.Push(kServe, "s0");
-  // The cursor is on read, but the named phase goes first...
-  EXPECT_EQ(queue.Pop(/*first=*/kWrite), "w0");
-  // ...and the rotation continues after it, not after the cursor.
-  EXPECT_EQ(queue.Pop(), "s0");
-  // An empty named phase falls back to the rotation.
-  EXPECT_EQ(queue.Pop(/*first=*/kWrite), "r0");
-  EXPECT_EQ(queue.Pop(/*first=*/kWrite), "r1");
-  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

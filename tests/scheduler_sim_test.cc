@@ -141,27 +141,43 @@ TEST_F(SchedulerSimTest, SsdSchedulerAllowsMultipleOutstanding) {
 }
 
 TEST(NetworkSchedulerSimTest, GatesConcurrentFetchSets) {
-  NetworkSchedulerSim scheduler(/*multitask_limit=*/2);
-  int granted = 0;
-  for (int i = 0; i < 5; ++i) {
-    // Constructed without a Simulation: the reported wait is always 0.
-    scheduler.Acquire([&](SimTime wait) {
-      EXPECT_EQ(wait, SimTime());
-      ++granted;
+  Simulation sim;
+  NetworkSchedulerSim scheduler(&sim, /*multitask_limit=*/2);
+  // Fetch set i asks for admission at t = i s; slots are released at the times
+  // below, each handing its slot to the oldest waiter.
+  constexpr int kFetchSets = 5;
+  const std::vector<double> release_at = {10.0, 12.0, 15.0, 20.0, 21.0};
+  std::vector<double> granted_at(kFetchSets, -1.0);
+  std::vector<double> waits(kFetchSets, -1.0);
+  for (int i = 0; i < kFetchSets; ++i) {
+    sim.ScheduleAt(monoutil::Seconds(i), [&, i] {
+      scheduler.Acquire([&, i](SimTime wait) {
+        granted_at[static_cast<size_t>(i)] = sim.now().seconds();
+        waits[static_cast<size_t>(i)] = wait.seconds();
+      });
     });
   }
-  EXPECT_EQ(granted, 2);
-  EXPECT_EQ(scheduler.active(), 2);
-  EXPECT_EQ(scheduler.queue_length(), 3);
-  scheduler.Release();
-  EXPECT_EQ(granted, 3);  // The slot transferred to a waiter.
-  EXPECT_EQ(scheduler.active(), 2);
-  scheduler.Release();
-  scheduler.Release();
-  EXPECT_EQ(granted, 5);
-  scheduler.Release();
-  scheduler.Release();
+  sim.ScheduleAt(monoutil::Seconds(5.0), [&] {
+    EXPECT_EQ(scheduler.active(), 2);
+    EXPECT_EQ(scheduler.queue_length(), 3);
+  });
+  for (const double t : release_at) {
+    sim.ScheduleAt(monoutil::Seconds(t), [&] { scheduler.Release(); });
+  }
+  sim.ScheduleAt(monoutil::Seconds(11.0), [&] {
+    EXPECT_EQ(scheduler.active(), 2);  // The slot transferred to a waiter.
+    EXPECT_EQ(scheduler.queue_length(), 2);
+  });
+  sim.Run();
   EXPECT_EQ(scheduler.active(), 0);
+  // The first two are admitted on arrival; each queued one when a slot frees.
+  EXPECT_EQ(granted_at, (std::vector<double>{0.0, 1.0, 10.0, 12.0, 15.0}));
+  for (int i = 0; i < kFetchSets; ++i) {
+    const auto k = static_cast<size_t>(i);
+    // The reported wait is the grant (Release) time minus the Acquire time.
+    EXPECT_EQ(waits[k], granted_at[k] - static_cast<double>(i)) << "fetch set " << i;
+  }
+  EXPECT_EQ(waits, (std::vector<double>{0.0, 0.0, 8.0, 9.0, 11.0}));
 }
 
 TEST(BufferCacheSyncTest, WriteSyncCompletesOnlyWhenDurable) {
@@ -223,46 +239,6 @@ TEST(BufferCacheSyncTest, AsyncAndSyncWritesCoexist) {
   EXPECT_LT(async_done, 0.1);  // Memory speed.
   // The sync write waits for both its own bytes and the earlier dirty bytes.
   EXPECT_GE(sync_done, 2.0 - 1e-9);
-}
-
-
-TEST_F(SchedulerSimTest, MemoryPressurePrioritizesWrites) {
-  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
-  bool pressure = false;
-  scheduler.set_memory_pressure_fn([&pressure] { return pressure; });
-  std::vector<std::string> order;
-  auto record = [&](std::string label) {
-    return [&order, label](SimTime, SimTime) { order.push_back(label); };
-  };
-  // Seed the disk, then queue reads ahead of writes and raise pressure: the writes
-  // must jump the round-robin rotation.
-  scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record("r0"));
-  scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record("r1"));
-  scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record("r2"));
-  scheduler.EnqueueWrite(monoutil::Bytes(100), record("w0"));
-  scheduler.EnqueueWrite(monoutil::Bytes(100), record("w1"));
-  pressure = true;
-  sim_.Run();
-  ASSERT_EQ(order.size(), 5u);
-  // r0 was already running; under pressure both writes are served before r1/r2.
-  EXPECT_EQ(order[1], "w0");
-  EXPECT_EQ(order[2], "w1");
-}
-
-TEST_F(SchedulerSimTest, MemoryPressureOffFallsBackToRoundRobin) {
-  SlotSchedulerSim scheduler(&sim_, &machine_->disk(0), 1);
-  bool pressure = false;
-  scheduler.set_memory_pressure_fn([&pressure] { return pressure; });
-  std::vector<std::string> order;
-  auto record = [&](std::string label) {
-    return [&order, label](SimTime, SimTime) { order.push_back(label); };
-  };
-  scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record("r0"));
-  scheduler.EnqueueRead(DiskPhase::kRead, monoutil::Bytes(100), record("r1"));
-  scheduler.EnqueueWrite(monoutil::Bytes(100), record("w0"));
-  sim_.Run();
-  // Without pressure the rotation interleaves: r0, w0, r1.
-  EXPECT_EQ(order, (std::vector<std::string>{"r0", "w0", "r1"}));
 }
 
 }  // namespace

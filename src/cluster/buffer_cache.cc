@@ -169,7 +169,6 @@ void BufferCacheSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
 }
 
 void BufferCacheSim::Write(int disk_index, Bytes bytes, std::function<void()> done) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(disk_index >= 0 && static_cast<size_t>(disk_index) < disks_.size());
   MONO_CHECK(bytes >= Bytes(0));
   if (total_dirty_ + bytes > config_.dirty_limit && total_dirty_ > Bytes(0)) {
@@ -184,7 +183,6 @@ void BufferCacheSim::Write(int disk_index, Bytes bytes, std::function<void()> do
 }
 
 void BufferCacheSim::WriteSync(int disk_index, Bytes bytes, std::function<void()> done) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(disk_index >= 0 && static_cast<size_t>(disk_index) < disks_.size());
   MONO_CHECK(bytes >= Bytes(0));
   if (total_dirty_ + bytes > config_.dirty_limit && total_dirty_ > Bytes(0)) {

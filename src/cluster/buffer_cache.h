@@ -25,7 +25,6 @@
 
 #include "src/cluster/cluster_config.h"
 #include "src/cluster/disk.h"
-#include "src/common/domain.h"
 #include "src/simcore/audit.h"
 #include "src/simcore/simulation.h"
 
@@ -39,7 +38,6 @@ class BufferCacheSim : public Auditable {
  public:
   // Owned by its MachineSim, which outlives the simulation run, so `this`
   // captures into the writeback timer and flush completions cannot dangle.
-  MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
   // `disks` must outlive the cache. One flusher state is kept per disk.

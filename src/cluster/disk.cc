@@ -81,7 +81,6 @@ void DiskSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
 }
 
 void DiskSim::ReadImpl(monoutil::Bytes bytes, InlineCallback&& done) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(bytes >= monoutil::Bytes(0));
   bytes_read_ += bytes;
   ++active_reads_;
@@ -95,7 +94,6 @@ void DiskSim::ReadImpl(monoutil::Bytes bytes, InlineCallback&& done) {
 }
 
 void DiskSim::WriteImpl(monoutil::Bytes bytes, InlineCallback&& done) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(bytes >= monoutil::Bytes(0));
   bytes_written_ += bytes;
   // A write interleaved with reads thrashes the head; writes alone are batched by

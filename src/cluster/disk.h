@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "src/cluster/cluster_config.h"
-#include "src/common/domain.h"
 #include "src/simcore/audit.h"
 #include "src/simcore/fluid_server.h"
 #include "src/simcore/simulation.h"
@@ -24,7 +23,6 @@ class DiskSim : public Auditable {
  public:
   // Owned by its MachineSim, which outlives the simulation run, so `this`
   // captures into its completion plumbing cannot dangle.
-  MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
   DiskSim(Simulation* sim, std::string name, const DiskConfig& config);

@@ -25,7 +25,6 @@ MachineSim::MachineSim(Simulation* sim, int machine_id, const MachineConfig& con
 }
 
 void MachineSim::RunCompute(double cpu_seconds, std::function<void()> done) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(cpu_seconds >= 0);
   cpu_.Submit(cpu_seconds, std::move(done));
 }
@@ -73,7 +72,6 @@ void ClusterSim::EnableTrace() {
   for (auto& machine : machines_) {
     machine->EnableTrace();
   }
-  // mono_lint: allow(domain-ownership) -- config-time fan-out: tracing is enabled before the simulation runs.
   fabric_->EnableTrace();
 }
 

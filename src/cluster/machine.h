@@ -15,7 +15,6 @@
 #include "src/cluster/cluster_config.h"
 #include "src/cluster/disk.h"
 #include "src/cluster/network.h"
-#include "src/common/domain.h"
 #include "src/simcore/fluid_server.h"
 #include "src/simcore/simulation.h"
 
@@ -23,8 +22,6 @@ namespace monosim {
 
 class MachineSim {
  public:
-  MONO_DOMAIN("machine");
-
   MachineSim(Simulation* sim, int machine_id, const MachineConfig& config);
 
   MachineSim(const MachineSim&) = delete;
@@ -62,10 +59,6 @@ class MachineSim {
 
 class ClusterSim {
  public:
-  // The cluster object is central wiring owned by the driver-side environment;
-  // its machine()/fabric() accessors are pass-throughs into other domains.
-  MONO_DOMAIN("driver");
-
   ClusterSim(Simulation* sim, const ClusterConfig& config);
 
   ClusterSim(const ClusterSim&) = delete;

@@ -308,9 +308,6 @@ NetworkFabricSim::Flow* NetworkFabricSim::FindFlow(FlowId id) const {
 NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
                                                          monoutil::Bytes bytes,
                                                          InlineCallback&& done) {
-  // Starting a flow is a sanctioned cross-domain channel: machine-domain code
-  // (executors moving shuffle data) enters the fabric here by design.
-  MONO_DOMAIN_CHANNEL();
   MONO_CHECK(src >= 0 && src < num_machines());
   MONO_CHECK(dst >= 0 && dst < num_machines());
   MONO_CHECK_MSG(src != dst, "local transfers must not traverse the fabric");
@@ -356,8 +353,6 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
 }
 
 void NetworkFabricSim::SendControlImpl(int src, int dst, InlineCallback&& deliver) {
-  // Control messages are a sanctioned cross-domain channel (see StartFlowImpl).
-  MONO_DOMAIN_CHANNEL();
   MONO_CHECK(src >= 0 && src < num_machines());
   MONO_CHECK(dst >= 0 && dst < num_machines());
   sim_->ScheduleAfter(request_latency_, std::move(deliver), "net-request");

@@ -78,7 +78,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/simcore/audit.h"
 #include "src/simcore/rate_trace.h"
 #include "src/simcore/simulation.h"
@@ -97,11 +96,9 @@ struct FabricSideTotals {
 
 class NetworkFabricSim : public Auditable {
  public:
-  // The fabric is its own ownership domain: flows and control messages are the
-  // sanctioned channel between machines. Owned by ClusterSim, which outlives
-  // the simulation run, so `this` captures into its own schedule sites cannot
-  // dangle (the alive_ guard additionally covers mid-run teardown).
-  MONO_DOMAIN("fabric");
+  // Owned by ClusterSim, which outlives the simulation run, so `this` captures
+  // into its own schedule sites cannot dangle (the alive_ guard additionally
+  // covers mid-run teardown).
   MONO_SIM_OWNED;
 
   // All NICs share one bandwidth (each direction). `request_latency` is the one-way

@@ -106,18 +106,6 @@ double LatencyHistogram::MinEstimate() const {
   return 0.0;
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  const double s = other.sum();
-  double observed = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(observed, observed + s,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 void LatencyHistogram::Reset() {
   for (auto& bucket : buckets_) {
     bucket.store(0, std::memory_order_relaxed);

@@ -1,16 +1,15 @@
-// Always-on aggregation telemetry: mergeable histograms and time-weighted
+// Always-on aggregation telemetry: latency histograms and time-weighted
 // gauges, complementing the opt-in Tracer.
 //
 // The Tracer answers "what happened when" and costs a span per event, so it is
 // gated behind MONO_TRACE. At millions of monotasks per run that is
-// unaffordable to leave on, yet the scale directions (sharded simcore,
-// multi-tenant p99 benches, straggler scenarios) need percentile-grade
-// latency visibility in *every* run. This header is the always-on layer:
+// unaffordable to leave on, yet per-resource queue waits and service times
+// need percentile-grade latency visibility in *every* run. This header is the
+// always-on layer:
 //
 //   * LatencyHistogram — log-bucketed counts with lock-free Add (one relaxed
 //     fetch_add on an atomic bucket) and quantile queries with bounded
-//     relative error (~1/kSubBuckets per bucket). Histograms merge by
-//     element-wise addition, so per-shard or per-run histograms fold into one.
+//     relative error (~1/kSubBuckets per bucket).
 //   * TimeWeightedGauge — a step function integrated over time (queue depth,
 //     dirty bytes, active flows): Set(t, v) accrues value*dt, and the
 //     time-weighted mean over the observed window falls out of the integral.
@@ -92,10 +91,6 @@ class LatencyHistogram {
   // cheap max/min witnesses for summaries.
   double MaxEstimate() const;
   double MinEstimate() const;
-
-  // Element-wise adds `other` into this histogram (the merge operation:
-  // per-shard histograms fold into a cluster-wide one).
-  void Merge(const LatencyHistogram& other);
 
   // Zeroes every bucket (tests; mirrors MetricCounter::Reset).
   void Reset();

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/common/mutex.h"
 #include "src/common/rate_limiter.h"
 #include "src/common/thread_annotations.h"
@@ -27,10 +26,6 @@ using Buffer = std::vector<uint8_t>;
 
 class SimulatedBlockDevice {
  public:
-  // Machine-side device of the threaded engine. Static annotation only — see
-  // worker.h: engine discipline comes from thread_annotations.h.
-  MONO_DOMAIN("machine");
-
   // `bandwidth` applies to both reads and writes. `time_scale` > 1 makes the device
   // proportionally faster in wall-clock terms (for tests). It has no default on
   // purpose: EngineConfig defaults to 50.0, so a device built with a silent 1.0

@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/engine/monotask.h"
@@ -24,10 +23,6 @@ class Worker;
 
 class LocalDagScheduler {
  public:
-  // Machine side of the threaded engine. Static annotation only — cross-thread
-  // discipline is enforced by thread_annotations.h, not the runtime tracker.
-  MONO_DOMAIN("machine");
-
   // `submit` routes a ready monotask to the right per-resource scheduler.
   explicit LocalDagScheduler(std::function<void(Monotask*)> submit);
 

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/common/rate_limiter.h"
 #include "src/common/units.h"
 
@@ -19,9 +18,6 @@ namespace monotasks {
 
 class InProcessFabric {
  public:
-  // The engine's shared network. Static annotation only — see worker.h.
-  MONO_DOMAIN("fabric");
-
   // `time_scale` deliberately has no default — see SimulatedBlockDevice: the
   // engine's config default (50.0) and a silent component default would mix
   // wall-clock scales within one run.

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/common/mutex.h"
 #include "src/common/phase_queue.h"
 #include "src/common/thread_annotations.h"
@@ -32,11 +31,6 @@ using CompletionCallback = std::function<void(Monotask*, double service_seconds)
 
 class ResourceScheduler {
  public:
-  // Machine side of the threaded engine. Static annotation only — cross-thread
-  // discipline is enforced by thread_annotations.h, not the runtime domain
-  // tracker.
-  MONO_DOMAIN("machine");
-
   // Runs `resource` monotasks on `threads` threads: at most `threads` at once.
   ResourceScheduler(ResourceType resource, int threads, CompletionCallback on_complete);
   ~ResourceScheduler();

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/engine/block_device.h"
 #include "src/engine/dag_scheduler.h"
 #include "src/engine/fabric.h"
@@ -60,11 +59,6 @@ struct WorkerCounters {
 
 class Worker {
  public:
-  // Machine side of the threaded engine. Static annotation only: the engine's
-  // cross-thread discipline is enforced by thread_annotations.h, not the
-  // single-threaded runtime domain tracker.
-  MONO_DOMAIN("machine");
-
   Worker(int id, const EngineConfig& config, InProcessFabric* fabric);
   ~Worker();
 

@@ -14,7 +14,6 @@ JobDriver::JobDriver(Simulation* sim, ClusterSim* cluster, DfsSim* dfs, TaskPool
 }
 
 void JobDriver::SubmitJob(JobSpec spec, DoneCallback done) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK_MSG(executor_ != nullptr, "set_executor must be called before SubmitJob");
   spec.Validate();
   auto job = std::make_unique<JobState>();
@@ -73,7 +72,6 @@ void JobDriver::ActivateNextStage(JobState* job) {
 }
 
 void JobDriver::OnStageComplete(JobState* job, StageExecution* stage) {
-  MONO_DOMAIN_MUTATION();
   pool_->RemoveStage(stage);
   FillUtilization(&stage->result());
   // Device-level measurement over the stage window (includes any concurrent jobs'

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/cluster/machine.h"
-#include "src/common/domain.h"
 #include "src/common/rng.h"
 #include "src/common/tracing/tracer.h"
 #include "src/framework/executor.h"
@@ -27,8 +26,6 @@ namespace monosim {
 
 class JobDriver {
  public:
-  MONO_DOMAIN("driver");
-
   JobDriver(Simulation* sim, ClusterSim* cluster, DfsSim* dfs, TaskPool* pool);
 
   JobDriver(const JobDriver&) = delete;

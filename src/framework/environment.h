@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "src/cluster/machine.h"
-#include "src/common/domain.h"
 #include "src/framework/driver.h"
 #include "src/framework/executor.h"
 #include "src/framework/monotask_log.h"
@@ -21,10 +20,6 @@ namespace monosim {
 
 class SimEnvironment {
  public:
-  // Top-level wiring lives with the driver; its accessors are pass-throughs
-  // into the components' own domains.
-  MONO_DOMAIN("driver");
-
   explicit SimEnvironment(const ClusterConfig& config, int dfs_replication = 1);
 
   SimEnvironment(const SimEnvironment&) = delete;

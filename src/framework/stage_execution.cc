@@ -111,9 +111,8 @@ StageExecution::StageExecution(const JobSpec& job, int stage_index, int num_mach
 }
 
 std::optional<TaskAssignment> StageExecution::TakeTask(int machine) {
-  // Sanctioned channel: executors pull tasks straight from the stage when they
-  // bypass the pool (and via TaskPool::TakeTask otherwise).
-  MONO_DOMAIN_CHANNEL();
+  // Called by TaskPool::TakeTask, and by executors that pull from one stage
+  // directly.
   MONO_CHECK(machine >= 0 && machine < num_machines_);
   if (unassigned_ == 0) {
     return std::nullopt;
@@ -188,21 +187,18 @@ TaskAssignment StageExecution::MakeAssignment(int task_index, int machine) const
 }
 
 void StageExecution::Activate(SimTime now) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(!activated_);
   activated_ = true;
   result_.start = now;
 }
 
 void StageExecution::OnTaskStarted(int task_index, SimTime now) {
-  // Sanctioned channel: machine-domain executors report task lifecycle events
-  // into the driver's bookkeeping (here and in the two methods below).
-  MONO_DOMAIN_CHANNEL();
+  // Executors report each task's start and finish here; the stage keeps the
+  // timing and shuffle bookkeeping.
   task_start_[static_cast<size_t>(task_index)] = now;
 }
 
 void StageExecution::OnTaskFinished(int task_index, SimTime now) {
-  MONO_DOMAIN_CHANNEL();
   MONO_CHECK(finished_ < spec_.num_tasks);
   result_.task_seconds +=
       (now - task_start_[static_cast<size_t>(task_index)]).seconds();
@@ -216,7 +212,6 @@ void StageExecution::OnTaskFinished(int task_index, SimTime now) {
 }
 
 void StageExecution::RecordShuffleWrite(int machine, Bytes bytes) {
-  MONO_DOMAIN_CHANNEL();
   MONO_CHECK(machine >= 0 && machine < num_machines_);
   shuffle_on_machine_[static_cast<size_t>(machine)] += bytes;
 }

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/framework/job_spec.h"
@@ -24,8 +23,6 @@ namespace monosim {
 
 class StageExecution {
  public:
-  MONO_DOMAIN("driver");
-
   // `prev` is the previous stage of the same job (nullptr for the first); it must
   // have completed when this stage reads shuffle data. `rng` drives task jitter.
   StageExecution(const JobSpec& job, int stage_index, int num_machines, const DfsSim* dfs,

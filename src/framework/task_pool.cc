@@ -7,13 +7,11 @@
 namespace monosim {
 
 void TaskPool::AddStage(StageExecution* stage) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(stage != nullptr);
   stages_.push_back(stage);
 }
 
 void TaskPool::RemoveStage(StageExecution* stage) {
-  MONO_DOMAIN_MUTATION();
   auto it = std::find(stages_.begin(), stages_.end(), stage);
   MONO_CHECK_MSG(it != stages_.end(), "stage not registered");
   const size_t index = static_cast<size_t>(it - stages_.begin());
@@ -29,9 +27,7 @@ void TaskPool::RemoveStage(StageExecution* stage) {
 }
 
 std::optional<TaskAssignment> TaskPool::TakeTask(int machine) {
-  // Sanctioned channel: executors (machine domain) pull work from the
-  // driver-owned pool by design.
-  MONO_DOMAIN_CHANNEL();
+  // Executors pull work here, round-robin over the active stages.
   for (size_t attempt = 0; attempt < stages_.size(); ++attempt) {
     const size_t index = (cursor_ + attempt) % stages_.size();
     auto task = stages_[index]->TakeTask(machine);

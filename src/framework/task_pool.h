@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/framework/stage_execution.h"
 #include "src/framework/task.h"
 
@@ -17,8 +16,6 @@ namespace monosim {
 
 class TaskPool {
  public:
-  MONO_DOMAIN("driver");
-
   void AddStage(StageExecution* stage);
   void RemoveStage(StageExecution* stage);
 

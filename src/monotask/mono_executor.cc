@@ -129,8 +129,7 @@ int MonotasksExecutorSim::num_disks(int machine) const {
 }
 
 void MonotasksExecutorSim::OnWorkAvailable() {
-  // Sanctioned channel: the driver kicks the executor after activating a stage.
-  MONO_DOMAIN_CHANNEL();
+  // The driver calls this after activating a stage.
   // Breadth-first fill (one multitask per machine per round) so machines claim their
   // local blocks before any stealing happens.
   bool assigned = true;
@@ -171,7 +170,6 @@ void MonotasksExecutorSim::TryDispatch(int machine) {
 }
 
 void MonotasksExecutorSim::OnMultitaskComplete(MonoMultitaskSim* multitask) {
-  MONO_DOMAIN_MUTATION();
   const TaskAssignment& assignment = multitask->assignment();
   const int machine = assignment.machine;
   StageExecution* stage = assignment.stage;

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/cluster/machine.h"
-#include "src/common/domain.h"
 #include "src/framework/executor.h"
 #include "src/framework/task.h"
 #include "src/framework/task_pool.h"
@@ -58,7 +57,6 @@ class MonotasksExecutorSim : public ExecutorSim, public Auditable {
   // The executor and its per-resource schedulers model machine-side work. It
   // outlives the simulation run (tests/benches keep it alive past Run()), so
   // `this` captures into monotask completion plumbing cannot dangle.
-  MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
   MonotasksExecutorSim(Simulation* sim, ClusterSim* cluster, TaskPool* pool,

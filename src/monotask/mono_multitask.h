@@ -17,7 +17,6 @@
 #ifndef MONOTASKS_SRC_MONOTASK_MONO_MULTITASK_H_
 #define MONOTASKS_SRC_MONOTASK_MONO_MULTITASK_H_
 
-#include "src/common/domain.h"
 #include "src/framework/monotask_log.h"
 #include "src/framework/task.h"
 
@@ -30,7 +29,6 @@ class MonoMultitaskSim {
   // Deliberately NOT MONO_SIM_OWNED: the executor destroys the multitask when
   // it completes, mid-run, so a `this` capture scheduled from here may only
   // reach APIs whose callbacks are guaranteed to fire before Finish() runs.
-  MONO_DOMAIN("machine");
 
   // `dispatch_id` is the executor-assigned stable identity of this dispatch
   // (the key of the executor's running registry; never a heap address).

@@ -31,7 +31,6 @@
 
 #include "src/cluster/disk.h"
 #include "src/cluster/machine.h"
-#include "src/common/domain.h"
 #include "src/common/phase_queue.h"
 #include "src/simcore/rate_trace.h"
 #include "src/simcore/simulation.h"
@@ -77,7 +76,6 @@ class SlotSchedulerSim {
   // Per-machine schedulers are owned by the executor's worker state, which
   // outlives the simulation run; `this` captures into device completion
   // callbacks cannot dangle. Applies to both schedulers in this header.
-  MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
   // CPU scheduler: one slot per core of `machine`.
@@ -140,7 +138,6 @@ class SlotSchedulerSim {
 // scheduler: the granted multitask drives its own flows.
 class NetworkSchedulerSim {
  public:
-  MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
   NetworkSchedulerSim(Simulation* sim, int multitask_limit);

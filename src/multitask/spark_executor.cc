@@ -73,8 +73,7 @@ int SparkExecutorSim::SlotsFor(int machine) const {
 }
 
 void SparkExecutorSim::OnWorkAvailable() {
-  // Sanctioned channel: the driver kicks the executor after activating a stage.
-  MONO_DOMAIN_CHANNEL();
+  // The driver calls this after activating a stage.
   // Fill machines breadth-first (one task per machine per round) so local tasks are
   // claimed by their home machines before anyone starts stealing — the behaviour a
   // real driver gets from per-machine resource offers.
@@ -115,7 +114,6 @@ void SparkExecutorSim::TryDispatch(int machine) {
 }
 
 void SparkExecutorSim::OnTaskComplete(SparkTaskSim* task) {
-  MONO_DOMAIN_MUTATION();
   const TaskAssignment& assignment = task->assignment();
   const int machine = assignment.machine;
   StageExecution* stage = assignment.stage;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/cluster/machine.h"
-#include "src/common/domain.h"
 #include "src/common/rng.h"
 #include "src/framework/executor.h"
 #include "src/framework/task.h"
@@ -55,7 +54,6 @@ class SparkExecutorSim : public ExecutorSim, public Auditable {
   // Machine-side execution; outlives the simulation run (tests/benches keep it
   // alive past Run()), so `this` captures into completion plumbing cannot
   // dangle.
-  MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
   SparkExecutorSim(Simulation* sim, ClusterSim* cluster, TaskPool* pool,

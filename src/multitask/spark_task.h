@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/framework/task.h"
 
 namespace monosim {
@@ -30,7 +29,6 @@ class SparkTaskSim {
   // Deliberately NOT MONO_SIM_OWNED: the executor destroys the task when it
   // completes, mid-run, so a `this` capture scheduled from here may only reach
   // APIs whose callbacks are guaranteed to fire before MaybeFinish() runs.
-  MONO_DOMAIN("machine");
 
   // `dispatch_id` is the executor-assigned stable identity of this dispatch
   // (the key of the executor's running registry; never a heap address).

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/domain.h"
 #include "src/common/tracing/tracer.h"
 
 namespace monosim {
@@ -55,14 +54,9 @@ std::string SimAudit::Summary() const {
 
 ScopedAudit::ScopedAudit(Mode mode) : mode_(mode), previous_(SimAudit::current_) {
   SimAudit::current_ = &audit_;
-  // Installing an audit also arms the ownership-domain cross-check
-  // (src/common/domain.h): the same tests that verify conservation invariants
-  // verify that no component is mutated from outside its domain.
-  monodomain::EnableDomainChecks();
 }
 
 ScopedAudit::~ScopedAudit() {
-  monodomain::DisableDomainChecks();
   SimAudit::current_ = previous_;
   if (mode_ == kFatal && !audit_.ok()) {
     std::fprintf(stderr, "SimAudit: %s\n", audit_.Summary().c_str());

@@ -38,7 +38,6 @@ FluidServer::~FluidServer() {
 
 FluidServer::RequestId FluidServer::SubmitImpl(double amount, InlineCallback&& done,
                                                double weight, double share_weight) {
-  MONO_DOMAIN_MUTATION();
   MONO_CHECK(amount >= 0);
   MONO_CHECK(static_cast<bool>(done));
   MONO_CHECK(weight > 0);
@@ -54,7 +53,6 @@ FluidServer::RequestId FluidServer::SubmitImpl(double amount, InlineCallback&& d
 }
 
 double FluidServer::CancelRequest(RequestId id) {
-  MONO_DOMAIN_MUTATION();
   AdvanceProgress();
   for (auto it = active_.begin(); it != active_.end(); ++it) {
     if (it->id == id) {

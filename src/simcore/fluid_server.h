@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/simcore/audit.h"
 #include "src/simcore/rate_trace.h"
 #include "src/simcore/simulation.h"
@@ -49,9 +48,8 @@ using CapacityFn = std::function<double(double active_weight)>;
 class FluidServer : public Auditable {
  public:
   // Fluid servers model per-machine devices (CPU pools, disks); they are owned
-  // by machine-domain components that outlive the simulation run, so `this`
+  // by machine components that outlive the simulation run, so `this`
   // captures into their own schedule sites cannot dangle.
-  MONO_DOMAIN("machine");
   MONO_SIM_OWNED;
 
   // `per_request_cap` limits the rate any single request may receive; pass

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/domain.h"
 
 namespace monosim {
 
@@ -336,10 +335,6 @@ bool Simulation::NoLiveEventAtNow() {
 }
 
 void Simulation::RunEpochTasks() {
-  // Epoch tasks, like fired events, run domain-neutral: the scheduled-callback
-  // boundary is the sanctioned ownership handoff, so whatever domain scheduled
-  // the work must not leak into its execution.
-  MONO_DOMAIN_NEUTRAL();
   if (!epoch_run_buffer_.empty()) {
     // Re-entered (an epoch task drove this simulation again, e.g. via a nested
     // Run()): fall back to a one-off batch rather than clobbering the buffer.
@@ -400,12 +395,7 @@ bool Simulation::Step() {
     // record for a follow-up schedule.
     InlineCallback fn = std::move(record->fn);
     FreeRecord(record);
-    {
-      // A fired event is the sanctioned cross-domain channel: the callback
-      // runs domain-neutral and may enter any component's domain.
-      MONO_DOMAIN_NEUTRAL();
-      fn();
-    }
+    fn();
     // Epoch boundary: once no live event shares the current timestamp, flush the
     // deferred epoch work (which may schedule same-time events, re-opening the
     // epoch) and then sweep the audits. Mid-epoch, both wait: batched components

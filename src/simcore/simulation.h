@@ -60,6 +60,13 @@
 #include "src/simcore/flight_recorder.h"
 #include "src/simcore/inline_callback.h"
 
+// Class-level annotation (inside the class body) declaring that the class's
+// lifetime is tied to its Simulation: no scheduled callback capturing `this`
+// can fire after destruction (the destructor cancels pending events, or the
+// object outlives the simulation by construction). mono_lint's escaping-capture
+// rule only permits `this` captures into deferring APIs for such classes.
+#define MONO_SIM_OWNED static constexpr bool kMonoSimOwned = true
+
 namespace monosim {
 
 using monoutil::SimTime;

@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/domain.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 
@@ -40,8 +39,7 @@ struct DfsFile {
 class DfsSim {
  public:
   // Passive metadata store: files are created at setup time and only read
-  // during a run, so the storage domain needs no runtime mutation guards.
-  MONO_DOMAIN("storage");
+  // during a run.
 
   // `disks_per_machine` must match the cluster the file will be read on.
   DfsSim(int num_machines, int disks_per_machine, int replication, uint64_t seed);

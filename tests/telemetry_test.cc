@@ -74,21 +74,6 @@ TEST(LatencyHistogramTest, QuantileWithinRelativeErrorBound) {
   EXPECT_NEAR(h.Quantile(0.99), 9.9, 9.9 * 0.13);
 }
 
-TEST(LatencyHistogramTest, MergeIsElementwiseAddition) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  for (int i = 0; i < 100; ++i) {
-    a.Add(0.001);
-    b.Add(1000.0);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 200u);
-  EXPECT_NEAR(a.sum(), 100 * 0.001 + 100 * 1000.0, 1e-9);
-  // Quantiles see both populations: the median splits them.
-  EXPECT_LT(a.Quantile(0.25), 0.01);
-  EXPECT_GT(a.Quantile(0.75), 100.0);
-}
-
 TEST(LatencyHistogramTest, ResetZeroes) {
   LatencyHistogram h;
   h.Add(1.0);

@@ -11,7 +11,6 @@ class Monotask;
 
 class ResourceScheduler {
  public:
-  MONO_DOMAIN("machine");
   void Submit(Monotask* task);
 };
 

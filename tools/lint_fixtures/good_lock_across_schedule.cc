@@ -10,7 +10,6 @@ class Monotask;
 
 class ResourceScheduler {
  public:
-  MONO_DOMAIN("machine");
   void Submit(Monotask* task);
 };
 

@@ -62,11 +62,11 @@ src/framework, src/storage, src/workloads):
                   wall clock, and an include edge from sim to engine would
                   let wall-clock types leak into schedule decisions.
 
-Cross-TU rules (v3). These run over a project-wide index: every class in
-src/ is recorded with its file, `MONO_DOMAIN(...)` ownership domain,
-`MONO_SIM_OWNED` lifetime marker (src/common/domain.h), component-typed
-members, pass-through accessors (methods returning a component by
-reference/pointer), and const methods. Member-access chains such as
+Cross-TU rules. These run over a project-wide index: every class in src/ is
+recorded with its file, its `MONO_SIM_OWNED` lifetime marker
+(src/simcore/simulation.h), its component-typed members, its pass-through
+accessors (methods returning a component by reference/pointer) and the
+methods its body declares. Member-access chains such as
 `cluster_->machine(m).disk(d).Read(...)` are resolved through that index.
 
   escaping-capture
@@ -83,20 +83,6 @@ reference/pointer), and const methods. Member-access chains such as
                   anything else needs an audited
                   `// mono_lint: allow(escaping-capture) -- <why safe>` tag.
 
-  domain-ownership
-                  Every simulation component declares
-                  `MONO_DOMAIN("machine"|"fabric"|"driver"|"storage")`.
-                  A method of a component in one domain may not call a
-                  non-const method of (or assign to a member of) a component
-                  in a different domain, except through the sanctioned
-                  channels (SANCTIONED_CHANNELS below: scheduled events reach
-                  everything by design, fabric control messages, the
-                  driver->executor work kick, and the executor->stage metrics
-                  reporting surface). Constructors/destructors are exempt:
-                  wiring the component graph is configuration, not steady-
-                  state execution. The same rules are checked dynamically in
-                  audited runs (src/common/domain.h).
-
   lock-across-schedule
                   (src/engine only) No call to a deferring or blocking API
                   (scheduler Submit, SubmitDag, SubmitDetached, the `submit_`
@@ -111,9 +97,11 @@ Tree-only checks (always on when linting with --root and no explicit files):
                   directory must be placed in the layer DAG and rule map
                   explicitly, not silently skipped.
 
-  undeclared-domain
-                  Every component in COMPONENT_ROSTER must be found by the
-                  indexer and carry a MONO_DOMAIN annotation.
+  stale-deferring-api
+                  Every (class, method) in DEFERRING_METHODS must name an
+                  indexed class whose body declares that method. Renaming a
+                  component or one of its deferring APIs would otherwise
+                  switch escaping-capture off for it silently.
 
   suppression-hygiene
                   Every `// mono_lint: allow(rule)` tag must carry a trailing
@@ -245,11 +233,6 @@ TOKEN_RULES = {
         "by value, or tag `// mono_lint: allow(escaping-capture)` with the "
         "lifetime argument"
     ),
-    "domain-ownership": (
-        "cross-domain mutation outside the sanctioned channels; route through "
-        "a scheduled event / declared channel, or tag "
-        "`// mono_lint: allow(domain-ownership)` with the reason"
-    ),
     "lock-across-schedule": (
         "deferring/blocking call while a MutexLock is held; collect work "
         "under the lock and submit after releasing it"
@@ -258,7 +241,7 @@ TOKEN_RULES = {
 
 # Checks that only make sense over the whole tree (enabled automatically in
 # tree mode; not selectable through --rules).
-TREE_RULES = ("unmapped-dir", "undeclared-domain", "suppression-hygiene")
+TREE_RULES = ("unmapped-dir", "stale-deferring-api", "suppression-hygiene")
 
 ALL_RULES = tuple(RULES) + tuple(TOKEN_RULES)
 
@@ -320,7 +303,7 @@ INCLUDE_DIRECTIVE = re.compile(r'^\s*#\s*include\s*"(src/[\w./-]+)"')
 # placement in the layer DAG and rule set, never a silent skip.
 # ---------------------------------------------------------------------------
 
-CROSS_TU_RULES = ("escaping-capture", "domain-ownership")
+CROSS_TU_RULES = ("escaping-capture",)
 
 # The deterministic simulation stack: everything except the kernel-only
 # std-function-hot-path rule, plus the cross-TU discipline rules.
@@ -356,24 +339,9 @@ SUPPRESS_ALLOW = re.compile(r"//\s*mono_lint:\s*allow\(([\w,\- ]+)\)")
 SUPPRESS_ITERFREE = re.compile(r"//\s*mono_lint:\s*iteration-free\b")
 
 # ---------------------------------------------------------------------------
-# Cross-TU rule tables. These mirror the runtime tables in
-# src/common/domain.h / the MONO_DOMAIN_CHANNEL() sites: the linter is the
-# static half of the same contract, so keep them in sync.
+# Cross-TU rule tables. The stale-deferring-api tree check keeps
+# DEFERRING_METHODS in step with the classes it names.
 # ---------------------------------------------------------------------------
-
-# Every simulation component that must carry a MONO_DOMAIN annotation.
-COMPONENT_ROSTER = (
-    # Virtual-time simulation stack.
-    "FluidServer", "DiskSim", "BufferCacheSim", "MachineSim", "ClusterSim",
-    "NetworkFabricSim", "DfsSim", "TaskPool", "StageExecution", "JobDriver",
-    "SimEnvironment", "MonotasksExecutorSim", "MonoMultitaskSim",
-    "SlotSchedulerSim", "NetworkSchedulerSim",
-    "SparkExecutorSim", "SparkTaskSim",
-    # Threaded engine (static annotation only; thread_annotations.h carries
-    # the runtime discipline there).
-    "Worker", "ResourceScheduler",
-    "LocalDagScheduler", "SimulatedBlockDevice", "InProcessFabric",
-)
 
 # Deferring APIs reached through a bare name: these exist only on Simulation,
 # so no receiver resolution is needed.
@@ -399,26 +367,6 @@ DEFERRING_METHODS = frozenset({
     ("ResourceScheduler", "Submit"),
 })
 
-# Sanctioned cross-domain call surfaces: (class, method). Mirrors the
-# MONO_DOMAIN_CHANNEL() sites in the runtime. A scheduled event is always a
-# sanctioned channel (the kernel dispatches under MONO_DOMAIN_NEUTRAL()), so
-# only *synchronous* cross-domain surfaces need an entry here.
-SANCTIONED_CHANNELS = frozenset({
-    # Fabric control messages (paper §3.3): machine-side components talk to
-    # the fabric through flows and control sends only.
-    ("NetworkFabricSim", "StartFlow"), ("NetworkFabricSim", "SendControl"),
-    # Executors (machine domain) pull work from the driver-owned pool and
-    # report per-task lifecycle and metrics back to the driver-owned stage.
-    ("TaskPool", "TakeTask"),
-    ("StageExecution", "TakeTask"), ("StageExecution", "OnTaskStarted"),
-    ("StageExecution", "OnTaskFinished"),
-    ("StageExecution", "RecordShuffleWrite"),
-    ("StageExecution", "result"),
-    # The driver kicks the executor after activating a stage.
-    ("MonotasksExecutorSim", "OnWorkAvailable"),
-    ("SparkExecutorSim", "OnWorkAvailable"),
-})
-
 # Engine calls that defer or block (lock-across-schedule). `submit_` is the
 # LocalDagScheduler's routing callback into Worker::Route -> scheduler Submit.
 ENGINE_BLOCKING_FUNCTORS = ("submit_",)
@@ -434,9 +382,6 @@ CONTAINER_METHODS = frozenset({
 })
 CONTAINER_PASSTHROUGH = frozenset({"back", "front", "at"})
 
-ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=",
-                        "++", "--"})
-
 CPP_KEYWORDS = frozenset({
     "if", "for", "while", "return", "switch", "case", "new", "delete",
     "sizeof", "const", "constexpr", "static", "class", "struct", "enum",
@@ -449,7 +394,6 @@ CPP_KEYWORDS = frozenset({
 
 IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
-DOMAIN_DECL = re.compile(r"\bMONO_DOMAIN\(\s*\"(\w+)\"\s*\)")
 SIM_OWNED_DECL = re.compile(r"\bMONO_SIM_OWNED\b")
 
 
@@ -642,7 +586,7 @@ class SuppressionMap:
 
 
 # ---------------------------------------------------------------------------
-# Project index: classes, domains, members, accessors (cross-TU rules).
+# Project index: classes, members, accessors (cross-TU rules).
 # ---------------------------------------------------------------------------
 
 
@@ -651,17 +595,18 @@ class ClassInfo:
     name: str
     path: pathlib.Path
     line: int
-    domain: str | None = None
     sim_owned: bool = False
     # member name -> component class name (includes container-of-component
     # members: `vector<unique_ptr<SlotSchedulerSim>> disks` maps disks ->
     # SlotSchedulerSim; chain resolution skips the subscript).
     members: dict[str, str] = dataclasses.field(default_factory=dict)
     # method name -> component class it returns by reference/pointer
-    # (pass-through accessors; calling one is not a mutation, and chain
-    # resolution continues through it).
+    # (pass-through accessors; chain resolution continues through them).
     accessors: dict[str, str] = dataclasses.field(default_factory=dict)
-    const_methods: set[str] = dataclasses.field(default_factory=set)
+    # Names declared `name(` directly in the class body (methods, plus the
+    # odd macro or initializer: the stale-deferring-api check only asks
+    # whether a name is there).
+    methods: frozenset[str] = frozenset()
 
 
 @dataclasses.dataclass
@@ -673,10 +618,11 @@ class _ClassRegion(NamedTuple):
     name: str
     start_line: int
     end_line: int
+    methods: frozenset[str]
 
 
-def _class_regions(tokens: list[tuple[str, int]]) -> list[_ClassRegion]:
-    """Class/struct definition regions (name, line range), outermost first."""
+def _class_opens(tokens: list[tuple[str, int]]) -> dict[int, str]:
+    """Token index of each class/struct body's `{` -> the class name."""
     n = len(tokens)
     opens: dict[int, str] = {}
     i = 0
@@ -693,23 +639,33 @@ def _class_regions(tokens: list[tuple[str, int]]) -> list[_ClassRegion]:
                 i += 2
                 continue
         i += 1
+    return opens
+
+
+def _class_regions(tokens: list[tuple[str, int]]) -> list[_ClassRegion]:
+    """Class/struct definition regions (name, line range, declared names)."""
+    n = len(tokens)
+    opens = _class_opens(tokens)
     regions: list[_ClassRegion] = []
-    stack: list[tuple[str, int]] = []  # (name, open line)
-    depth_stack: list[int] = []
+    # (name, open line, brace depth of the body, names declared in it)
+    stack: list[tuple[str, int, int, set[str]]] = []
     depth = 0
     for idx in range(n):
         tok, line = tokens[idx]
         if tok == "{":
             depth += 1
             if idx in opens:
-                stack.append((opens[idx], line))
-                depth_stack.append(depth)
+                stack.append((opens[idx], line, depth, set()))
         elif tok == "}":
-            if depth_stack and depth_stack[-1] == depth:
-                name, start = stack.pop()
-                depth_stack.pop()
-                regions.append(_ClassRegion(name, start, line))
+            if stack and stack[-1][2] == depth:
+                name, start, _, methods = stack.pop()
+                regions.append(
+                    _ClassRegion(name, start, line, frozenset(methods)))
             depth -= 1
+        elif (stack and stack[-1][2] == depth and idx + 1 < n
+              and tokens[idx + 1][0] == "(" and is_ident(tok)
+              and tokens[idx - 1][0] not in (".", "->")):
+            stack[-1][3].add(tok)
     return regions
 
 
@@ -722,18 +678,18 @@ def build_index(paths: Iterable[pathlib.Path]) -> ProjectIndex:
             text = path.read_text(encoding="utf-8", errors="replace")
         except OSError:
             continue
-        raw_lines = text.splitlines()
-        code_lines = strip_lines(raw_lines)
+        code_lines = strip_lines(text.splitlines())
         regions = _class_regions(tokenize(code_lines))
         names.update(region.name for region in regions)
-        filedata.append((path, raw_lines, code_lines, regions))
+        filedata.append((path, code_lines, regions))
 
     index = ProjectIndex()
-    for path, _, _, regions in filedata:
+    for path, _, regions in filedata:
         for region in regions:
             if region.name not in index.classes:
                 index.classes[region.name] = ClassInfo(
-                    region.name, path, region.start_line)
+                    region.name, path, region.start_line,
+                    methods=region.methods)
 
     if not names:
         return index
@@ -741,9 +697,8 @@ def build_index(paths: Iterable[pathlib.Path]) -> ProjectIndex:
     member_re = re.compile(
         rf"\b({name_alt})\b[^();]*?\b([A-Za-z_]\w*)\s*(?:;|=|\{{)")
     accessor_re = re.compile(rf"\b({name_alt})\s*[&*]\s*([A-Za-z_]\w*)\s*\(")
-    const_re = re.compile(r"\b([A-Za-z_]\w*)\s*\([^;{}()]*\)\s*const\b")
 
-    for path, raw_lines, code_lines, regions in filedata:
+    for _, code_lines, regions in filedata:
         # Innermost-region attribution: larger regions first so nested
         # structs overwrite their enclosing class on shared lines.
         line_class: dict[int, str] = {}
@@ -757,9 +712,6 @@ def build_index(paths: Iterable[pathlib.Path]) -> ProjectIndex:
             if cls is None:
                 continue
             info = index.classes[cls]
-            match = DOMAIN_DECL.search(raw_lines[line_number - 1])
-            if match:
-                info.domain = match.group(1)
             if SIM_OWNED_DECL.search(code):
                 info.sim_owned = True
             for m in accessor_re.finditer(code):
@@ -767,13 +719,11 @@ def build_index(paths: Iterable[pathlib.Path]) -> ProjectIndex:
             for m in member_re.finditer(code):
                 if m.group(2) not in info.accessors:
                     info.members[m.group(2)] = m.group(1)
-            for m in const_re.finditer(code):
-                info.const_methods.add(m.group(1))
     return index
 
 
 # ---------------------------------------------------------------------------
-# Scope tracking: which class/method encloses each token.
+# Scope tracking: which class encloses each token.
 # ---------------------------------------------------------------------------
 
 # Tokens that, immediately before `X` in `X::y(`, mean the mention is a call
@@ -785,25 +735,11 @@ _DEF_PREV_EXCLUDE = frozenset({
 
 
 def compute_scopes(tokens: list[tuple[str, int]],
-                   index: ProjectIndex) -> list[tuple[str | None, str | None]]:
-    """Per token: (enclosing class name, enclosing method name) or Nones."""
+                   index: ProjectIndex) -> list[str | None]:
+    """Per token: the enclosing class (its body or an out-of-line method
+    definition), or None."""
     n = len(tokens)
-    opens: dict[int, tuple[str, str, str | None]] = {}  # idx -> (kind, cls, m)
-
-    i = 0
-    while i < n:
-        tok = tokens[i][0]
-        if (tok in ("class", "struct") and i + 1 < n
-                and is_ident(tokens[i + 1][0])
-                and (i == 0 or tokens[i - 1][0] != "enum")):
-            j = i + 2
-            while j < n and tokens[j][0] not in (";", "{", "(", ")"):
-                j += 1
-            if j < n and tokens[j][0] == "{":
-                opens[j] = ("class", tokens[i + 1][0], None)
-                i += 2
-                continue
-        i += 1
+    opens = _class_opens(tokens)
 
     # Out-of-line definitions: Class :: [~] Method ( ... ) [quals] {
     i = 1
@@ -815,7 +751,6 @@ def compute_scopes(tokens: list[tuple[str, int]],
             if k < n and tokens[k][0] == "~":
                 k += 1
             if k + 1 < n and is_ident(tokens[k][0]) and tokens[k + 1][0] == "(":
-                method = tokens[k][0]
                 close = skip_balanced(tokens, k + 1, "(", ")")
                 j = close + 1
                 body = None
@@ -832,21 +767,19 @@ def compute_scopes(tokens: list[tuple[str, int]],
                     j += 1
                     guard += 1
                 if body is not None and body not in opens:
-                    opens[body] = ("method", tokens[i][0], method)
+                    opens[body] = tokens[i][0]
                 i = close
                 continue
         i += 1
 
-    encl: list[tuple[str | None, str | None]] = [(None, None)] * n
-    stack: list[tuple[str | None, str | None]] = []
-    cur: tuple[str | None, str | None] = (None, None)
+    encl: list[str | None] = [None] * n
+    stack: list[str | None] = []
+    cur: str | None = None
     for idx in range(n):
         tok = tokens[idx][0]
         if tok == "{":
             stack.append(cur)
-            if idx in opens:
-                kind, cls, method = opens[idx]
-                cur = (cls, None) if kind == "class" else (cls, method)
+            cur = opens.get(idx, cur)
         encl[idx] = cur
         if tok == "}" and stack:
             cur = stack.pop()
@@ -860,12 +793,10 @@ def compute_scopes(tokens: list[tuple[str, int]],
 
 class _Terminal(NamedTuple):
     receiver: str        # component class of the final receiver
-    member: str          # method or field name
-    is_call: bool
+    member: str          # method name
     line: int
-    args_open: int | None    # token index of '(' for calls
-    args_close: int | None
-    after: int               # token index just past the member (field case)
+    args_open: int       # token index of the call's '('
+    args_close: int
 
 
 def _skip_subscripts(tokens: list[tuple[str, int]], j: int) -> int:
@@ -876,11 +807,11 @@ def _skip_subscripts(tokens: list[tuple[str, int]], j: int) -> int:
 
 def resolve_chain(tokens: list[tuple[str, int]], i: int, ctype: str,
                   index: ProjectIndex) -> _Terminal | None:
-    """Resolves `x->a(...).b...` starting at identifier token i of type ctype.
+    """Resolves `x->a(...).b(...)` starting at identifier token i of type ctype.
 
     Pass-through accessors (methods returning a component by ref/ptr) and
-    component-typed fields continue the chain; the first other member access
-    is the terminal.
+    component-typed fields continue the chain; the first other method call is
+    the terminal. Any other field access ends the chain with None.
     """
     n = len(tokens)
     j = _skip_subscripts(tokens, i + 1)
@@ -908,20 +839,19 @@ def resolve_chain(tokens: list[tuple[str, int]], i: int, ctype: str,
                 continue
             if name in CONTAINER_METHODS:
                 return None  # Container op, not a component method.
-            return _Terminal(ctype, name, True, line, j + 2, close, close + 1)
+            return _Terminal(ctype, name, line, j + 2, close)
         after_tok = tokens[j + 2][0] if j + 2 < n else ";"
-        if name in info.members and after_tok in (".", "->", "["):
-            ctype = info.members[name]
-            if ctype not in index.classes:
-                return None
-            j = _skip_subscripts(tokens, j + 2)
-            continue
-        return _Terminal(ctype, name, False, line, None, None, j + 2)
+        if name not in info.members or after_tok not in (".", "->", "["):
+            return None  # A plain field access ends the chain.
+        ctype = info.members[name]
+        if ctype not in index.classes:
+            return None
+        j = _skip_subscripts(tokens, j + 2)
     return None
 
 
 # ---------------------------------------------------------------------------
-# Cross-TU pass: escaping-capture, domain-ownership, lock-across-schedule.
+# Cross-TU pass: escaping-capture, lock-across-schedule.
 # ---------------------------------------------------------------------------
 
 _LAMBDA_PREV = frozenset({"(", ",", "{", ";", "=", "return"})
@@ -1034,9 +964,8 @@ def analyze_cross_tu(
 ) -> list[Violation]:
     rules = set(rules)
     check_escape = "escaping-capture" in rules
-    check_domain = "domain-ownership" in rules
     check_lock = "lock-across-schedule" in rules
-    if not (check_escape or check_domain or check_lock):
+    if not (check_escape or check_lock):
         return []
 
     violations: list[Violation] = []
@@ -1079,7 +1008,7 @@ def analyze_cross_tu(
             continue
         if tok in BARE_DEFERRING and i + 1 < n and tokens[i + 1][0] == "(":
             close = skip_balanced(tokens, i + 1, "(", ")")
-            cls = encl[i][0]
+            cls = encl[i]
             info = index.classes.get(cls) if cls else None
             if check_escape:
                 violations.extend(_lambda_capture_violations(
@@ -1093,74 +1022,30 @@ def analyze_cross_tu(
                               or tokens[i - 1][0] not in (".", "->", "::")):
             ctype = local_types.get(tok)
             if ctype is None:
-                cls = encl[i][0]
+                cls = encl[i]
                 cinfo = index.classes.get(cls) if cls else None
                 if cinfo:
                     ctype = cinfo.members.get(tok)
             if ctype and ctype in index.classes:
                 terminal = resolve_chain(tokens, i, ctype, index)
                 if terminal:
-                    violations.extend(_handle_terminal(
-                        path, raw_lines, tokens, encl, index, smap, terminal,
-                        i, check_escape, check_domain, check_lock,
-                        lock_depths, flag_lock))
+                    if (terminal.receiver, terminal.member) in DEFERRING_METHODS:
+                        cls = encl[i]
+                        info = index.classes.get(cls) if cls else None
+                        if check_escape:
+                            violations.extend(_lambda_capture_violations(
+                                path, raw_lines, tokens, terminal.args_open + 1,
+                                terminal.args_close,
+                                bool(info and info.sim_owned), cls, smap))
+                        if check_lock and lock_depths:
+                            flag_lock(terminal.line)
                     # Advance past the member token; argument lists are still
                     # scanned (nested chains and lambdas live there).
-                    i = (terminal.args_open or terminal.after) - 1
+                    i = terminal.args_open - 1
         i += 1
     # Nested deferring calls scan overlapping argument spans (the outer span
     # contains the inner call's lambdas); keep the first report of each.
     return list(dict.fromkeys(violations))
-
-
-def _handle_terminal(path, raw_lines, tokens, encl, index, smap, terminal,
-                     start, check_escape, check_domain, check_lock,
-                     lock_depths, flag_lock) -> list[Violation]:
-    violations: list[Violation] = []
-    rinfo = index.classes[terminal.receiver]
-    encl_cls, encl_method = encl[start]
-    einfo = index.classes.get(encl_cls) if encl_cls else None
-    pair = (terminal.receiver, terminal.member)
-
-    if terminal.is_call and pair in DEFERRING_METHODS:
-        if check_escape:
-            violations.extend(_lambda_capture_violations(
-                path, raw_lines, tokens, terminal.args_open + 1,
-                terminal.args_close, bool(einfo and einfo.sim_owned),
-                encl_cls, smap))
-        if check_lock and lock_depths:
-            flag_lock(terminal.line)
-
-    if (check_domain and einfo and einfo.domain and rinfo.domain
-            and einfo.domain != rinfo.domain
-            and encl_method != encl_cls):  # ctors/dtors wire the graph
-        if terminal.is_call:
-            if (terminal.member not in rinfo.const_methods
-                    and terminal.member not in rinfo.accessors
-                    and pair not in SANCTIONED_CHANNELS
-                    and not smap.suppressed(terminal.line,
-                                            "domain-ownership")):
-                violations.append(Violation(
-                    path, terminal.line, "domain-ownership",
-                    f"{encl_cls} (domain \"{einfo.domain}\") calls "
-                    f"{terminal.receiver}::{terminal.member} (domain "
-                    f"\"{rinfo.domain}\"); "
-                    + TOKEN_RULES["domain-ownership"],
-                    raw_lines[terminal.line - 1].strip()))
-        else:
-            after = (tokens[terminal.after][0]
-                     if terminal.after < len(tokens) else ";")
-            if (after in ASSIGN_OPS
-                    and not smap.suppressed(terminal.line,
-                                            "domain-ownership")):
-                violations.append(Violation(
-                    path, terminal.line, "domain-ownership",
-                    f"{encl_cls} (domain \"{einfo.domain}\") assigns to "
-                    f"{terminal.receiver}::{terminal.member} (domain "
-                    f"\"{rinfo.domain}\"); "
-                    + TOKEN_RULES["domain-ownership"],
-                    raw_lines[terminal.line - 1].strip()))
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -1322,6 +1207,27 @@ def iter_sources(root: pathlib.Path, directory: str) -> Iterable[pathlib.Path]:
             yield path
 
 
+def check_deferring_table(index: ProjectIndex,
+                          where: pathlib.Path) -> list[Violation]:
+    """stale-deferring-api: each DEFERRING_METHODS entry names a method that
+    its indexed class declares. `where` locates a class that was not found."""
+    violations: list[Violation] = []
+    for cls, method in sorted(DEFERRING_METHODS):
+        info = index.classes.get(cls)
+        if info is None:
+            problem = f"no class {cls} was indexed"
+        elif method not in info.methods:
+            problem = f"{cls} declares no {method}"
+        else:
+            continue
+        violations.append(Violation(
+            info.path if info else where, info.line if info else 0,
+            "stale-deferring-api",
+            f"DEFERRING_METHODS names {cls}::{method}, but {problem}; update "
+            "the table, or escaping-capture stops checking that API", ""))
+    return violations
+
+
 def lint_tree(root: pathlib.Path, stats: dict | None = None) -> list[Violation]:
     violations: list[Violation] = []
 
@@ -1344,19 +1250,7 @@ def lint_tree(root: pathlib.Path, stats: dict | None = None) -> list[Violation]:
                     "layer DAG; add it with an explicit rule set",
                     ""))
 
-    # undeclared-domain: every rostered component must carry MONO_DOMAIN.
-    for name in COMPONENT_ROSTER:
-        info = index.classes.get(name)
-        if info is None:
-            violations.append(Violation(
-                src_dir, 0, "undeclared-domain",
-                f"component class {name} (COMPONENT_ROSTER) was not found "
-                "by the indexer", ""))
-        elif info.domain is None:
-            violations.append(Violation(
-                info.path, info.line, "undeclared-domain",
-                f"{name} must declare MONO_DOMAIN(\"machine\"|\"fabric\"|"
-                "\"driver\"|\"storage\") (src/common/domain.h)", ""))
+    violations.extend(check_deferring_table(index, src_dir))
 
     for directory in sorted(DIR_RULES):
         for path in iter_sources(root, directory):
@@ -1432,7 +1326,7 @@ def main(argv: list[str]) -> int:
             "budget_seconds": args.budget_seconds,
             # Phase seconds: one entry per regex rule plus "index",
             # "raw-unit-double", "include-layering", and "cross-tu" (the
-            # shared pass behind escaping-capture / domain-ownership /
+            # shared pass behind escaping-capture and
             # lock-across-schedule).
             "phase_seconds": {
                 k: round(s, 4) for k, s in sorted(stats["phases"].items())},

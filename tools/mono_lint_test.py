@@ -197,7 +197,6 @@ class RuleSubsetTest(unittest.TestCase):
                           "src/multitask", "src/framework", "src/storage"):
             rules = set(mono_lint.DIR_RULES[directory])
             self.assertIn("escaping-capture", rules, directory)
-            self.assertIn("domain-ownership", rules, directory)
             self.assertIn("raw-unit-double", rules, directory)
             self.assertIn("include-layering", rules, directory)
 
@@ -208,35 +207,19 @@ class EscapingCaptureRuleTest(unittest.TestCase):
                                     ["escaping-capture"])
         self.assertEqual({v.rule for v in violations}, {"escaping-capture"})
         # &local, [&] default, `this` in a non-sim-owned class, init-capture
-        # taking an address.
-        self.assertEqual(len(violations), 4)
+        # taking an address, and &local through an accessor chain.
+        self.assertEqual(len(violations), 5)
         joined = " ".join(v.message for v in violations)
         self.assertIn("`&local_total`", joined)
         self.assertIn("[&] default capture", joined)
         self.assertIn("`this` captured", joined)
         self.assertIn("init-capture `total`", joined)
+        self.assertTrue(any("machine_->disk(0).Read" in v.line
+                            for v in violations))
 
     def test_clean_twin_is_quiet(self) -> None:
         self.assertEqual(
             cross_tu_found("good_escaping_capture.cc", ["escaping-capture"]),
-            [])
-
-
-class DomainOwnershipRuleTest(unittest.TestCase):
-    def test_firing_fixture_flags_unsanctioned_mutations(self) -> None:
-        violations = cross_tu_found("bad_domain_ownership.cc",
-                                    ["domain-ownership"])
-        self.assertEqual({v.rule for v in violations}, {"domain-ownership"})
-        # The Poke() call and the flows_ assignment; the ctor call, const
-        # query, and sanctioned StartFlow stay quiet.
-        self.assertEqual(len(violations), 2)
-        joined = " ".join(v.message for v in violations)
-        self.assertIn("calls NetworkFabricSim::Poke", joined)
-        self.assertIn("assigns to NetworkFabricSim::flows_", joined)
-
-    def test_clean_twin_is_quiet(self) -> None:
-        self.assertEqual(
-            cross_tu_found("good_domain_ownership.cc", ["domain-ownership"]),
             [])
 
 
@@ -258,21 +241,41 @@ class LockAcrossScheduleRuleTest(unittest.TestCase):
 
 
 class ProjectIndexTest(unittest.TestCase):
-    def test_domains_members_accessors_and_const_methods(self) -> None:
-        index = mono_lint.build_index([FIXTURES / "bad_domain_ownership.cc"])
-        fabric = index.classes["NetworkFabricSim"]
-        driver = index.classes["DriverSim"]
-        self.assertEqual(fabric.domain, "fabric")
-        self.assertEqual(driver.domain, "driver")
-        self.assertFalse(driver.sim_owned)
-        self.assertEqual(driver.members.get("fabric_"), "NetworkFabricSim")
-        self.assertEqual(driver.accessors.get("fabric"), "NetworkFabricSim")
-        self.assertIn("flows", fabric.const_methods)
+    def test_members_accessors_and_declared_methods(self) -> None:
+        index = mono_lint.build_index([FIXTURES / "bad_escaping_capture.cc"])
+        task = index.classes["TaskSim"]
+        machine = index.classes["MachineSim"]
+        self.assertFalse(task.sim_owned)
+        self.assertEqual(task.members.get("machine_"), "MachineSim")
+        self.assertEqual(task.members.get("disk_"), "SlotSchedulerSim")
+        self.assertEqual(machine.members.get("disks_"), "DiskSim")
+        self.assertEqual(machine.accessors.get("disk"), "DiskSim")
+        self.assertNotIn("disk", machine.members)
+        self.assertIn("Read", index.classes["DiskSim"].methods)
+        self.assertEqual(task.methods, {"Run", "Done"})
 
     def test_sim_owned_flag_is_indexed(self) -> None:
         index = mono_lint.build_index([FIXTURES / "good_escaping_capture.cc"])
         self.assertTrue(index.classes["OwnedTaskSim"].sim_owned)
         self.assertFalse(index.classes["SlotSchedulerSim"].sim_owned)
+
+
+class StaleDeferringApiTest(unittest.TestCase):
+    def test_missing_table_entry_is_reported(self) -> None:
+        # The fixture declares DiskSim::Read but no DiskSim::Write, and no
+        # FluidServer at all; both DEFERRING_METHODS entries must be named.
+        fixture = FIXTURES / "bad_escaping_capture.cc"
+        index = mono_lint.build_index([fixture])
+        violations = mono_lint.check_deferring_table(index, FIXTURES)
+        self.assertEqual({v.rule for v in violations}, {"stale-deferring-api"})
+        messages = [v.message for v in violations]
+        self.assertTrue(any("DiskSim::Write, but DiskSim declares no Write"
+                            in m for m in messages))
+        self.assertTrue(any("FluidServer::Submit, but no class FluidServer"
+                            in m for m in messages))
+        self.assertFalse(any("DiskSim::Read," in m for m in messages))
+        self.assertFalse(any("SlotSchedulerSim::EnqueueRead," in m
+                             for m in messages))
 
 
 class SuppressionHygieneTest(unittest.TestCase):

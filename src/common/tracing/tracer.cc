@@ -1,9 +1,11 @@
 #include "src/common/tracing/tracer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -44,17 +46,23 @@ void AppendEscaped(std::string& out, const std::string& s) {
   }
 }
 
+// Formats with std::to_chars, which rounds exactly as printf does ("%.3f",
+// "%.9g", "%d") without the locale and varargs cost. The buffer fits any
+// double in fixed notation.
+template <typename T, typename... Format>
+void AppendChars(std::string& out, T value, Format... format) {
+  char buf[std::numeric_limits<double>::max_exponent10 + 8];
+  const std::to_chars_result result = std::to_chars(buf, buf + sizeof(buf), value, format...);
+  out.append(buf, result.ptr);
+}
+
 void AppendNumber(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
+  AppendChars(out, v, std::chars_format::general, 9);
 }
 
 // Timestamps: seconds -> microseconds with sub-microsecond precision kept.
 void AppendMicros(std::string& out, double seconds) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e6);
-  out += buf;
+  AppendChars(out, seconds * 1e6, std::chars_format::fixed, 3);
 }
 
 }  // namespace
@@ -192,7 +200,7 @@ std::string Tracer::ToJson() const {
   for (std::size_t pid = 0; pid < process_names_.size(); ++pid) {
     comma();
     out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
-    out += std::to_string(pid);
+    AppendChars(out, pid);
     out += ",\"tid\":0,\"args\":{\"name\":\"";
     AppendEscaped(out, process_names_[pid]);
     out += "\"}}";
@@ -200,9 +208,9 @@ std::string Tracer::ToJson() const {
     for (std::size_t tid = 1; tid < tracks.size(); ++tid) {
       comma();
       out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
-      out += std::to_string(pid);
+      AppendChars(out, pid);
       out += ",\"tid\":";
-      out += std::to_string(tid);
+      AppendChars(out, tid);
       out += ",\"args\":{\"name\":\"";
       AppendEscaped(out, tracks[tid]);
       out += "\"}}";
@@ -214,9 +222,9 @@ std::string Tracer::ToJson() const {
     out += "{\"ph\":\"";
     out += e->phase;
     out += "\",\"pid\":";
-    out += std::to_string(e->pid);
+    AppendChars(out, e->pid);
     out += ",\"tid\":";
-    out += std::to_string(e->tid);
+    AppendChars(out, e->tid);
     out += ",\"ts\":";
     AppendMicros(out, e->ts);
     if (e->phase == 'X') {

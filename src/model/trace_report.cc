@@ -1,285 +1,423 @@
 #include "src/model/trace_report.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace monomodel {
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON parser. It accepts general JSON (tests use
-// it as a well-formedness check on the tracer's output) but keeps only what
-// the report needs.
-// ---------------------------------------------------------------------------
+// A streaming reader for Chrome Trace Event JSON. It walks the document once
+// and builds no tree: it keeps the event fields the report needs and checks
+// every other value against the JSON grammar as it skips it (tests use it as
+// a well-formedness check on the tracer's output).
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
+// One traceEvents element. An absent or mistyped field keeps its default.
+struct EventFields {
+  std::string ph;
+  std::string name;
+  std::string cat;
+  double pid = -1.0;
+  double tid = -1.0;
+  double ts = 0.0;
+  double dur = 0.0;
+  bool has_args = false;
+  std::string arg_name;
+  std::string arg_stage;
+  std::string arg_detail;
+  double arg_value = 0.0;
+  // Bits of the kEventKeys / kArgKeys entries met: the first duplicate wins.
+  unsigned seen = 0;
+  unsigned args_seen = 0;
 };
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+// A key the reader keeps, and the string or number field it fills.
+struct FieldKey {
+  std::string_view key;
+  std::string EventFields::*text;
+  double EventFields::*number;
+};
 
-  bool Parse(JsonValue* out) {
-    SkipWhitespace();
-    if (!ParseValue(out)) {
-      return false;
-    }
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      Fail("trailing characters after the top-level value");
-      return false;
-    }
-    return true;
+constexpr FieldKey kEventKeys[] = {
+    {"ph", &EventFields::ph, nullptr},   {"name", &EventFields::name, nullptr},
+    {"cat", &EventFields::cat, nullptr}, {"pid", nullptr, &EventFields::pid},
+    {"tid", nullptr, &EventFields::tid}, {"ts", nullptr, &EventFields::ts},
+    {"dur", nullptr, &EventFields::dur},
+};
+constexpr FieldKey kArgKeys[] = {
+    {"name", &EventFields::arg_name, nullptr},     {"stage", &EventFields::arg_stage, nullptr},
+    {"detail", &EventFields::arg_detail, nullptr}, {"value", nullptr, &EventFields::arg_value},
+};
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool IsNumberChar(char c) {
+  return IsDigit(c) || c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+';
+}
+
+void AppendUtf8(std::string& out, unsigned code) {
+  // A lead byte, then 6 payload bits per continuation byte.
+  const int continuations = code < 0x80 ? 0 : code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+  static constexpr unsigned kLeadBits[] = {0, 0xC0, 0xE0, 0xF0};
+  out += static_cast<char>(kLeadBits[continuations] | (code >> (6 * continuations)));
+  for (int shift = 6 * (continuations - 1); shift >= 0; shift -= 6) {
+    out += static_cast<char>(0x80 | ((code >> shift) & 0x3F));
   }
+}
 
-  const std::string& error() const { return error_; }
+class TraceReader {
+ public:
+  explicit TraceReader(std::string_view text) : text_(text) {}
+
+  ParsedTrace Read() {
+    // Only the first "traceEvents" member is read, and only if it is an array.
+    auto top_member = [this](std::string_view key) {
+      if (key != "traceEvents" || std::exchange(seen_events_, true) || Peek() != '[') {
+        return SkipValue();
+      }
+      has_events_ = true;
+      return ReadArray([this] { return ReadEvent(); });
+    };
+    SkipWhitespace();
+    const bool is_object = Peek() == '{';
+    bool ok = is_object ? ReadObject(top_member) : SkipValue();
+    SkipWhitespace();
+    if (ok && pos_ != text_.size()) {
+      ok = Fail("trailing characters after the top-level value");
+    }
+    if (!ok || !is_object || !has_events_) {
+      ParsedTrace failed;
+      failed.errors.push_back(!ok          ? error_
+                              : !is_object ? "top-level value is not an object"
+                                           : "missing traceEvents array");
+      return failed;
+    }
+    for (const auto& [track, stack] : open_) {
+      if (!stack.empty()) {
+        trace_.errors.push_back(std::to_string(stack.size()) + " unclosed 'B' span(s) on pid " +
+                                std::to_string(track.first) + " tid " +
+                                std::to_string(track.second) + " (innermost: \"" +
+                                stack.back().name + "\")");
+      }
+    }
+    return std::move(trace_);
+  }
 
  private:
-  void Fail(const std::string& what) {
-    if (error_.empty()) {
-      std::ostringstream msg;
-      msg << "JSON parse error at byte " << pos_ << ": " << what;
-      error_ = msg.str();
-    }
+  bool Fail(const char* what) {
+    error_ = "JSON parse error at byte " + std::to_string(pos_) + ": " + what;
+    return false;
   }
 
+  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+
   void SkipWhitespace() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+    while (Peek() == ' ' || Peek() == '\n' || Peek() == '\r' || Peek() == '\t') {
       ++pos_;
     }
   }
 
   bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
+    const bool match = pos_ < text_.size() && text_[pos_] == c;
+    pos_ += match ? 1 : 0;
+    return match;
   }
 
-  bool ParseValue(JsonValue* out) {
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of input");
-      return false;
-    }
-    switch (text_[pos_]) {
+  // Checks and skips one value of any kind.
+  bool SkipValue() {
+    std::string_view unused_string;
+    double unused_number = 0.0;
+    switch (Peek()) {
       case '{':
-        return ParseObject(out);
+        return ReadObject([this](std::string_view) { return SkipValue(); });
       case '[':
-        return ParseArray(out);
+        return ReadArray([this] { return SkipValue(); });
       case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->str);
+        return ReadString(&unused_string);
       case 't':
       case 'f':
-        return ParseLiteral(out);
       case 'n':
-        return ParseLiteral(out);
+        for (std::string_view word : {"true", "false", "null"}) {
+          if (text_.substr(pos_, word.size()) == word) {
+            pos_ += word.size();
+            return true;
+          }
+        }
+        return Fail("invalid literal");
       default:
-        return ParseNumber(out);
+        return pos_ < text_.size() ? ReadNumber(&unused_number)
+                                   : Fail("unexpected end of input");
     }
   }
 
-  bool ParseLiteral(JsonValue* out) {
-    auto match = [this](const char* word) {
-      const std::size_t len = std::string(word).size();
-      if (text_.compare(pos_, len, word) == 0) {
-        pos_ += len;
-        return true;
+  // Reads the object or array whose opening bracket is next, calling
+  // on_item() to consume each element, or each member's key and value.
+  template <typename OnItem>
+  bool ReadList(char close, const char* missing_separator, OnItem&& on_item) {
+    if (++depth_ > 256) {  // Deeper than any trace: refused, not recursed into.
+      return Fail("nesting too deep");
+    }
+    ++pos_;
+    SkipWhitespace();
+    for (bool closed = Consume(close); !closed; SkipWhitespace()) {
+      if (!on_item()) {
+        return false;
       }
-      return false;
-    };
-    if (match("true")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      return true;
+      SkipWhitespace();
+      closed = Consume(close);
+      if (!closed && !Consume(',')) {
+        return Fail(missing_separator);
+      }
     }
-    if (match("false")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return true;
-    }
-    if (match("null")) {
-      out->kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    Fail("invalid literal");
-    return false;
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '-' ||
-            text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      Fail("expected a value");
-      return false;
-    }
-    try {
-      out->number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      Fail("invalid number");
-      return false;
-    }
-    out->kind = JsonValue::Kind::kNumber;
+    --depth_;
     return true;
   }
 
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      Fail("expected '\"'");
-      return false;
-    }
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'n': *out += '\n'; break;
-        case 't': *out += '\t'; break;
-        case 'r': *out += '\r'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            Fail("truncated \\u escape");
-            return false;
-          }
-          unsigned code = 0;
-          if (std::sscanf(text_.substr(pos_, 4).c_str(), "%4x", &code) != 1) {
-            Fail("invalid \\u escape");
-            return false;
-          }
-          pos_ += 4;
-          // The tracer only emits \u00xx control escapes; keep it simple.
-          *out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default:
-          Fail("invalid escape");
-          return false;
-      }
-    }
-    Fail("unterminated string");
-    return false;
+  template <typename OnElement>
+  bool ReadArray(OnElement&& on_element) {
+    return ReadList(']', "expected ',' or ']' in array", on_element);
   }
 
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    Consume('[');
-    SkipWhitespace();
-    if (Consume(']')) {
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      if (!ParseValue(&element)) {
-        return false;
-      }
-      out->array.push_back(std::move(element));
-      SkipWhitespace();
-      if (Consume(']')) {
-        return true;
-      }
-      if (!Consume(',')) {
-        Fail("expected ',' or ']' in array");
-        return false;
-      }
-      SkipWhitespace();
-    }
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    Consume('{');
-    SkipWhitespace();
-    if (Consume('}')) {
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) {
+  template <typename OnMember>
+  bool ReadObject(OnMember&& on_member) {
+    return ReadList('}', "expected ',' or '}' in object", [this, &on_member] {
+      std::string_view key;
+      if (!ReadString(&key)) {
         return false;
       }
       SkipWhitespace();
       if (!Consume(':')) {
-        Fail("expected ':' after object key");
-        return false;
+        return Fail("expected ':' after object key");
       }
       SkipWhitespace();
-      JsonValue value;
-      if (!ParseValue(&value)) {
+      return on_member(key);
+    });
+  }
+
+  // Reads a string into *out: a view of the input, or of its decoded copy in
+  // unescaped_ if it has escapes (so valid until the next string is read).
+  bool ReadString(std::string_view* out) {
+    if (!Consume('"')) {
+      return Fail("expected '\"'");
+    }
+    unescaped_.clear();        // Stays empty unless the string has escapes.
+    std::size_t start = pos_;  // First byte not yet copied to unescaped_.
+    for (char c = Peek(); c != '"'; c = Peek()) {
+      const std::size_t needed = c == '\\' ? 2 : 1;  // An escape takes its letter too.
+      if (text_.size() - pos_ < needed) {
+        pos_ = text_.size();
+        return Fail("unterminated string");
+      }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Fail("unescaped control character in string");
+      }
+      pos_ += needed;
+      if (c != '\\') {
+        continue;
+      }
+      unescaped_.append(text_.substr(start, pos_ - 2 - start));
+      static constexpr std::string_view kEscape = "\"\\/bfnrt";
+      static constexpr std::string_view kEscaped = "\"\\/\b\f\n\r\t";
+      const std::size_t simple = kEscape.find(text_[pos_ - 1]);
+      if (simple != std::string_view::npos) {
+        unescaped_ += kEscaped[simple];
+      } else if (text_[pos_ - 1] != 'u') {
+        return Fail("invalid escape");
+      } else if (!ReadUnicodeEscape()) {
         return false;
       }
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume('}')) {
-        return true;
+      start = pos_;
+    }
+    const std::string_view tail = text_.substr(start, pos_++ - start);
+    *out = unescaped_.empty() ? tail : std::string_view(unescaped_.append(tail));
+    return true;
+  }
+
+  // Reads the hex digits after "\u" (and a low surrogate's "\uXXXX" after a
+  // high one) and appends the code point as UTF-8.
+  bool ReadUnicodeEscape() {
+    auto hex4 = [this](unsigned* code) {
+      if (text_.size() - pos_ < 4) {
+        return Fail("truncated \\u escape");
       }
-      if (!Consume(',')) {
-        Fail("expected ',' or '}' in object");
+      const char* first = text_.data() + pos_;
+      if (std::from_chars(first, first + 4, *code, 16).ptr != first + 4) {
+        return Fail("invalid \\u escape");
+      }
+      pos_ += 4;
+      return true;
+    };
+    unsigned code = 0;
+    unsigned low = 0;
+    if (!hex4(&code)) {
+      return false;
+    }
+    if (code >= 0xD800 && code <= 0xDFFF) {
+      const bool paired = code < 0xDC00 && text_.substr(pos_, 2) == "\\u";
+      if (paired && !(pos_ += 2, hex4(&low))) {
         return false;
       }
-      SkipWhitespace();
+      if (!paired || low < 0xDC00 || low > 0xDFFF) {
+        return Fail("unpaired surrogate in \\u escape");
+      }
+      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    AppendUtf8(unescaped_, code);
+    return true;
+  }
+
+  // Reads a JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. It
+  // takes the whole run of number characters, so "1-2" is one bad number.
+  bool ReadNumber(double* out) {
+    const std::size_t start = pos_;
+    while (IsNumberChar(Peek())) {
+      ++pos_;
+    }
+    if (pos_ == start) {
+      return Fail("expected a value");
+    }
+    // from_chars checks the rest but allows ".5", "01" and "1.".
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const char* digits = first + (*first == '-' ? 1 : 0);
+    const char* dot = std::find(first, last, '.');
+    const bool integer_ok =
+        digits != last && IsDigit(*digits) &&
+        !(*digits == '0' && digits + 1 != last && IsDigit(digits[1]));
+    const bool fraction_ok = dot == last || (dot + 1 != last && IsDigit(dot[1]));
+    const std::from_chars_result result = std::from_chars(first, last, *out);
+    if (!integer_ok || !fraction_ok || result.ec != std::errc() || result.ptr != last) {
+      return Fail("invalid number");
+    }
+    return true;
+  }
+
+  // Reads the member `key` into its field of *e when `keys` lists it, this is
+  // its first occurrence and the value has the field's type. Any other value
+  // is checked and skipped.
+  template <std::size_t N>
+  bool ReadField(const FieldKey (&keys)[N], unsigned* seen, std::string_view key,
+                 EventFields* e) {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (keys[i].key != key || (*seen & (1u << i)) != 0) {
+        continue;
+      }
+      *seen |= 1u << i;
+      if (keys[i].text != nullptr && Peek() == '"') {
+        std::string_view text;
+        const bool ok = ReadString(&text);
+        (e->*keys[i].text).assign(text);
+        return ok;
+      }
+      if (keys[i].number != nullptr && IsNumberChar(Peek())) {
+        return ReadNumber(&(e->*keys[i].number));
+      }
+      break;
+    }
+    return SkipValue();
+  }
+
+  bool ReadEvent() {
+    if (Peek() != '{') {
+      trace_.errors.push_back("traceEvents element is not an object");
+      return SkipValue();
+    }
+    EventFields e;
+    const bool ok = ReadObject([this, &e](std::string_view key) {
+      if (key == "args" && !e.has_args) {
+        e.has_args = true;
+        if (Peek() == '{') {
+          return ReadObject([this, &e](std::string_view arg) {
+            return ReadField(kArgKeys, &e.args_seen, arg, &e);
+          });
+        }
+      }
+      return ReadField(kEventKeys, &e.seen, key, &e);
+    });
+    if (ok) {
+      AddEvent(e);
+    }
+    return ok;
+  }
+
+  void AddEvent(EventFields& e) {
+    // An id outside the int range reads as absent.
+    auto id = [](double v) { return std::abs(v) < 2147483648.0 ? static_cast<int>(v) : -1; };
+    const int pid = id(e.pid);
+    const int tid = id(e.tid);
+    if (e.ph == "M") {
+      if (e.has_args && e.name == "process_name") {
+        process_names_[pid] = std::move(e.arg_name);
+      } else if (e.has_args && e.name == "thread_name") {
+        track_names_[{pid, tid}] = std::move(e.arg_name);
+      }
+      return;
+    }
+
+    const double ts = e.ts / 1e6;  // micros -> seconds
+    if (last_ts_ >= 0.0 && ts < last_ts_ - 1e-12) {
+      trace_.timestamps_monotonic = false;
+    }
+    last_ts_ = std::max(last_ts_, ts);
+
+    const std::string& process = NameOf(process_names_, pid);
+    const std::string& track = NameOf(track_names_, {pid, tid});
+    if (e.ph == "X") {
+      trace_.spans.push_back(TraceSpan{process, track, std::move(e.name), std::move(e.cat),
+                                       std::move(e.arg_stage), ts, ts + e.dur / 1e6});
+    } else if (e.ph == "B") {
+      // Process and track names resolve when the span closes.
+      open_[{pid, tid}].push_back(TraceSpan{std::string(), std::string(), std::move(e.name),
+                                            std::move(e.cat), std::move(e.arg_stage), ts, ts});
+    } else if (e.ph == "E") {
+      auto& stack = open_[{pid, tid}];
+      if (stack.empty()) {
+        trace_.errors.push_back("'E' with no open 'B' on pid " + std::to_string(pid) +
+                                " tid " + std::to_string(tid));
+        return;
+      }
+      TraceSpan span = std::move(stack.back());
+      stack.pop_back();
+      span.process = process;
+      span.track = track;
+      span.end = ts;
+      trace_.spans.push_back(std::move(span));
+    } else if (e.ph == "C") {
+      trace_.counters.push_back(TraceCounterSample{process, std::move(e.name), ts, e.arg_value});
+    } else if (e.ph == "i") {
+      trace_.instants.push_back(
+          TraceInstant{process, track, std::move(e.name), std::move(e.arg_detail), ts});
+    } else {
+      trace_.errors.push_back("unknown event phase '" + e.ph + "'");
     }
   }
 
-  const std::string& text_;
+  template <typename Key>
+  static const std::string& NameOf(const std::map<Key, std::string>& names, const Key& key) {
+    static const std::string kUnnamed;
+    auto it = names.find(key);
+    return it != names.end() ? it->second : kUnnamed;
+  }
+
+  const std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
+  std::string unescaped_;  // Decoded text of the last string that had escapes.
+
+  bool seen_events_ = false;
+  bool has_events_ = false;
+  ParsedTrace trace_;
+  std::map<int, std::string> process_names_;
+  std::map<std::pair<int, int>, std::string> track_names_;
+  std::map<std::pair<int, int>, std::vector<TraceSpan>> open_;  // B/E stacks per track.
+  double last_ts_ = -1.0;
 };
-
-double NumberField(const JsonValue& obj, const char* key, double fallback = 0.0) {
-  const JsonValue* v = obj.Find(key);
-  return (v != nullptr && v->kind == JsonValue::Kind::kNumber) ? v->number : fallback;
-}
-
-std::string StringField(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  return (v != nullptr && v->kind == JsonValue::Kind::kString) ? v->str : std::string();
-}
 
 // Time-weighted mean of a step-function counter over [start, end]. The counter
 // holds 0 before its first sample and holds each sample's value until the next.
@@ -313,146 +451,7 @@ bool IsResourceCategory(const std::string& category) {
 }
 
 }  // namespace
-
-ParsedTrace ParseChromeTrace(const std::string& json) {
-  ParsedTrace trace;
-  JsonValue root;
-  JsonParser parser(json);
-  if (!parser.Parse(&root)) {
-    trace.errors.push_back(parser.error());
-    return trace;
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
-    trace.errors.push_back("top-level value is not an object");
-    return trace;
-  }
-  const JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
-    trace.errors.push_back("missing traceEvents array");
-    return trace;
-  }
-
-  std::map<int, std::string> process_names;
-  std::map<std::pair<int, int>, std::string> track_names;
-  struct OpenSpan {
-    std::string name;
-    std::string category;
-    std::string stage;
-    double start = 0.0;
-  };
-  std::map<std::pair<int, int>, std::vector<OpenSpan>> open;  // B/E stacks per track.
-  double last_ts = -1.0;
-
-  for (const JsonValue& event : events->array) {
-    if (event.kind != JsonValue::Kind::kObject) {
-      trace.errors.push_back("traceEvents element is not an object");
-      continue;
-    }
-    const std::string phase = StringField(event, "ph");
-    const int pid = static_cast<int>(NumberField(event, "pid", -1));
-    const int tid = static_cast<int>(NumberField(event, "tid", -1));
-    if (phase == "M") {
-      const JsonValue* args = event.Find("args");
-      const std::string meta_name = StringField(event, "name");
-      if (args != nullptr) {
-        if (meta_name == "process_name") {
-          process_names[pid] = StringField(*args, "name");
-        } else if (meta_name == "thread_name") {
-          track_names[{pid, tid}] = StringField(*args, "name");
-        }
-      }
-      continue;
-    }
-
-    const double ts = NumberField(event, "ts") / 1e6;  // micros -> seconds
-    if (last_ts >= 0.0 && ts < last_ts - 1e-12) {
-      trace.timestamps_monotonic = false;
-    }
-    last_ts = std::max(last_ts, ts);
-
-    auto process_of = [&](int p) {
-      auto it = process_names.find(p);
-      return it != process_names.end() ? it->second : std::string();
-    };
-    auto track_of = [&](int p, int t) {
-      auto it = track_names.find({p, t});
-      return it != track_names.end() ? it->second : std::string();
-    };
-
-    if (phase == "X") {
-      TraceSpan span;
-      span.process = process_of(pid);
-      span.track = track_of(pid, tid);
-      span.name = StringField(event, "name");
-      span.category = StringField(event, "cat");
-      span.start = ts;
-      span.end = ts + NumberField(event, "dur") / 1e6;
-      if (const JsonValue* args = event.Find("args")) {
-        span.stage = StringField(*args, "stage");
-      }
-      trace.spans.push_back(std::move(span));
-    } else if (phase == "B") {
-      OpenSpan opened;
-      opened.name = StringField(event, "name");
-      opened.category = StringField(event, "cat");
-      opened.start = ts;
-      if (const JsonValue* args = event.Find("args")) {
-        opened.stage = StringField(*args, "stage");
-      }
-      open[{pid, tid}].push_back(std::move(opened));
-    } else if (phase == "E") {
-      auto& stack = open[{pid, tid}];
-      if (stack.empty()) {
-        std::ostringstream msg;
-        msg << "'E' with no open 'B' on pid " << pid << " tid " << tid;
-        trace.errors.push_back(msg.str());
-        continue;
-      }
-      OpenSpan opened = std::move(stack.back());
-      stack.pop_back();
-      TraceSpan span;
-      span.process = process_of(pid);
-      span.track = track_of(pid, tid);
-      span.name = std::move(opened.name);
-      span.category = std::move(opened.category);
-      span.stage = std::move(opened.stage);
-      span.start = opened.start;
-      span.end = ts;
-      trace.spans.push_back(std::move(span));
-    } else if (phase == "C") {
-      TraceCounterSample sample;
-      sample.process = process_of(pid);
-      sample.series = StringField(event, "name");
-      sample.ts = ts;
-      if (const JsonValue* args = event.Find("args")) {
-        sample.value = NumberField(*args, "value");
-      }
-      trace.counters.push_back(std::move(sample));
-    } else if (phase == "i") {
-      TraceInstant instant;
-      instant.process = process_of(pid);
-      instant.track = track_of(pid, tid);
-      instant.name = StringField(event, "name");
-      instant.ts = ts;
-      if (const JsonValue* args = event.Find("args")) {
-        instant.detail = StringField(*args, "detail");
-      }
-      trace.instants.push_back(std::move(instant));
-    } else {
-      trace.errors.push_back("unknown event phase '" + phase + "'");
-    }
-  }
-
-  for (const auto& [track, stack] : open) {
-    if (!stack.empty()) {
-      std::ostringstream msg;
-      msg << stack.size() << " unclosed 'B' span(s) on pid " << track.first << " tid "
-          << track.second << " (innermost: \"" << stack.back().name << "\")";
-      trace.errors.push_back(msg.str());
-    }
-  }
-  return trace;
-}
+ParsedTrace ParseChromeTrace(const std::string& json) { return TraceReader(json).Read(); }
 
 std::string StageTraceSummary::busiest() const {
   std::string best;

@@ -2,9 +2,11 @@
 // trace instead of the per-stage aggregate counters).
 //
 // The tracer (src/common/tracing/tracer.h) writes Chrome Trace Event Format
-// JSON. This module parses that JSON back (ParseChromeTrace — a purpose-built
-// parser for the tracer's output, also used by tests to check well-formedness)
-// and aggregates the spans into per-stage, per-resource *blame*:
+// JSON. This module reads that JSON back (ParseChromeTrace — a streaming reader
+// that builds no document tree and keeps only the event fields below; it is
+// strict JSON, so tests also use it to check well-formedness, and it reads
+// traces from other writers such as Perfetto) and aggregates the spans into
+// per-stage, per-resource *blame*:
 //
 //   busy_seconds   — sum of span durations on the resource, attributed to the
 //                    stage by the span's `stage` argument;
@@ -68,7 +70,10 @@ struct ParsedTrace {
   bool ok() const { return errors.empty(); }
 };
 
-// Parses Chrome Trace Event Format JSON as produced by Tracer::ToJson().
+// Parses Chrome Trace Event Format JSON as produced by Tracer::ToJson(). Keys
+// other than ph/pid/tid/ts/dur/name/cat and args.{name,stage,value,detail} are
+// checked and skipped; the first of duplicate keys wins and a field of the
+// wrong type takes its default. Malformed JSON anywhere yields that one error.
 ParsedTrace ParseChromeTrace(const std::string& json);
 
 // Aggregate blame for one resource category within one stage.

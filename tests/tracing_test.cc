@@ -383,6 +383,46 @@ TEST(TracedSortTest, ObservabilityMatchesParent) {
   EXPECT_EQ(HashMonotaskTimes(run.mono), 0x9708cb7149af530eULL);
 }
 
+uint64_t HashParsedTrace(const ParsedTrace& trace) {
+  Fnv1a fnv;
+  for (const monomodel::TraceSpan& span : trace.spans) {
+    fnv.Str(span.process);
+    fnv.Str(span.track);
+    fnv.Str(span.name);
+    fnv.Str(span.category);
+    fnv.Str(span.stage);
+    fnv.Double(span.start);
+    fnv.Double(span.end);
+  }
+  for (const monomodel::TraceCounterSample& sample : trace.counters) {
+    fnv.Str(sample.process);
+    fnv.Str(sample.series);
+    fnv.Double(sample.ts);
+    fnv.Double(sample.value);
+  }
+  for (const monomodel::TraceInstant& instant : trace.instants) {
+    fnv.Str(instant.process);
+    fnv.Str(instant.track);
+    fnv.Str(instant.name);
+    fnv.Str(instant.detail);
+    fnv.Double(instant.ts);
+  }
+  return fnv.hash();
+}
+
+// Pins everything ParseChromeTrace reads back from the mono and Spark runs'
+// trace, bit for bit. The constants were harvested from the tree-building
+// parser; the streaming reader that replaced it must not move them.
+TEST(TracedSortTest, ParsedTraceMatchesParent) {
+  const ParsedTrace& trace = GetParsedRun();
+  ASSERT_TRUE(trace.ok()) << trace.errors.front();
+  EXPECT_TRUE(trace.timestamps_monotonic);
+  EXPECT_EQ(trace.spans.size(), 12303u);
+  EXPECT_EQ(trace.counters.size(), 48845u);
+  EXPECT_EQ(trace.instants.size(), 0u);
+  EXPECT_EQ(HashParsedTrace(trace), 0xc10676bf3e7c17fcULL);
+}
+
 // Every view is derived from the same completion, so they must count the same
 // monotasks: a completion site that skipped one view shows up here.
 TEST(TracedSortTest, MonotaskLogAgreesWithStageCountsAndHistograms) {

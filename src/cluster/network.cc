@@ -41,7 +41,8 @@ NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
       pair_rate_(static_cast<size_t>(num_machines * num_machines), 0.0),
       side_dirty_stamp_(static_cast<size_t>(2 * num_machines), 0),
       alive_(std::make_shared<bool>(true)),
-      ingress_traces_(static_cast<size_t>(num_machines)) {
+      ingress_traces_(static_cast<size_t>(num_machines)),
+      ingress_record_stamp_(static_cast<size_t>(num_machines), 0) {
   MONO_CHECK(sim_ != nullptr);
   MONO_CHECK(num_machines >= 1);
   MONO_CHECK(nic_bandwidth > monoutil::BytesPerSecond(0));
@@ -1043,7 +1044,13 @@ void NetworkFabricSim::RecordIngressTouched(std::span<const int> machines) {
   if (!trace_enabled_ && tracer == nullptr) {
     return;
   }
+  ++ingress_record_call_;
   for (const int machine : machines) {
+    uint64_t& stamp = ingress_record_stamp_[static_cast<size_t>(machine)];
+    if (stamp == ingress_record_call_) {
+      continue;
+    }
+    stamp = ingress_record_call_;
     double total = 0.0;
     for (const Flow* flow : ingress_flows_[static_cast<size_t>(machine)]) {
       total += flow->rate.bps();

@@ -308,9 +308,9 @@ class NetworkFabricSim : public Auditable {
   void UpdateCompletionTimer();
   void OnNextCompletion();
 
-  // Records the ingress rate trace and tracer counters for `machines` (deduped
-  // by the caller where it matters; harmless when repeated), summing each
-  // machine's ingress rates once for both.
+  // Records the ingress rate trace and tracer counters for `machines`, summing
+  // each machine's ingress rates once for both. A machine listed more than once
+  // is recorded once, at its first entry (a flush lists one per solved flow).
   void RecordIngressTouched(std::span<const int> machines);
   void RecordIngressTouched(int machine) { RecordIngressTouched({&machine, 1}); }
 
@@ -469,6 +469,10 @@ class NetworkFabricSim : public Auditable {
 
   bool trace_enabled_ = false;
   std::vector<RateTrace> ingress_traces_;
+  // RecordIngressTouched's per-machine dedup: a machine is recorded in a call
+  // only while its stamp is not yet the call's.
+  std::vector<uint64_t> ingress_record_stamp_;
+  uint64_t ingress_record_call_ = 0;
 
   // Audit scratch, refilled by every epoch-boundary sweep: the live-flow
   // snapshot, its per-side ground-truth aggregates, and the per-pair recount.

@@ -525,24 +525,28 @@ TraceReport TraceReport::Build(const ParsedTrace& trace) {
 
   // §3.1 queue-length contention signal: per-scheduler counter series emitted
   // by the monotasks executor, averaged over each stage's window and across
-  // machines. (The Spark baseline has no per-resource queues to report.)
+  // machines. (The Spark baseline has no per-resource queues to report.) Only
+  // those series are grouped; NIC and device counters are never copied.
   std::map<std::pair<std::string, std::string>, std::vector<std::pair<double, double>>>
-      counter_samples;
+      queue_samples;
   for (const TraceCounterSample& sample : trace.counters) {
-    counter_samples[{sample.process, sample.series}].emplace_back(sample.ts, sample.value);
+    const std::string& series = sample.series;
+    if (sample.process.rfind("mono:m", 0) != 0 ||
+        series.size() < 6 || series.compare(series.size() - 6, 6, "-queue") != 0) {
+      continue;
+    }
+    queue_samples[{sample.process, series}].emplace_back(sample.ts, sample.value);
+  }
+  for (auto& [key, samples] : queue_samples) {
+    std::sort(samples.begin(), samples.end());
   }
   for (StageTraceSummary& stage : report.stages_) {
     if (stage.label.rfind("mono:", 0) != 0) {
       continue;
     }
     std::map<std::string, std::pair<double, int>> sums;  // series -> (sum, machines)
-    for (auto& [key, samples] : counter_samples) {
-      const auto& [process, series] = key;
-      if (process.rfind("mono:m", 0) != 0 ||
-          series.size() < 6 || series.compare(series.size() - 6, 6, "-queue") != 0) {
-        continue;
-      }
-      std::sort(samples.begin(), samples.end());
+    for (const auto& [key, samples] : queue_samples) {
+      const std::string& series = key.second;
       auto& [sum, machines] = sums[series];
       sum += StepMean(samples, stage.start, stage.end);
       ++machines;

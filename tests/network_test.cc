@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/tracing/tracer.h"
+#include "src/model/trace_report.h"
 #include "src/simcore/simulation.h"
 
 namespace monosim {
@@ -264,6 +266,27 @@ TEST(NetworkFabricTest, IngressTraceMeasuresUtilization) {
   EXPECT_NEAR(fabric.MeanIngressUtilization(1, monoutil::Seconds(0.0), monoutil::Seconds(1.0)), 1.0, 1e-9);
   EXPECT_NEAR(fabric.MeanIngressUtilization(1, monoutil::Seconds(0.0), monoutil::Seconds(2.0)), 0.5, 1e-9);
   EXPECT_NEAR(fabric.MeanIngressUtilization(0, monoutil::Seconds(0.0), monoutil::Seconds(2.0)), 0.0, 1e-9);
+}
+
+TEST(NetworkFabricTest, FlushRecordsEachIngressMachineOnce) {
+  // Three flows into machine 0 at t = 0: the first is patched in on arrival
+  // (one sample), the other two batch into one flush that re-solves all three.
+  // That flush samples machine 0 once, not once per solved flow.
+  monotrace::ScopedTracer scoped;
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 4, monoutil::BytesPerSecond(100.0));
+  for (int src = 1; src <= 3; ++src) {
+    fabric.StartFlow(src, 0, Bytes(100), [] {});
+  }
+  sim.Run();
+  const monomodel::ParsedTrace trace = monomodel::ParseChromeTrace(scoped.tracer().ToJson());
+  ASSERT_TRUE(trace.ok()) << trace.errors.front();
+  const auto at_start = std::count_if(
+      trace.counters.begin(), trace.counters.end(),
+      [](const monomodel::TraceCounterSample& sample) {
+        return sample.series == "machine0.nic-in" && sample.ts == 0.0;
+      });
+  EXPECT_EQ(at_start, 2);
 }
 
 TEST(NetworkFabricTest, FlowCountsTrackActiveFlows) {

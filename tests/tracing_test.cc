@@ -368,7 +368,10 @@ uint64_t HashMonotaskTimes(const monosim::JobResult& job) {
 // Pins every per-monotask view of the mono run — the Chrome trace, the
 // monotask log and each stage's MonotaskTimes — bit for bit. The constants
 // were harvested before the executor's completion sites were folded into one
-// record; restructuring how those views are derived must not move them.
+// record; restructuring how those views are derived must not move them. The
+// JSON hash alone was re-harvested when the fabric began recording each NIC
+// ingress machine once per flush instead of once per solved flow;
+// TraceContentMatchesParent shows the dropped samples were exact repeats.
 TEST(TracedSortTest, ObservabilityMatchesParent) {
   const TracedRun& run = GetTracedRun();
   std::set<std::string> phases;
@@ -378,12 +381,16 @@ TEST(TracedSortTest, ObservabilityMatchesParent) {
   EXPECT_EQ(phases, (std::set<std::string>{"disk-read", "serve-read", "block-flow",
                                            "shuffle-read", "shuffle-fetch", "compute",
                                            "disk-write"}));
-  EXPECT_EQ(HashBytes(run.json), 0x7e322dce9985c05bULL);
+  EXPECT_EQ(HashBytes(run.json), 0xf8ab09c097b90a8dULL);
   EXPECT_EQ(HashLog(run.mono_log), 0x213ed3c89fdf1a03ULL);
   EXPECT_EQ(HashMonotaskTimes(run.mono), 0x9708cb7149af530eULL);
 }
 
-uint64_t HashParsedTrace(const ParsedTrace& trace) {
+// FNV-1a over every field ParseChromeTrace reads back. With `skip_repeats`, a
+// counter sample whose (ts, value) equals the last kept sample of its
+// (process, series) is left out, and `kept_counters` (if given) counts the rest.
+uint64_t HashParsedTrace(const ParsedTrace& trace, bool skip_repeats = false,
+                         size_t* kept_counters = nullptr) {
   Fnv1a fnv;
   for (const monomodel::TraceSpan& span : trace.spans) {
     fnv.Str(span.process);
@@ -394,7 +401,20 @@ uint64_t HashParsedTrace(const ParsedTrace& trace) {
     fnv.Double(span.start);
     fnv.Double(span.end);
   }
+  std::map<std::pair<std::string, std::string>, std::pair<double, double>> last;
+  size_t kept = 0;
   for (const monomodel::TraceCounterSample& sample : trace.counters) {
+    if (skip_repeats) {
+      const auto [it, inserted] =
+          last.try_emplace({sample.process, sample.series}, sample.ts, sample.value);
+      if (!inserted) {
+        if (it->second == std::make_pair(sample.ts, sample.value)) {
+          continue;
+        }
+        it->second = {sample.ts, sample.value};
+      }
+    }
+    ++kept;
     fnv.Str(sample.process);
     fnv.Str(sample.series);
     fnv.Double(sample.ts);
@@ -407,20 +427,39 @@ uint64_t HashParsedTrace(const ParsedTrace& trace) {
     fnv.Str(instant.detail);
     fnv.Double(instant.ts);
   }
+  if (kept_counters != nullptr) {
+    *kept_counters = kept;
+  }
   return fnv.hash();
 }
 
 // Pins everything ParseChromeTrace reads back from the mono and Spark runs'
 // trace, bit for bit. The constants were harvested from the tree-building
-// parser; the streaming reader that replaced it must not move them.
+// parser; the streaming reader that replaced it must not move them. The
+// counter count and the hash were re-harvested when the fabric began
+// recording each NIC ingress machine once per flush.
 TEST(TracedSortTest, ParsedTraceMatchesParent) {
   const ParsedTrace& trace = GetParsedRun();
   ASSERT_TRUE(trace.ok()) << trace.errors.front();
   EXPECT_TRUE(trace.timestamps_monotonic);
   EXPECT_EQ(trace.spans.size(), 12303u);
-  EXPECT_EQ(trace.counters.size(), 48845u);
+  EXPECT_EQ(trace.counters.size(), 30204u);
   EXPECT_EQ(trace.instants.size(), 0u);
-  EXPECT_EQ(HashParsedTrace(trace), 0xc10676bf3e7c17fcULL);
+  EXPECT_EQ(HashParsedTrace(trace), 0xe00d00917b41a5f8ULL);
+}
+
+// Pins the trace's content up to exact repeats: a counter sample that repeats
+// the last sample of its series (same ts, same value) carries nothing, so it is
+// skipped. The constants were harvested while the fabric still recorded one NIC
+// ingress sample per solved flow; recording each machine once per flush must
+// not move them, which shows only exact repeats were dropped.
+TEST(TracedSortTest, TraceContentMatchesParent) {
+  const ParsedTrace& trace = GetParsedRun();
+  ASSERT_TRUE(trace.ok()) << trace.errors.front();
+  size_t kept_counters = 0;
+  const uint64_t hash = HashParsedTrace(trace, /*skip_repeats=*/true, &kept_counters);
+  EXPECT_EQ(kept_counters, 29896u);
+  EXPECT_EQ(hash, 0x0a2d90f59e06aa21ULL);
 }
 
 // Every view is derived from the same completion, so they must count the same

@@ -1,6 +1,7 @@
 #include "src/cluster/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -15,6 +16,11 @@ namespace {
 
 constexpr double kCompletionEpsilonSeconds = 1e-9;
 
+// One-way delay of a control message (a shuffle data request).
+constexpr monoutil::SimTime kRequestLatency = monoutil::Millis(1);
+// A pair's applied rate while unknown (see pair_applied_).
+constexpr double kUnknownRate = std::numeric_limits<double>::quiet_NaN();
+
 // How many fallback flushes may reuse a spanning closure before it is
 // re-collected (see FlushPending): long enough to amortize the walk away,
 // short enough that a fabric that splits into components soon stops paying
@@ -24,20 +30,19 @@ constexpr int kSpanningRevalidateInterval = 63;
 }  // namespace
 
 NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
-                                   monoutil::BytesPerSecond nic_bandwidth,
-                                   monoutil::SimTime request_latency)
+                                   monoutil::BytesPerSecond nic_bandwidth)
     : sim_(sim),
       nic_bandwidth_(nic_bandwidth),
-      request_latency_(request_latency),
+      eps_(1e-9 * std::max(1.0, nic_bandwidth.bps())),
+      saturated_at_(nic_bandwidth.bps() - eps_),
       ingress_flows_(static_cast<size_t>(num_machines)),
       egress_flows_(static_cast<size_t>(num_machines)),
       side_rate_sum_(static_cast<size_t>(2 * num_machines)),
       pair_count_(static_cast<size_t>(num_machines * num_machines), 0),
+      pair_applied_(static_cast<size_t>(num_machines * num_machines), kUnknownRate),
       side_visit_stamp_(static_cast<size_t>(2 * num_machines), 0),
       slot_stamp_(static_cast<size_t>(2 * num_machines), 0),
       slot_of_(static_cast<size_t>(2 * num_machines), 0),
-      pair_stamp_(static_cast<size_t>(num_machines * num_machines), 0),
-      pair_class_(static_cast<size_t>(num_machines * num_machines), 0),
       pair_rate_(static_cast<size_t>(num_machines * num_machines), 0.0),
       side_dirty_stamp_(static_cast<size_t>(2 * num_machines), 0),
       alive_(std::make_shared<bool>(true)),
@@ -149,7 +154,6 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   FlushPendingConst();
   const SimTime now = sim_->now();
   const char* source = "network-fabric";
-  const double eps = 1e-9 * std::max(1.0, nic_bandwidth_.bps());
 
   // One contiguous walk over the id-ordered flow list fills the allocation
   // snapshot and evaluates the per-flow bookkeeping predicates; each flow is
@@ -163,13 +167,27 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   pair_recount.assign(pair_count_.size(), 0);
   bool ids_ordered = true;
   bool rates_nonneg = true;
+  // The spanning apply walk reads pair keys from flow_pair_ and skips every
+  // member of a pair whose solved rate equals its cached applied rate, so each
+  // member must carry that rate bit for bit, with its completion keyed.
+  const auto carries_applied = [&](size_t i) {
+    const Flow* flow = flows_by_id_[i];
+    const double applied = pair_applied_[static_cast<size_t>(PairKey(*flow))];
+    return flow_pair_[i] == PairKey(*flow) &&
+           (std::isnan(applied) ||
+            (std::bit_cast<uint64_t>(flow->rate.bps()) == std::bit_cast<uint64_t>(applied) &&
+             flow->predicted_done >= SimTime()));
+  };
+  bool applied_ok = flow_pair_.size() == flows_by_id_.size();
   FlowId last_id = 0;
-  for (const Flow* flow : flows_by_id_) {
+  for (size_t i = 0; i < flows_by_id_.size(); ++i) {
+    const Flow* flow = flows_by_id_[i];
     ids_ordered = ids_ordered && flow->id > last_id;
     last_id = flow->id;
     snapshot.push_back(FlowInfo{flow->id, flow->src, flow->dst, flow->rate});
     rates_nonneg = rates_nonneg && flow->rate.bps() >= 0.0;
     ++pair_recount[static_cast<size_t>(PairKey(*flow))];
+    applied_ok = applied_ok && carries_applied(i);
   }
   audit.ExpectLazy(rates_nonneg, now, source, "flow-rate-non-negative", [&] {
     std::ostringstream d;
@@ -201,8 +219,8 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   };
   const auto side_sums_match = [&](int m) {
     const auto mu = static_cast<size_t>(m);
-    return std::abs(egress_rate_sum(m).bps() - sides.egress_sum[mu]) <= eps &&
-           std::abs(ingress_rate_sum(m).bps() - sides.ingress_sum[mu]) <= eps;
+    return std::abs(egress_rate_sum(m).bps() - sides.egress_sum[mu]) <= eps_ &&
+           std::abs(ingress_rate_sum(m).bps() - sides.ingress_sum[mu]) <= eps_;
   };
   size_t listed_ingress = 0;
   size_t listed_egress = 0;
@@ -250,6 +268,21 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
         d << "pair " << key / machines << "->" << key % machines << ": maintained count "
           << pair_count_[key] << ", registry holds " << recount << ", listed " << listed
           << " time(s) among " << live_pairs_.size() << " live pairs";
+        break;
+      }
+    }
+    return d.str();
+  });
+  audit.ExpectLazy(applied_ok, now, source, "pair-applied-rate", [&] {
+    std::ostringstream d;
+    d << "pair-key array holds " << flow_pair_.size() << " keys for " << flows_by_id_.size()
+      << " flows";
+    for (size_t i = 0; i < std::min(flow_pair_.size(), flows_by_id_.size()); ++i) {
+      if (const Flow* flow = flows_by_id_[i]; !carries_applied(i)) {
+        d << "; flow " << flow->id << " (" << flow->src << "->" << flow->dst << ", key "
+          << flow_pair_[i] << ") has rate " << flow->rate << " and completion "
+          << flow->predicted_done << ", its pair's applied rate is "
+          << pair_applied_[static_cast<size_t>(PairKey(*flow))];
         break;
       }
     }
@@ -325,6 +358,9 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   raw->done = std::move(done);
   flows_by_id_.push_back(raw);  // Ids are monotonic: the back keeps the order.
   const int pair = PairKey(*raw);
+  flow_pair_.push_back(pair);
+  // The new member has no rate yet, so the pair no longer carries one.
+  pair_applied_[static_cast<size_t>(pair)] = kUnknownRate;
   if (pair_count_[static_cast<size_t>(pair)]++ == 0) {
     live_pairs_.push_back(pair);
   }
@@ -356,7 +392,7 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
 void NetworkFabricSim::SendControlImpl(int src, int dst, InlineCallback&& deliver) {
   MONO_CHECK(src >= 0 && src < num_machines());
   MONO_CHECK(dst >= 0 && dst < num_machines());
-  sim_->ScheduleAfter(request_latency_, std::move(deliver), "net-request");
+  sim_->ScheduleAfter(kRequestLatency, std::move(deliver), "net-request");
 }
 
 void NetworkFabricSim::MarkDirty(int src, int dst) {
@@ -388,11 +424,10 @@ bool NetworkFabricSim::TryPatchArrival(Flow* flow) {
   const int egress = EgressKey(flow->src);
   const int ingress = IngressKey(flow->dst);
   const double bw = nic_bandwidth_.bps();
-  const double eps = 1e-9 * std::max(1.0, bw);
   const double free_egress = bw - side_rate_sum_[static_cast<size_t>(egress)].bps();
   const double free_ingress = bw - side_rate_sum_[static_cast<size_t>(ingress)].bps();
   const double rate = std::min(free_egress, free_ingress);
-  if (rate <= eps) {
+  if (rate <= eps_) {
     return false;  // A side is already saturated: its flows would re-level.
   }
   // The new flow saturates each side whose free capacity it consumes entirely; on
@@ -403,13 +438,13 @@ bool NetworkFabricSim::TryPatchArrival(Flow* flow) {
   // saturated side, exactly what the max-min-bottleneck audit certifies. (The
   // new flow is already listed on both sides, at rate 0, so it never decides
   // the maximum.)
-  if (free_egress <= rate + eps && SideMaxShare(egress) > rate + eps) {
+  if (free_egress <= rate + eps_ && SideMaxShare(egress) > rate + eps_) {
     return false;
   }
-  if (free_ingress <= rate + eps && SideMaxShare(ingress) > rate + eps) {
+  if (free_ingress <= rate + eps_ && SideMaxShare(ingress) > rate + eps_) {
     return false;
   }
-  ApplyRate(flow, monoutil::BytesPerSecond(rate));
+  ApplyRate(flow, monoutil::BytesPerSecond(rate), sim_->now());
   UpdateCompletionTimer();
   RecordIngressTouched(flow->dst);
   return true;
@@ -419,17 +454,15 @@ bool NetworkFabricSim::CanPatchDeparture(const Flow& flow) const {
   if (!dirty_sides_.empty()) {
     return false;  // Rates are stale mid-epoch; local reasoning would be unsound.
   }
-  const double bw = nic_bandwidth_.bps();
-  const double eps = 1e-9 * std::max(1.0, bw);
   for (const int key : {EgressKey(flow.src), IngressKey(flow.dst)}) {
-    if (side_rate_sum_[static_cast<size_t>(key)].bps() < bw - eps) {
+    if (side_rate_sum_[static_cast<size_t>(key)].bps() < saturated_at_) {
       continue;  // Unsaturated side: nobody is pinned here, freeing more changes nothing.
     }
     // Saturated side: the departure is invisible only if every remaining flow has
     // a strictly smaller share — each is then bottlenecked (maximal) at its
     // *other*, still-saturated side and cannot rise into the freed capacity.
     for (const Flow* other : SideFlows(key)) {
-      if (other->id != flow.id && other->rate.bps() >= flow.rate.bps() - eps) {
+      if (other->id != flow.id && other->rate.bps() >= flow.rate.bps() - eps_) {
         return false;
       }
     }
@@ -492,48 +525,28 @@ void NetworkFabricSim::GrowSlotArrays(size_t slots) {
 }
 
 void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component, bool spanning) {
-  class_key_.clear();
-  class_count_.clear();
-  class_egress_.clear();
-  class_ingress_.clear();
-  const auto add_class = [&](int key, int count, int egress_slot, int ingress_slot) {
-    class_key_.push_back(key);
-    class_count_.push_back(count);
-    class_egress_.push_back(egress_slot);
-    class_ingress_.push_back(ingress_slot);
-    pair_rate_[static_cast<size_t>(key)] = -1.0;  // Unfrozen.
-  };
   if (spanning) {
-    // Spanning solve over the whole fabric (the caller vouches the solve
-    // covers every live flow): the classes are exactly the live pairs, and
-    // each NIC side is its own slot, slot == side key, so neither a flow nor
-    // the stamped side->slot map is touched. Sides with no flows cost nothing
-    // beyond their array entry: a zero degree parks their cap at +inf
-    // ((bandwidth - 0) / 0 in IEEE terms), so the bottleneck scan skips them
-    // the same way it skips exhausted slots. With every flow in the solve, no
-    // side carries fixed consumption: every base is zero.
+    // Each NIC side is its own slot, slot == side key, so neither a flow nor
+    // the stamped side->slot map is touched. A side with no flows parks its
+    // cap at +inf ((bandwidth - 0) / 0 in IEEE terms), so the bottleneck scan
+    // skips it like an exhausted slot. No side carries fixed consumption.
     num_slots_ = static_cast<int>(side_rate_sum_.size());
-    const auto ns = static_cast<size_t>(num_slots_);
-    GrowSlotArrays(ns);
-    std::fill(slot_unfrozen_.begin(), slot_unfrozen_.begin() + num_slots_, 0);
-    std::fill(slot_consumed_.begin(), slot_consumed_.begin() + num_slots_, 0.0);
-    const int machines = num_machines();
-    for (const int key : live_pairs_) {
-      const int count = pair_count_[static_cast<size_t>(key)];
-      const int e = EgressKey(key / machines);
-      const int g = IngressKey(key % machines);
-      add_class(key, count, e, g);
-      slot_unfrozen_[static_cast<size_t>(e)] += count;
-      slot_unfrozen_[static_cast<size_t>(g)] += count;
+    GrowSlotArrays(static_cast<size_t>(num_slots_));
+    for (int key = 0; key < num_slots_; ++key) {
+      slot_unfrozen_[static_cast<size_t>(key)] = static_cast<int>(SideFlows(key).size());
+      slot_consumed_[static_cast<size_t>(key)] = 0.0;
     }
-    FillClasses();
+    for (const int key : live_pairs_) {
+      pair_rate_[static_cast<size_t>(key)] = -1.0;  // Unfrozen.
+    }
+    FillClasses(live_pairs_.size(), /*spanning=*/true);
     return;
   }
-  // Dense table of just the NIC sides this component touches. The id-sorted
-  // component is grouped into pair classes in first-seen order, and a new
-  // class numbers its egress slot, then its ingress slot — the order a
-  // per-flow walk would number them in. The side-key -> slot and pair-key ->
-  // class maps are stamped per solve, so repeat solves allocate nothing.
+  // Dense table of just the NIC sides this component touches, numbered in
+  // first-seen order over the id-sorted component, egress before ingress. The
+  // side-key -> slot map is stamped per solve, so repeat solves allocate
+  // nothing. A pair's first flow opens its class (pair_rate_ is non-negative
+  // between solves).
   ++solve_stamp_;
   num_slots_ = 0;
   const auto slot = [&](int key) {
@@ -548,23 +561,40 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component, bool spa
       slot_level_[static_cast<size_t>(s)] = std::numeric_limits<double>::infinity();
       slot_keys_[static_cast<size_t>(s)] = key;
     }
-    return slot_of_[k];
+    return static_cast<size_t>(slot_of_[k]);
   };
+  size_t num_classes = 0;
   for (const Flow* flow : component) {
-    const auto pair = static_cast<size_t>(PairKey(*flow));
-    if (pair_stamp_[pair] != solve_stamp_) {
-      pair_stamp_[pair] = solve_stamp_;
-      pair_class_[pair] = static_cast<int>(class_key_.size());
-      const int e = slot(EgressKey(flow->src));
-      const int g = slot(IngressKey(flow->dst));
-      add_class(static_cast<int>(pair), 0, e, g);
+    double& rate = pair_rate_[static_cast<size_t>(PairKey(*flow))];
+    if (rate >= 0.0) {
+      rate = -1.0;  // Unfrozen.
+      ++num_classes;
     }
-    const auto c = static_cast<size_t>(pair_class_[pair]);
-    ++class_count_[c];
-    for (const int s : {class_egress_[c], class_ingress_[c]}) {
-      ++slot_unfrozen_[static_cast<size_t>(s)];
-      slot_base_[static_cast<size_t>(s)] += flow->rate.bps();
+    for (const size_t s : {slot(EgressKey(flow->src)), slot(IngressKey(flow->dst))}) {
+      ++slot_unfrozen_[s];
+      slot_base_[s] += flow->rate.bps();
     }
+  }
+  if (SimAudit* audit = SimAudit::current()) {
+    // The fill takes pair_count_ as each class's multiplicity, which holds only
+    // if the solve carries every live flow of each pair it touches.
+    std::vector<int>& members = audit_pair_count_;
+    members.assign(pair_count_.size(), 0);
+    for (const Flow* flow : component) {
+      ++members[static_cast<size_t>(PairKey(*flow))];
+    }
+    const auto split = std::find_if(component.begin(), component.end(), [&](const Flow* f) {
+      const auto pair = static_cast<size_t>(PairKey(*f));
+      return members[pair] != pair_count_[pair];
+    });
+    const SimTime now = sim_->now();
+    audit->ExpectLazy(split == component.end(), now, "network-fabric", "pair-class-count", [&] {
+      const auto pair = static_cast<size_t>(PairKey(**split));
+      std::ostringstream d;
+      d << "solve holds " << members[pair] << " of the " << pair_count_[pair]
+        << " live flows of pair " << (*split)->src << "->" << (*split)->dst;
+      return d.str();
+    });
   }
   // Flows outside the component keep their current rates: they reduce the
   // capacity the progressive fill distributes through their side. Their sum is
@@ -584,33 +614,10 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component, bool spa
     slot_base_[su] = base;
     slot_consumed_[su] = base;
   }
-  FillClasses();
+  FillClasses(num_classes, /*spanning=*/false);
 }
 
-void NetworkFabricSim::FillClasses() {
-  // Slot -> class-index adjacency in CSR form (offsets plus one flat array) —
-  // the freeze loop below walks it side by side, and a flat span beats a
-  // vector-of-vectors walk. Built with a counting pass, a prefix sum, and a
-  // fill pass.
-  const size_t num_classes = class_key_.size();
-  const auto ns = static_cast<size_t>(num_slots_);
-  slot_adj_offset_.assign(ns + 1, 0);
-  for (size_t c = 0; c < num_classes; ++c) {
-    ++slot_adj_offset_[static_cast<size_t>(class_egress_[c]) + 1];
-    ++slot_adj_offset_[static_cast<size_t>(class_ingress_[c]) + 1];
-  }
-  for (size_t s = 0; s < ns; ++s) {
-    slot_adj_offset_[s + 1] += slot_adj_offset_[s];
-  }
-  slot_adj_.resize(2 * num_classes);
-  slot_cursor_.assign(slot_adj_offset_.begin(), slot_adj_offset_.end() - 1);
-  for (size_t c = 0; c < num_classes; ++c) {
-    for (const int s : {class_egress_[c], class_ingress_[c]}) {
-      slot_adj_[static_cast<size_t>(slot_cursor_[static_cast<size_t>(s)]++)] =
-          static_cast<int>(c);
-    }
-  }
-
+void NetworkFabricSim::FillClasses(size_t num_classes, bool spanning) {
   // Progressive filling: each side carries the common fill level at which it
   // would saturate, cached in slot_cap_ and re-derived only when a frozen class
   // changes its consumption. Each round scans the flat cap array for the
@@ -621,6 +628,8 @@ void NetworkFabricSim::FillClasses() {
   // Exhausted slots park their cap at infinity, keeping the scan a bare
   // load-and-compare.
   const double bw = nic_bandwidth_.bps();
+  const int machines = num_machines();
+  const auto ns = static_cast<size_t>(num_slots_);
   for (size_t s = 0; s < ns; ++s) {
     slot_cap_[s] = (bw - slot_consumed_[s]) / slot_unfrozen_[s];
   }
@@ -657,22 +666,27 @@ void NetworkFabricSim::FillClasses() {
     // saturates at cap >= level; the max() only guards FP rounding.
     level = std::max(level, best);
     slot_level_[static_cast<size_t>(s)] = level;
-    for (int a = slot_adj_offset_[static_cast<size_t>(s)];
-         a < slot_adj_offset_[static_cast<size_t>(s) + 1]; ++a) {
-      const auto c = static_cast<size_t>(slot_adj_[static_cast<size_t>(a)]);
-      double& rate = pair_rate_[static_cast<size_t>(class_key_[c])];
+    // The side's classes are its unfrozen partner pairs: m*M+d for the egress
+    // side of machine m, d*M+m for its ingress side.
+    const int key = spanning ? s : slot_keys_[static_cast<size_t>(s)];
+    const bool egress = key % 2 == 0;
+    const int m = key / 2;
+    for (int d = 0; d < machines; ++d) {
+      const int pair = egress ? m * machines + d : d * machines + m;
+      double& rate = pair_rate_[static_cast<size_t>(pair)];
       if (rate >= 0.0) {
-        continue;  // Frozen at its other side in an earlier round.
+        continue;  // Not in this solve, or frozen at its other side earlier.
       }
       rate = level;
       --remaining;
       // The frozen class now consumes `level` of its other side per flow, for
       // good; that side saturates later (or empties), so re-derive its cached
-      // cap. No other class on this side shares that other side, so adding
-      // `level` once per flow reproduces the per-flow sums bit for bit.
-      const auto o = static_cast<size_t>(class_egress_[c] == s ? class_ingress_[c]
-                                                               : class_egress_[c]);
-      const int count = class_count_[c];
+      // cap. No other class on this side shares that other side, so the order
+      // the partners are visited in changes no sum, and adding `level` once
+      // per flow reproduces the per-flow sums bit for bit.
+      const int other = egress ? IngressKey(d) : EgressKey(d);
+      const auto o = static_cast<size_t>(spanning ? other : slot_of_[static_cast<size_t>(other)]);
+      const int count = pair_count_[static_cast<size_t>(pair)];
       for (int i = 0; i < count; ++i) {
         slot_consumed_[o] += level;
       }
@@ -696,18 +710,16 @@ void NetworkFabricSim::RecordSlotTotals(const std::vector<Flow*>& component) {
     slot_max_affected_[s] = 0.0;
   }
   for (const Flow* flow : component) {
-    const auto pair = static_cast<size_t>(PairKey(*flow));
-    const auto c = static_cast<size_t>(pair_class_[pair]);
-    const double rate = pair_rate_[pair];
-    for (const int s : {class_egress_[c], class_ingress_[c]}) {
-      slot_total_[static_cast<size_t>(s)] += rate;
-      slot_max_affected_[static_cast<size_t>(s)] =
-          std::max(slot_max_affected_[static_cast<size_t>(s)], rate);
+    const double rate = pair_rate_[static_cast<size_t>(PairKey(*flow))];
+    for (const int key : {EgressKey(flow->src), IngressKey(flow->dst)}) {
+      const auto s = static_cast<size_t>(slot_of_[static_cast<size_t>(key)]);
+      slot_total_[s] += rate;
+      slot_max_affected_[s] = std::max(slot_max_affected_[s], rate);
     }
   }
 }
 
-bool NetworkFabricSim::CertifiedAfterSolve(const Flow& flow, double eps) const {
+bool NetworkFabricSim::CertifiedAfterSolve(const Flow& flow) const {
   for (const int key : {EgressKey(flow.src), IngressKey(flow.dst)}) {
     const auto k = static_cast<size_t>(key);
     double sum;
@@ -718,19 +730,19 @@ bool NetworkFabricSim::CertifiedAfterSolve(const Flow& flow, double eps) const {
       top = std::max(slot_max_affected_[s], slot_unaffected_max_[s]);
     } else {
       sum = side_rate_sum_[k].bps();
-      if (sum < nic_bandwidth_.bps() - eps) {
+      if (sum < saturated_at_) {
         continue;  // Unsaturated: certifies nobody, so skip the walk for its maximum.
       }
       top = SideMaxShare(key);
     }
-    if (sum >= nic_bandwidth_.bps() - eps && flow.rate.bps() >= top - eps) {
+    if (sum >= saturated_at_ && flow.rate.bps() >= top - eps_) {
       return true;
     }
   }
   return false;
 }
 
-bool NetworkFabricSim::SubSolveCertified(double eps) {
+bool NetworkFabricSim::SubSolveCertified() {
   // The sub-solve is the true max-min allocation only if every fixed flow stays
   // certified. A fixed flow is proven mis-ranked when it out-ranks the new
   // level of a side that froze flows (the solve wrongly treated its over-sized
@@ -743,7 +755,6 @@ bool NetworkFabricSim::SubSolveCertified(double eps) {
   // flush's visit stamp (their rates are still the pre-solve ones and are never
   // read), fixed flows' rates are current. Every solve slot is an affected
   // side, so the first pass fills slot_unaffected_max_ for all of them.
-  const double bw = nic_bandwidth_.bps();
   for (const int key : affected_sides_) {
     if (slot_stamp_[static_cast<size_t>(key)] != solve_stamp_) {
       continue;  // A changed side no flow crosses any more (e.g. emptied by a departure).
@@ -763,17 +774,17 @@ bool NetworkFabricSim::SubSolveCertified(double eps) {
     }
     const auto s = static_cast<size_t>(slot_of_[static_cast<size_t>(key)]);
     const double level = slot_level_[s];
-    const bool saturated = slot_total_[s] >= bw - eps;
+    const bool saturated = slot_total_[s] >= saturated_at_;
     const double top = std::max(slot_max_affected_[s], slot_unaffected_max_[s]);
     for (const Flow* flow : SideFlows(key)) {
       if (flow->visit_stamp == visit_stamp_) {
         continue;
       }
       const double rate = flow->rate.bps();
-      if (rate <= level + eps && saturated && rate >= top - eps) {
+      if (rate <= level + eps_ && saturated && rate >= top - eps_) {
         continue;  // Certified at this side.
       }
-      if (rate > level + eps || !CertifiedAfterSolve(*flow, eps)) {
+      if (rate > level + eps_ || !CertifiedAfterSolve(*flow)) {
         return false;
       }
     }
@@ -792,7 +803,9 @@ void NetworkFabricSim::SortByFlowId(std::vector<Flow*>* flows) {
   }
 }
 
-void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) {
+// Inline: the flush's apply loop is the hot caller.
+inline void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate,
+                                        SimTime now) {
   MONO_CHECK(new_rate > monoutil::BytesPerSecond(0));
   if (new_rate == flow->rate && flow->predicted_done >= SimTime()) {
     // Unchanged rate: progress stays linear and the completion key is still
@@ -800,7 +813,6 @@ void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) 
     return;
   }
   // Advance progress under the old rate, then apply the new share.
-  const SimTime now = sim_->now();
   const SimTime dt = now - flow->last_update;
   if (dt > SimTime()) {
     flow->remaining = std::max(0.0, flow->remaining - flow->rate.bps() * dt.seconds());
@@ -808,7 +820,11 @@ void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) 
   flow->last_update = now;
   if (new_rate != flow->rate) {
     ++stats_.rate_changes;
-    AccumulateSideTime(now);
+    // Close the side-time interval at the instant's first actual change only:
+    // closing it where nothing changes would split it and move the rounding.
+    if (side_accum_at_ != now) {
+      AccumulateSideTime(now);
+    }
     // Move the flow's share between both sides' rate sums, tracking each
     // side's saturation transition as its sum moves.
     for (const int key : {EgressKey(flow->src), IngressKey(flow->dst)}) {
@@ -900,8 +916,6 @@ void NetworkFabricSim::FlushPending() {
     }
   }
 
-  const double bw = nic_bandwidth_.bps();
-  const double eps = 1e-9 * std::max(1.0, bw);
   // Cascade gate, checked before any seeding work: when a changed side is
   // saturated, the batched arrivals and departures re-level it, every flow
   // crossing it adjusts, and the adjustment propagates through those flows'
@@ -914,7 +928,7 @@ void NetworkFabricSim::FlushPending() {
   // pinned there hold their level) and the boundary check keeps it honest.
   bool try_local = true;
   for (const int key : dirty_sides_) {
-    if (side_rate_sum_[static_cast<size_t>(key)].bps() >= bw - eps) {
+    if (SideSaturated(key)) {
       try_local = false;
       break;
     }
@@ -957,7 +971,7 @@ void NetworkFabricSim::FlushPending() {
     // flows along — the boundary check would fail and fall back anyway, so
     // skip straight there rather than paying a doomed sub-solve.
     for (const int key : affected_sides_) {
-      if (side_rate_sum_[static_cast<size_t>(key)].bps() >= bw - eps) {
+      if (SideSaturated(key)) {
         try_local = false;
         break;
       }
@@ -975,7 +989,7 @@ void NetworkFabricSim::FlushPending() {
       RecordSlotTotals(affected);
       ++stats_.solves;
       stats_.flows_touched += affected.size();
-      solved = SubSolveCertified(eps);
+      solved = SubSolveCertified();
     }
   }
   if (!solved) {
@@ -1010,29 +1024,38 @@ void NetworkFabricSim::FlushPending() {
   dirty_sides_.clear();
   ++dirty_stamp_;
 
-  // Apply in ascending flow id, each flow taking its class's rate. A spanning
-  // walk visits every live flow, so it recomputes the earliest completion on
-  // the way instead of leaving it to a rescan.
-  const std::vector<Flow*>& solved_flows = spanning ? flows_by_id_ : affected;
-  const Flow* earliest = nullptr;
-  for (Flow* flow : solved_flows) {
-    const monoutil::BytesPerSecond rate(pair_rate_[static_cast<size_t>(PairKey(*flow))]);
-    // Same skip ApplyRate makes, hoisted: most of a re-solved component keeps
-    // its rates bit-for-bit, so the call itself is the cost worth dodging.
-    if (rate != flow->rate || flow->predicted_done < SimTime()) {
-      ApplyRate(flow, rate);
+  // Apply in ascending flow id, each flow taking its class's rate; ApplyRate
+  // skips flows that already carry it and keeps the cached earliest
+  // completion exact (or invalid) on the way. A spanning flush applies only
+  // the members of pairs whose solved rate differs from their cached applied
+  // rate (NaN differs from every rate), picked out branch-free from the dense
+  // pair keys without dereferencing a flow. A component solve instead forgets
+  // its pairs' applied rates.
+  if (spanning) {
+    affected.resize(flows_by_id_.size());
+    size_t changed = 0;
+    for (size_t i = 0; i < flow_pair_.size(); ++i) {
+      const auto pair = static_cast<size_t>(flow_pair_[i]);
+      affected[changed] = flows_by_id_[i];
+      changed += static_cast<size_t>(!(pair_applied_[pair] == pair_rate_[pair]));
     }
-    if (spanning && (earliest == nullptr || flow->predicted_done < earliest->predicted_done)) {
-      earliest = flow;
+    affected.resize(changed);
+    for (const int key : live_pairs_) {
+      pair_applied_[static_cast<size_t>(key)] = pair_rate_[static_cast<size_t>(key)];
+    }
+  } else {
+    for (const Flow* flow : affected) {
+      pair_applied_[static_cast<size_t>(PairKey(*flow))] = kUnknownRate;
     }
   }
-  if (spanning) {
-    earliest_ = earliest;
-    earliest_valid_ = true;
+  const SimTime now = sim_->now();
+  for (Flow* flow : affected) {
+    const double rate = pair_rate_[static_cast<size_t>(PairKey(*flow))];
+    ApplyRate(flow, monoutil::BytesPerSecond(rate), now);
   }
   UpdateCompletionTimer();
   if (trace_enabled_ || monotrace::Tracer::current() != nullptr) {
-    for (const Flow* flow : solved_flows) {
+    for (const Flow* flow : spanning ? flows_by_id_ : affected) {
       touched_scratch_.push_back(flow->dst);
     }
     RecordIngressTouched(touched_scratch_);
@@ -1108,6 +1131,7 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
       saturated_side_count_ += was_saturated ? -1 : 1;
     }
   }
+  flow_pair_.erase(flow_pair_.begin() + (by_id - flows_by_id_.begin()));
   flows_by_id_.erase(by_id);
   const int pair = PairKey(*flow);
   if (--pair_count_[static_cast<size_t>(pair)] == 0) {

@@ -31,10 +31,12 @@
 //    check below) walk the side's flow list, which changes only on arrival and
 //    departure — never on the far more frequent rate changes.
 //  * Pair classes. Every flow between one (src, dst) pair crosses the same two
-//    NIC sides, so max-min gives them one rate. The solver works on classes of
-//    such flows, each carrying its multiplicity, and writes one rate per pair;
-//    the fabric keeps a live flow count per pair and the list of live pairs, so
-//    a solve spanning the whole fabric never walks a flow at all.
+//    NIC sides, so max-min gives them one rate. The solver writes one rate per
+//    pair, reading each pair's live flow count as its multiplicity (a solve
+//    holds every live flow of a pair or none), so a solve spanning the whole
+//    fabric never walks a flow at all. The fabric also caches the rate each
+//    pair's flows last took in a spanning flush, and that flush's apply walk
+//    dereferences only the flows of pairs whose rate changed.
 //  * Bottleneck-set pruning. A single arrival or departure whose delta provably
 //    cannot change the saturated-side structure is absorbed by a local patch
 //    (one walk of its two sides) instead of any re-solve: an arrival that fits
@@ -59,11 +61,10 @@
 // earliest live (time, id), and a single "next completion" event tracks it. A
 // rate change that lowers a key lowers the cache; one that moves the cached
 // flow later, or its completion, invalidates it, and an invalid cache is
-// rescanned from the registry when the timer next needs it (a flush that
-// re-applies every live flow recomputes it on the way). No per-flow simulation
-// event is ever cancelled and rescheduled, the dominant cost of churn once
-// solving itself is pruned (a max-min cascade re-times many completions per
-// delta). Rates are solved and applied in ascending flow-id order, and the
+// rescanned from the registry when the timer next needs it. No per-flow
+// simulation event is ever cancelled and rescheduled, the dominant cost of
+// churn once solving itself is pruned (a max-min cascade re-times many
+// completions per delta). Rates are solved and applied in ascending flow-id order, and the
 // cache orders by (time, id) alone, so the event schedule (and the run digest)
 // never depends on traversal order or addresses.
 #ifndef MONOTASKS_SRC_CLUSTER_NETWORK_H_
@@ -101,10 +102,8 @@ class NetworkFabricSim : public Auditable {
   // covers mid-run teardown).
   MONO_SIM_OWNED;
 
-  // All NICs share one bandwidth (each direction). `request_latency` is the one-way
-  // delay for small control messages (shuffle data requests).
-  NetworkFabricSim(Simulation* sim, int num_machines, monoutil::BytesPerSecond nic_bandwidth,
-                   monoutil::SimTime request_latency = monoutil::Millis(1));
+  // All NICs share one bandwidth (each direction).
+  NetworkFabricSim(Simulation* sim, int num_machines, monoutil::BytesPerSecond nic_bandwidth);
   ~NetworkFabricSim() override;
 
   NetworkFabricSim(const NetworkFabricSim&) = delete;
@@ -120,7 +119,8 @@ class NetworkFabricSim : public Auditable {
     return StartFlowImpl(src, dst, bytes, WrapCallback(std::forward<F>(done)));
   }
 
-  // Delivers a small control message from `src` to `dst` after the request latency.
+  // Delivers a small control message (a shuffle data request) from `src` to
+  // `dst` after a fixed one-way latency of 1 ms.
   template <typename F>
   void SendControl(int src, int dst, F&& deliver) {
     SendControlImpl(src, dst, WrapCallback(std::forward<F>(deliver)));
@@ -128,7 +128,6 @@ class NetworkFabricSim : public Auditable {
 
   int num_machines() const { return static_cast<int>(ingress_flows_.size()); }
   monoutil::BytesPerSecond nic_bandwidth() const { return nic_bandwidth_; }
-  monoutil::SimTime request_latency() const { return request_latency_; }
 
   // Number of flows currently arriving at / departing from `machine`.
   int ingress_flows(int machine) const;
@@ -184,7 +183,8 @@ class NetworkFabricSim : public Auditable {
   // ascending id order and matched by the per-machine flow lists (both
   // directions), the incrementally-maintained side rate sums equal to their
   // recomputed totals, the per-pair live counts and live-pair list matching a
-  // recount of the registry, flow rates non-negative, and no flows left when
+  // recount of the registry, every member of a pair with a cached applied rate
+  // carrying exactly that rate, flow rates non-negative, and no flows left when
   // the simulation drains — plus AuditFabricAllocation over a snapshot of the
   // live flows. Pending epoch work is flushed first, so the audit always
   // certifies the batched solution, never the mid-epoch transient.
@@ -255,24 +255,23 @@ class NetworkFabricSim : public Auditable {
   void SortByFlowId(std::vector<Flow*>* flows);
 
   // Progressive-filling max-min rates, one per pair class, written into
-  // pair_rate_. With `spanning` the caller vouches that the solve covers every
-  // live flow: the classes are then the live pairs, slots are the side keys
+  // pair_rate_ (negative while the class is unfrozen). A class is a pair with
+  // flows in the solve, pair_count_ of them: a solve holds every live flow of
+  // a pair or none. With `spanning` the caller vouches that the solve covers
+  // every live flow: the classes are the live pairs, slots are the side keys
   // themselves, and `component` is not walked. Otherwise the id-sorted
-  // `component` is grouped into classes in first-seen order, which numbers the
-  // slots exactly as a per-flow walk would. Flows *not* in `component` (those
-  // not carrying the current visit stamp) are held at their existing rates:
-  // each slot's capacity is reduced by their consumption, which is what lets
-  // FlushPending solve a pruned affected set instead of the whole closure. A
-  // full-closure component has no such flows on any of its sides, so its base
-  // reductions are exactly zero and the solve is identical to a from-scratch
-  // pass. The next bottleneck side is found by scanning a flat array of
-  // per-slot saturation caps, re-derived only for the slots a freeze touches.
-  // Non-const: the slot and class tables live in persistent scratch members so
-  // the per-epoch solve does not pay a fresh round of allocations; the
-  // per-slot levels are left behind for the boundary check.
+  // `component` numbers its sides' slots in first-seen order, and flows *not*
+  // in it (those not carrying the current visit stamp) are held at their
+  // existing rates: each slot's capacity is reduced by their consumption,
+  // which is what lets FlushPending solve a pruned affected set instead of the
+  // whole closure. A full-closure component has no such flows, so its solve is
+  // identical to a from-scratch pass. The next bottleneck side is found by
+  // scanning a flat array of per-slot saturation caps. Non-const: the slot
+  // tables are persistent scratch, and the per-slot levels are left behind for
+  // the boundary check.
   void SolveMaxMin(const std::vector<Flow*>& component, bool spanning);
-  // The progressive fill itself, over the classes and slots SolveMaxMin set up.
-  void FillClasses();
+  // The progressive fill over the `num_classes` classes SolveMaxMin set up.
+  void FillClasses(size_t num_classes, bool spanning);
   // Grows every per-slot scratch array to hold at least `slots` entries.
   void GrowSlotArrays(size_t slots);
 
@@ -286,19 +285,19 @@ class NetworkFabricSim : public Auditable {
   // rate — saturated, with `flow` holding a maximal share. Sides in the solve
   // are read from the solver's per-slot results, untouched sides from their
   // rate sum and flow list (which the solve cannot have changed).
-  bool CertifiedAfterSolve(const Flow& flow, double eps) const;
+  bool CertifiedAfterSolve(const Flow& flow) const;
 
   // The boundary check after an affected-set sub-solve: true if every fixed
   // flow on an affected side stays certified under the new levels, false at the
   // first one that does not (the caller then falls back to the full closure).
   // Non-const: fills slot_unaffected_max_ for CertifiedAfterSolve.
-  bool SubSolveCertified(double eps);
+  bool SubSolveCertified();
 
-  // Advances `flow`'s progress under its old rate, then installs `new_rate`,
-  // updates the side rate sums, and re-keys the flow's predicted completion
-  // (lowering or invalidating the cached earliest completion). Skips flows
-  // whose rate is unchanged, so symmetric recomputes cost nothing.
-  void ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate);
+  // Advances `flow`'s progress under its old rate to `now`, then installs
+  // `new_rate`, updates the side rate sums, and re-keys the flow's predicted
+  // completion (lowering or invalidating the cached earliest completion).
+  // Skips flows whose rate is unchanged, so symmetric recomputes cost nothing.
+  void ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate, SimTime now);
 
   // The earliest live (predicted_done, id), rescanning the registry if the
   // cache is invalid; nullptr when no flow has a rate yet. Then the single
@@ -347,21 +346,25 @@ class NetworkFabricSim : public Auditable {
   // read accessors can bring the totals up to now.
   void AccumulateSideTime(SimTime now) const;
   bool SideSaturated(int side_key) const {
-    const double bw = nic_bandwidth_.bps();
-    return side_rate_sum_[static_cast<size_t>(side_key)].bps() >=
-           bw - 1e-9 * std::max(1.0, bw);
+    return side_rate_sum_[static_cast<size_t>(side_key)].bps() >= saturated_at_;
   }
 
   Simulation* sim_;
   monoutil::BytesPerSecond nic_bandwidth_;
-  monoutil::SimTime request_latency_;
+  // Rate-comparison tolerance, 1e-9 of the bandwidth (at least 1e-9 B/s), and
+  // the rate sum at which a side counts as saturated (bandwidth minus it).
+  double eps_;
+  double saturated_at_;
 
   // Flow registry: every live flow in ascending id order — the canonical solve
   // order. Ids are assigned monotonically, so arrival is a push_back; departure
   // (and lookup) is a binary search. Full-component solves (the common case in
   // a loaded fabric) take this list verbatim instead of re-sorting the
   // collected set. The structs themselves come from a pooled arena below.
+  // flow_pair_ holds each registry entry's PairKey at the same index, so the
+  // spanning apply walk can pick out changed pairs without a dereference.
   std::vector<Flow*> flows_by_id_;
+  std::vector<int> flow_pair_;
   // Flow arena: fixed-size blocks and a LIFO free list. Pooling keeps the
   // structs clustered in a few pages, so the solver's and audit's walks don't
   // chase one heap allocation per flow; recycling makes steady-state churn
@@ -381,6 +384,10 @@ class NetworkFabricSim : public Auditable {
   // on arrival and departure.
   std::vector<int> pair_count_;
   std::vector<int> live_pairs_;
+  // The rate every live flow of a pair carries (with its completion keyed),
+  // as the last spanning flush applied it; NaN when unknown. An arrival and a
+  // component-solve apply set it to NaN; a departure leaves it valid.
+  std::vector<double> pair_applied_;
   // The cached earliest live completion (see EarliestDue): the flow with the
   // minimum (predicted_done, id), or nullptr when no flow has a rate. While
   // invalid it is recomputed on demand. One simulation event tracks it;
@@ -399,30 +406,19 @@ class NetworkFabricSim : public Auditable {
   std::vector<uint64_t> side_visit_stamp_;
   std::vector<int> pending_sides_;
 
-  // Solver scratch (SolveMaxMin): the side-key -> slot and pair-key -> class
-  // maps are stamped per solve, and per-slot and per-class state keeps its
-  // capacity across solves, so the steady-state solve allocates nothing.
+  // Solver scratch (SolveMaxMin): the side-key -> slot map is stamped per
+  // solve, and per-slot state keeps its capacity across solves, so the
+  // steady-state solve allocates nothing.
   uint64_t solve_stamp_ = 0;
   std::vector<uint64_t> slot_stamp_;  // Side key -> last solve that used it.
   std::vector<int> slot_of_;          // Side key -> slot within that solve.
-  std::vector<uint64_t> pair_stamp_;  // Pair key -> last solve that classed it.
-  std::vector<int> pair_class_;       // Pair key -> class within that solve.
-  // The solved rate of each pair key; negative while its class is unfrozen.
+  // The solved rate of each pair key; negative while its class is unfrozen
+  // (every entry is non-negative between solves).
   std::vector<double> pair_rate_;
-  // Per-class state: pair key, multiplicity, and egress/ingress slots.
-  std::vector<int> class_key_;
-  std::vector<int> class_count_;
-  std::vector<int> class_egress_;
-  std::vector<int> class_ingress_;
   int num_slots_ = 0;
   std::vector<double> slot_consumed_;
   std::vector<int> slot_unfrozen_;    // Flows not yet frozen, per slot.
   std::vector<double> slot_cap_;  // Fill level at which the slot saturates.
-  // Slot -> class-index adjacency, CSR layout (slot_cursor_ is the fill
-  // pass's write cursor).
-  std::vector<int> slot_adj_offset_;
-  std::vector<int> slot_adj_;
-  std::vector<int> slot_cursor_;
   // Per-slot sub-solve results, read by the boundary check: the side key behind
   // the slot, the fixed consumption of unaffected flows (and their top share,
   // filled by the check's first pass), the level the side froze its
@@ -435,8 +431,10 @@ class NetworkFabricSim : public Auditable {
   std::vector<double> slot_total_;
   std::vector<double> slot_max_affected_;
 
-  // Flush scratch (FlushPending), reused across epochs. `affected_sides_` is the
-  // NIC sides crossed by the current affected set (plus the emptied dirty ones).
+  // Flush scratch (FlushPending), reused across epochs. `component_scratch_`
+  // holds the solved flows, or after a spanning solve the changed pairs'
+  // members. `affected_sides_` is the NIC sides crossed by the current
+  // affected set (plus the emptied dirty ones).
   std::vector<Flow*> component_scratch_;
   std::vector<std::pair<FlowId, Flow*>> sort_scratch_;
   std::vector<int> touched_scratch_;
@@ -474,7 +472,8 @@ class NetworkFabricSim : public Auditable {
   std::vector<uint64_t> ingress_record_stamp_;
   uint64_t ingress_record_call_ = 0;
 
-  // Audit scratch, refilled by every epoch-boundary sweep: the live-flow
+  // Audit scratch, refilled by every epoch-boundary sweep (the per-pair
+  // recount also by SolveMaxMin's audited class check): the live-flow
   // snapshot, its per-side ground-truth aggregates, and the per-pair recount.
   // Mutable because AuditInvariants is const — the sweep reuses the buffers,
   // it does not change observable fabric state.

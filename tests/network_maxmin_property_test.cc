@@ -265,6 +265,99 @@ TEST(NetworkMaxMinPropertyTest, PruningEligibleDeltasArePatchedAndStayCorrect) {
       << "no departure of a pair's sole flow was patched";
 }
 
+// One flow of a scripted scenario: started at `at` seconds; if `then_dst` is
+// set, its completion starts a long then_src->then_dst flow at the same
+// instant.
+struct ScriptedFlow {
+  double at;
+  int src;
+  int dst;
+  int64_t bytes;
+  int then_src = -1;
+  int then_dst = -1;
+};
+
+// Bytes of a flow that outlasts every scripted event.
+constexpr int64_t kLong = 1000000;
+
+// Runs `script` on `machines` NICs of 100 B/s each way, comparing every rate
+// with the reference solver after each event (which flushes it, so flows
+// started at one instant are still flushed one by one), and returns the
+// solver stats.
+NetworkFabricSim::SolverStats RunScript(int machines, const std::vector<ScriptedFlow>& script) {
+  constexpr double kBandwidth = 100.0;
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, machines, monoutil::BytesPerSecond(kBandwidth));
+  for (const ScriptedFlow& flow : script) {
+    sim.ScheduleAt(monoutil::Seconds(flow.at), [&fabric, flow] {
+      fabric.StartFlow(flow.src, flow.dst, monoutil::Bytes(flow.bytes), [&fabric, flow] {
+        if (flow.then_dst >= 0) {
+          fabric.StartFlow(flow.then_src, flow.then_dst, monoutil::Bytes(kLong), [] {});
+        }
+      });
+    });
+  }
+  while (sim.Step()) {
+    ExpectRatesMatchReference(fabric, kBandwidth, machines, sim.now());
+    if (::testing::Test::HasFatalFailure()) {
+      break;
+    }
+  }
+  return fabric.solver_stats();
+}
+
+TEST(NetworkMaxMinPropertyTest, SpanningFlushAppliesRatesSetOutsideIt) {
+  // A flush whose solve spans the whole fabric applies only the pairs whose
+  // solved rate differs from the one it last applied to them. Each scenario
+  // below sets a pair's flows to some rate outside such a flush, then forces
+  // one that solves the pair back to the rate it last applied there: unless
+  // the outside path forgot that rate, the flows keep the wrong one.
+
+  // A flow completes and its callback starts a replacement on the same pair:
+  // one batched departure plus arrival, so the pair's solved rate (and count)
+  // is unchanged while the new member has no rate at all.
+  RunScript(3, {{0.0, 0, 1, 100, 0, 1}, {0.0, 0, 1, kLong}, {0.0, 2, 1, kLong}});
+  if (HasFatalFailure()) {
+    return;
+  }
+
+  // A patched arrival: 3->4 runs at 66.7 and leaves at t=3 (a patched
+  // departure); 1->5 leaves at t=6, which lifts 3->5 to 50; a new 3->4 flow
+  // is patched in at 50 at t=7 (the third patched arrival), and a new 1->5
+  // flow at t=8 forces a spanning flush that solves 3->4 at 66.7 again.
+  const NetworkFabricSim::SolverStats patched =
+      RunScript(6, {{0.0, 3, 5, kLong}, {0.0, 0, 5, kLong}, {0.0, 1, 5, 200}, {0.0, 3, 4, 200},
+                    {7.0, 3, 4, kLong}, {8.0, 1, 5, kLong}});
+  if (HasFatalFailure()) {
+    return;
+  }
+  EXPECT_EQ(patched.patched_arrivals, 3u);
+
+  // An affected-set sub-solve: 2->1 leaves at t=7 and a sub-solve over 0->1
+  // alone raises it to 100; a new 2->1 flow then forces a spanning flush that
+  // solves 0->1 back to 50.
+  RunScript(8, {{0.0, 0, 1, kLong}, {0.0, 2, 1, 300}, {0.0, 4, 5, kLong}, {0.0, 6, 7, kLong},
+                {0.0, 0, 5, 250}, {0.0, 6, 1, 100}, {8.0, 2, 1, kLong}});
+  if (HasFatalFailure()) {
+    return;
+  }
+
+  // A full-closure component solve. Once a flush has found the closure to span
+  // every flow, the next few dozen fallbacks solve the whole fabric without
+  // collecting it; 70 flows stacked on 6->7 use those up and keep the fabric
+  // in two components. When 2->1 leaves at t=9, its closure {0->1, 5->1, 0->3}
+  // is solved alone and 0->1 rises from 33.3 to 50. The 6->7 flows end at
+  // t=70, and a new 2->1 flow at t=80 makes the closure span the fabric
+  // again, solving 0->1 back to 33.3.
+  std::vector<ScriptedFlow> script = {
+      {0.0, 0, 1, kLong}, {0.0, 2, 1, 300}, {0.0, 5, 1, kLong}, {0.0, 0, 3, kLong}};
+  for (int i = 0; i < 70; ++i) {
+    script.push_back({0.0, 6, 7, 100});
+  }
+  script.push_back({80.0, 2, 1, kLong});
+  RunScript(8, script);
+}
+
 TEST(NetworkMaxMinPropertyTest, HeavyFanInSequencesStayWorkConserving) {
   // Skewed sequences: most flows converge on one hot receiver (Spark's
   // many-concurrent-fetch shuffle pattern), the rest are scattered — the shape the

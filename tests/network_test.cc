@@ -238,12 +238,11 @@ TEST(NetworkFabricTest, ZeroByteFlowStartedAtSharedInstantCompletesInSameLoop) {
 
 TEST(NetworkFabricTest, ControlMessageTakesRequestLatency) {
   Simulation sim;
-  NetworkFabricSim fabric(&sim, 2, monoutil::BytesPerSecond(100.0),
-                          /*request_latency=*/monoutil::Seconds(0.25));
+  NetworkFabricSim fabric(&sim, 2, monoutil::BytesPerSecond(100.0));
   double delivered_at = -1.0;
   fabric.SendControl(0, 1, [&] { delivered_at = sim.now().seconds(); });
   sim.Run();
-  EXPECT_NEAR(delivered_at, 0.25, 1e-12);
+  EXPECT_NEAR(delivered_at, 0.001, 1e-12);
 }
 
 TEST(NetworkFabricTest, TracksTotalBytes) {

@@ -30,9 +30,11 @@
 #include "src/common/rng.h"
 #include "src/framework/environment.h"
 #include "src/monotask/mono_executor.h"
+#include "src/multitask/spark_executor.h"
 #include "src/simcore/fluid_server.h"
 #include "src/simcore/simulation.h"
 #include "src/workloads/clusters.h"
+#include "src/workloads/ml.h"
 #include "src/workloads/sort.h"
 #include "tests/alloc_hooks.h"
 
@@ -219,6 +221,39 @@ TEST(PooledKernelDigest, SortJobMatchesPreChangeKernel) {
   env.driver().RunJob(std::move(job));
   EXPECT_EQ(181u, env.sim().fired_events());
   EXPECT_EQ(0x9c0fc9e976a310a5ull, env.sim().digest());
+}
+
+// The Fig 7 least-squares job on its 15 x 2 SSD cluster, Spark then MonoSpark,
+// each in a fresh environment: in-memory shuffles keep the max-min fabric
+// loaded and mostly one connected component, so this pins the spanning-solve
+// path that the sort oracles above barely reach.
+TEST(PooledKernelDigest, MlJobMatchesParent) {
+  monoload::MlParams params;
+  params.num_stages = 2;
+  struct Witness {
+    uint64_t fired;
+    uint64_t digest;
+  };
+  const auto run = [&params](bool monotasks) {
+    SimEnvironment env(monoload::MlClusterConfig());
+    JobSpec job = monoload::MakeMlJob(params);
+    if (monotasks) {
+      MonotasksExecutorSim executor(&env.sim(), &env.cluster(), &env.pool(), {});
+      env.AttachExecutor(&executor);
+      env.driver().RunJob(std::move(job));
+    } else {
+      SparkExecutorSim executor(&env.sim(), &env.cluster(), &env.pool(), {});
+      env.AttachExecutor(&executor);
+      env.driver().RunJob(std::move(job));
+    }
+    return Witness{env.sim().fired_events(), env.sim().digest()};
+  };
+  const Witness spark = run(false);
+  EXPECT_EQ(25609u, spark.fired);
+  EXPECT_EQ(0x565919a47db6b698ull, spark.digest);
+  const Witness mono = run(true);
+  EXPECT_EQ(16801u, mono.fired);
+  EXPECT_EQ(0x7bc876401868dae7ull, mono.digest);
 }
 
 // ---------------------------------------------------------------------------

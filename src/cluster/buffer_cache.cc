@@ -168,33 +168,22 @@ void BufferCacheSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
   }
 }
 
-void BufferCacheSim::Write(int disk_index, Bytes bytes, std::function<void()> done) {
+void BufferCacheSim::WriteImpl(int disk_index, Bytes bytes, InlineCallback&& done,
+                               bool sync) {
   MONO_CHECK(disk_index >= 0 && static_cast<size_t>(disk_index) < disks_.size());
   MONO_CHECK(bytes >= Bytes(0));
   if (total_dirty_ + bytes > config_.dirty_limit && total_dirty_ > Bytes(0)) {
     // Over the dirty limit: throttle the writer until flushing frees headroom, and
     // make sure flushing is actually running.
     blocked_writes_.push_back(
-        PendingWrite{disk_index, bytes, std::move(done), false, sim_->now()});
+        PendingWrite{disk_index, bytes, std::move(done), sync, sim_->now()});
     MaybeStartWriteback(/*pressure=*/true);
     return;
   }
-  AdmitWrite(disk_index, bytes, std::move(done), /*sync=*/false);
+  AdmitWrite(disk_index, bytes, std::move(done), sync);
 }
 
-void BufferCacheSim::WriteSync(int disk_index, Bytes bytes, std::function<void()> done) {
-  MONO_CHECK(disk_index >= 0 && static_cast<size_t>(disk_index) < disks_.size());
-  MONO_CHECK(bytes >= Bytes(0));
-  if (total_dirty_ + bytes > config_.dirty_limit && total_dirty_ > Bytes(0)) {
-    blocked_writes_.push_back(
-        PendingWrite{disk_index, bytes, std::move(done), true, sim_->now()});
-    MaybeStartWriteback(/*pressure=*/true);
-    return;
-  }
-  AdmitWrite(disk_index, bytes, std::move(done), /*sync=*/true);
-}
-
-void BufferCacheSim::AdmitWrite(int disk_index, Bytes bytes, std::function<void()> done,
+void BufferCacheSim::AdmitWrite(int disk_index, Bytes bytes, InlineCallback&& done,
                                 bool sync) {
   const auto d = static_cast<size_t>(disk_index);
   dirty_per_disk_[d] += bytes;

@@ -19,8 +19,8 @@
 #define MONOTASKS_SRC_CLUSTER_BUFFER_CACHE_H_
 
 #include <deque>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_config.h"
@@ -48,14 +48,23 @@ class BufferCacheSim : public Auditable {
   BufferCacheSim(const BufferCacheSim&) = delete;
   BufferCacheSim& operator=(const BufferCacheSim&) = delete;
 
-  // Writes `bytes` destined for `disk_index` through the cache; `done` fires when the
+  // Writes `bytes` destined for `disk_index` through the cache; `done` (any
+  // void() callable, wrapped once against the simulation's arena) fires when the
   // write has been absorbed (memory-speed unless the cache is over its dirty limit).
-  void Write(int disk_index, monoutil::Bytes bytes, std::function<void()> done);
+  template <typename F>
+  void Write(int disk_index, monoutil::Bytes bytes, F&& done) {
+    WriteImpl(disk_index, bytes, WrapCallback(std::forward<F>(done), sim_->callback_arena()),
+              /*sync=*/false);
+  }
 
   // Like Write, but `done` fires only once the bytes are durable on the disk ("OS
   // configured to force writes to disk", §5.3). Data still flows through the cache's
   // flusher, so writes remain elevator-batched rather than issued per caller.
-  void WriteSync(int disk_index, monoutil::Bytes bytes, std::function<void()> done);
+  template <typename F>
+  void WriteSync(int disk_index, monoutil::Bytes bytes, F&& done) {
+    WriteImpl(disk_index, bytes, WrapCallback(std::forward<F>(done), sim_->callback_arena()),
+              /*sync=*/true);
+  }
 
   // Dirty bytes not yet flushed to any disk.
   monoutil::Bytes total_dirty() const { return total_dirty_; }
@@ -83,17 +92,18 @@ class BufferCacheSim : public Auditable {
   struct PendingWrite {
     int disk_index;
     monoutil::Bytes bytes;
-    std::function<void()> done;
+    InlineCallback done;
     bool sync = false;
     SimTime blocked_at;  // When the writer hit the dirty limit.
   };
   struct SyncWaiter {
     monoutil::Bytes flushed_threshold;
-    std::function<void()> done;
+    InlineCallback done;
   };
 
-  void AdmitWrite(int disk_index, monoutil::Bytes bytes, std::function<void()> done,
-                  bool sync);
+  // Shared implementation behind the Write and WriteSync templates.
+  void WriteImpl(int disk_index, monoutil::Bytes bytes, InlineCallback&& done, bool sync);
+  void AdmitWrite(int disk_index, monoutil::Bytes bytes, InlineCallback&& done, bool sync);
   void MaybeStartWriteback(bool pressure);
   void PumpFlusher();
   void OnFlushDone(int disk_index, monoutil::Bytes bytes);

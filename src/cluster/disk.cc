@@ -80,20 +80,14 @@ void DiskSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
   }
 }
 
-void DiskSim::ReadImpl(monoutil::Bytes bytes, InlineCallback&& done) {
+double DiskSim::AdmitRead(monoutil::Bytes bytes) {
   MONO_CHECK(bytes >= monoutil::Bytes(0));
   bytes_read_ += bytes;
   ++active_reads_;
-  server_.Submit(
-      static_cast<double>(bytes.count()),
-      [this, done = std::move(done)]() mutable {
-        --active_reads_;
-        done();
-      },
-      kReadContentionWeight, /*share_weight=*/1.0);
+  return kReadContentionWeight;
 }
 
-void DiskSim::WriteImpl(monoutil::Bytes bytes, InlineCallback&& done) {
+double DiskSim::AdmitWrite(monoutil::Bytes bytes) {
   MONO_CHECK(bytes >= monoutil::Bytes(0));
   bytes_written_ += bytes;
   // A write interleaved with reads thrashes the head; writes alone are batched by
@@ -105,10 +99,7 @@ void DiskSim::WriteImpl(monoutil::Bytes bytes, InlineCallback&& done) {
   // not get served 24x faster than a read. All disk requests therefore carry share
   // weight 1 (equal bandwidth split), which is also what the contention weights
   // were calibrated against.
-  const double weight =
-      active_reads_ > 0 ? kWriteContentionWeightMixed : kWriteContentionWeightSolo;
-  server_.Submit(static_cast<double>(bytes.count()), std::move(done), weight,
-                 /*share_weight=*/1.0);
+  return active_reads_ > 0 ? kWriteContentionWeightMixed : kWriteContentionWeightSolo;
 }
 
 }  // namespace monosim

@@ -9,7 +9,6 @@
 #define MONOTASKS_SRC_CLUSTER_DISK_H_
 
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "src/cluster/cluster_config.h"
@@ -33,16 +32,26 @@ class DiskSim : public Auditable {
 
   // Starts a read of `bytes`; `done` (any void() callable; oversize captures
   // draw pooled storage from the owning simulation's arena) fires when the
-  // data is in memory.
+  // data is in memory. `done` is captured by value next to `this` and wrapped
+  // once, so a capture of up to 40 bytes stays inline.
   template <typename F>
   void Read(monoutil::Bytes bytes, F&& done) {
-    ReadImpl(bytes, WrapCallback(std::forward<F>(done)));
+    const double weight = AdmitRead(bytes);
+    server_.Submit(
+        static_cast<double>(bytes.count()),
+        [this, done = std::forward<F>(done)]() mutable {
+          --active_reads_;
+          done();
+        },
+        weight, /*share_weight=*/1.0);
   }
 
   // Starts a write-through of `bytes`; `done` fires when the data is durable.
   template <typename F>
   void Write(monoutil::Bytes bytes, F&& done) {
-    WriteImpl(bytes, WrapCallback(std::forward<F>(done)));
+    const double weight = AdmitWrite(bytes);
+    server_.Submit(static_cast<double>(bytes.count()), std::forward<F>(done), weight,
+                   /*share_weight=*/1.0);
   }
 
   // Number of requests currently being served by the device.
@@ -77,19 +86,10 @@ class DiskSim : public Auditable {
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
-  // Wraps a caller's callback against the owning simulation's arena; a
-  // ready-made InlineCallback passes through.
-  template <typename F>
-  InlineCallback WrapCallback(F&& fn) {
-    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
-      return std::forward<F>(fn);
-    } else {
-      return InlineCallback(std::forward<F>(fn), sim_->callback_arena());
-    }
-  }
-
-  void ReadImpl(monoutil::Bytes bytes, InlineCallback&& done);
-  void WriteImpl(monoutil::Bytes bytes, InlineCallback&& done);
+  // Book a read or write of `bytes` about to be submitted and return its
+  // contention weight. Every disk request carries share weight 1.
+  double AdmitRead(monoutil::Bytes bytes);
+  double AdmitWrite(monoutil::Bytes bytes);
 
   Simulation* sim_;
   DiskConfig config_;

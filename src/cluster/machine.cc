@@ -24,11 +24,6 @@ MachineSim::MachineSim(Simulation* sim, int machine_id, const MachineConfig& con
   buffer_cache_ = std::make_unique<BufferCacheSim>(sim, config.buffer_cache, raw_disks);
 }
 
-void MachineSim::RunCompute(double cpu_seconds, std::function<void()> done) {
-  MONO_CHECK(cpu_seconds >= 0);
-  cpu_.Submit(cpu_seconds, std::move(done));
-}
-
 void MachineSim::EnableTrace() {
   cpu_.EnableTrace();
   for (auto& disk : disks_) {

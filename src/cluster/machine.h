@@ -9,12 +9,14 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/buffer_cache.h"
 #include "src/cluster/cluster_config.h"
 #include "src/cluster/disk.h"
 #include "src/cluster/network.h"
+#include "src/common/check.h"
 #include "src/simcore/fluid_server.h"
 #include "src/simcore/simulation.h"
 
@@ -32,11 +34,16 @@ class MachineSim {
   int num_disks() const { return static_cast<int>(disks_.size()); }
   const MachineConfig& config() const { return config_; }
 
-  // CPU pool: submit `cpu_seconds` of single-threaded compute. CPU work is a
-  // FluidServer *work amount* (it stretches under contention), not a span of
-  // the simulated clock, so it is deliberately not a SimTime.
+  // CPU pool: submit `cpu_seconds` of single-threaded compute; `done` (any
+  // void() callable, wrapped once for the pool) fires when it is served. CPU
+  // work is a FluidServer *work amount* (it stretches under contention), not a
+  // span of the simulated clock, so it is deliberately not a SimTime.
+  template <typename F>
   void RunCompute(double cpu_seconds,  // CPU work units, not a SimTime span.
-                  std::function<void()> done);
+                  F&& done) {
+    MONO_CHECK(cpu_seconds >= 0);
+    cpu_.Submit(cpu_seconds, std::forward<F>(done));
+  }
   int active_compute() const { return cpu_.active(); }
 
   DiskSim& disk(int index) { return *disks_[static_cast<size_t>(index)]; }

@@ -75,7 +75,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -116,14 +115,15 @@ class NetworkFabricSim : public Auditable {
   // from the owning simulation's arena) fires when the last byte arrives.
   template <typename F>
   FlowId StartFlow(int src, int dst, monoutil::Bytes bytes, F&& done) {
-    return StartFlowImpl(src, dst, bytes, WrapCallback(std::forward<F>(done)));
+    return StartFlowImpl(src, dst, bytes,
+                         WrapCallback(std::forward<F>(done), sim_->callback_arena()));
   }
 
   // Delivers a small control message (a shuffle data request) from `src` to
   // `dst` after a fixed one-way latency of 1 ms.
   template <typename F>
   void SendControl(int src, int dst, F&& deliver) {
-    SendControlImpl(src, dst, WrapCallback(std::forward<F>(deliver)));
+    SendControlImpl(src, dst, WrapCallback(std::forward<F>(deliver), sim_->callback_arena()));
   }
 
   int num_machines() const { return static_cast<int>(ingress_flows_.size()); }
@@ -314,18 +314,6 @@ class NetworkFabricSim : public Auditable {
   void RecordIngressTouched(int machine) { RecordIngressTouched({&machine, 1}); }
 
   void OnFlowComplete(FlowId id);
-
-  // Wraps a caller's callback against the owning simulation's arena; a
-  // ready-made InlineCallback passes through. Shared by the StartFlow and
-  // SendControl templates.
-  template <typename F>
-  InlineCallback WrapCallback(F&& fn) {
-    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
-      return std::forward<F>(fn);
-    } else {
-      return InlineCallback(std::forward<F>(fn), sim_->callback_arena());
-    }
-  }
 
   // Out-of-line implementations behind the StartFlow/SendControl templates.
   FlowId StartFlowImpl(int src, int dst, monoutil::Bytes bytes, InlineCallback&& done);

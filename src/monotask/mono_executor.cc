@@ -96,6 +96,13 @@ void MonotasksExecutorSim::AuditInvariants(SimAudit& audit, AuditPhase phase) co
           << " has queued or running monotasks after the event queue drained";
         return d.str();
       });
+      audit.ExpectLazy(worker.buffered_bytes == monoutil::Bytes(0), now, source,
+                       "drained-buffered-bytes", [&] {
+                         std::ostringstream d;
+                         d << "machine " << m << " still counts " << worker.buffered_bytes
+                           << " of buffered task data after the event queue drained";
+                         return d.str();
+                       });
     }
   }
 }
@@ -249,8 +256,7 @@ void MonotasksExecutorSim::AddBuffered(int machine, monoutil::Bytes bytes) {
 
 void MonotasksExecutorSim::RemoveBuffered(int machine, monoutil::Bytes bytes) {
   WorkerState& worker = workers_[static_cast<size_t>(machine)];
-  worker.buffered_bytes =
-      std::max(monoutil::Bytes(0), worker.buffered_bytes - bytes);
+  worker.buffered_bytes -= bytes;
   if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
     tracer->Counter(TraceProcess(machine), "buffered-bytes", sim_->now().seconds(),
                     static_cast<double>(worker.buffered_bytes.count()));

@@ -53,6 +53,13 @@ void SparkExecutorSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     });
     for (size_t m = 0; m < machines_.size(); ++m) {
       const MachineState& state = machines_[m];
+      audit.ExpectLazy(state.buffered_bytes == monoutil::Bytes(0), now, source,
+                       "drained-buffered-bytes", [&] {
+                         std::ostringstream d;
+                         d << "machine " << m << " still counts " << state.buffered_bytes
+                           << " of buffered task data after the event queue drained";
+                         return d.str();
+                       });
       audit.ExpectLazy(state.active_serve_reads == 0 && state.serve_read_queue.empty(),
                        now, source, "drained-serve-reads", [&] {
                          std::ostringstream d;
@@ -223,7 +230,7 @@ void SparkExecutorSim::AddBuffered(int machine, monoutil::Bytes bytes) {
 
 void SparkExecutorSim::RemoveBuffered(int machine, monoutil::Bytes bytes) {
   MachineState& state = machines_[static_cast<size_t>(machine)];
-  state.buffered_bytes = std::max(monoutil::Bytes(0), state.buffered_bytes - bytes);
+  state.buffered_bytes -= bytes;
   if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
     tracer->Counter(TraceProcess(machine), "buffered-bytes", sim_->now().seconds(),
                     static_cast<double>(state.buffered_bytes.count()));

@@ -59,10 +59,14 @@ SparkTaskSim::SparkTaskSim(SparkExecutorSim* executor, TaskAssignment assignment
       static_cast<double>(write_total.count()) / static_cast<double>(total_chunks_);
 }
 
-void SparkTaskSim::TraceChunkSpan(int machine, const std::string& lane_base,
+void SparkTaskSim::TraceChunkSpan(int machine, const char* lane, int lane_index,
                                   const char* name, const char* category,
                                   monoutil::SimTime start) {
   if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
+    std::string lane_base = lane;
+    if (lane_index >= 0) {
+      lane_base += std::to_string(lane_index);
+    }
     tracer->CompleteOnLane(executor_->TraceProcess(machine), lane_base, name, category,
                            start.seconds(), executor_->sim_->now().seconds(),
                            assignment_.stage->trace_label());
@@ -161,9 +165,8 @@ void SparkTaskSim::IssueBlockRead() {
     if (assignment_.input_local) {
       // mono_lint: allow(escaping-capture) -- pipeline callback, fires before MaybeFinish().
       disk.Read(Bytes(static_cast<int64_t>(bytes)), [this, bytes, read_start] {
-        TraceChunkSpan(assignment_.input_machine,
-                       "disk" + std::to_string(assignment_.input_disk), "block-read",
-                       "disk", read_start);
+        TraceChunkSpan(assignment_.input_machine, "disk", assignment_.input_disk,
+                       "block-read", "disk", read_start);
         --reads_in_flight_;
         if (reads_issued_ == total_chunks_ && reads_in_flight_ == 0) {
           reader_done_ = true;
@@ -174,15 +177,14 @@ void SparkTaskSim::IssueBlockRead() {
       // Remote block: disk read on the block's home machine, then a network flow.
       // mono_lint: allow(escaping-capture) -- pipeline callback, fires before MaybeFinish().
       disk.Read(Bytes(static_cast<int64_t>(bytes)), [this, bytes, read_start] {
-        TraceChunkSpan(assignment_.input_machine,
-                       "disk" + std::to_string(assignment_.input_disk), "block-read",
-                       "disk", read_start);
+        TraceChunkSpan(assignment_.input_machine, "disk", assignment_.input_disk,
+                       "block-read", "disk", read_start);
         const SimTime flow_start = executor_->sim_->now();
         executor_->cluster_->fabric().StartFlow(
             assignment_.input_machine, assignment_.machine, Bytes(static_cast<int64_t>(bytes)),
             // mono_lint: allow(escaping-capture) -- pipeline callback, fires before MaybeFinish().
             [this, bytes, flow_start] {
-              TraceChunkSpan(assignment_.machine, "net-in", "block-flow", "network",
+              TraceChunkSpan(assignment_.machine, "net-in", -1, "block-flow", "network",
                              flow_start);
               --reads_in_flight_;
               if (reads_issued_ == total_chunks_ && reads_in_flight_ == 0) {
@@ -221,8 +223,8 @@ void SparkTaskSim::StartNextFetch() {
         executor_->cluster_->machine(assignment_.machine).disk(disk).Read(
             // mono_lint: allow(escaping-capture) -- pipeline callback, fires before MaybeFinish().
             portion.bytes, [this, disk, read_start, delivered = std::move(delivered)] {
-              TraceChunkSpan(assignment_.machine, "disk" + std::to_string(disk),
-                             "shuffle-read", "disk", read_start);
+              TraceChunkSpan(assignment_.machine, "disk", disk, "shuffle-read", "disk",
+                             read_start);
               delivered();
             });
       } else {
@@ -245,7 +247,7 @@ void SparkTaskSim::StartNextFetch() {
           // mono_lint: allow(escaping-capture) -- pipeline callback, fires before MaybeFinish().
           auto send = [this, portion, delivered, serve_start] {
             if (serve_from_disk_) {
-              TraceChunkSpan(portion.src_machine, "serve", "serve-read", "disk",
+              TraceChunkSpan(portion.src_machine, "serve", -1, "serve-read", "disk",
                              serve_start);
             }
             const SimTime flow_start = executor_->sim_->now();
@@ -253,7 +255,7 @@ void SparkTaskSim::StartNextFetch() {
                 portion.src_machine, assignment_.machine, portion.bytes,
                 // mono_lint: allow(escaping-capture) -- pipeline callback, fires before MaybeFinish().
                 [this, delivered, flow_start] {
-                  TraceChunkSpan(assignment_.machine, "net-in", "shuffle-fetch",
+                  TraceChunkSpan(assignment_.machine, "net-in", -1, "shuffle-fetch",
                                  "network", flow_start);
                   delivered();
                 });
@@ -269,6 +271,7 @@ void SparkTaskSim::StartNextFetch() {
 
 void SparkTaskSim::OnChunkDelivered(Bytes bytes) {
   delivered_bytes_ += static_cast<double>(bytes.count());
+  buffered_ += bytes;
   executor_->AddBuffered(assignment_.machine, bytes);
   Pump();
 }
@@ -293,13 +296,19 @@ void SparkTaskSim::AdvanceCompute() {
                   [this, compute_start] {
         // Span covers submission to completion, so CPU-pool contention (which
         // Spark cannot separate from compute) is inside it.
-        TraceChunkSpan(assignment_.machine, "compute", "chunk-compute", "cpu",
+        TraceChunkSpan(assignment_.machine, "compute", -1, "chunk-compute", "cpu",
                        compute_start);
         compute_busy_ = false;
         ++chunks_computed_;
         if (has_input_io_) {
-          executor_->RemoveBuffered(assignment_.machine,
-                                    Bytes(static_cast<int64_t>(chunk_input_bytes_)));
+          // A chunk releases its whole-byte share of the input; the last one
+          // releases everything delivered, since shuffle portions arrive whole
+          // and need not split into equal whole-byte chunks.
+          const Bytes release = chunks_computed_ == total_chunks_
+                                    ? buffered_
+                                    : Bytes(static_cast<int64_t>(chunk_input_bytes_));
+          buffered_ -= release;
+          executor_->RemoveBuffered(assignment_.machine, release);
         }
         Pump();
       });
@@ -320,7 +329,7 @@ void SparkTaskSim::AdvanceWriter() {
   auto done = [this, write_start] {
     // Category "cache", not "disk": the write completes into the buffer cache
     // at memory speed; the disk work appears later as an untagged flush span.
-    TraceChunkSpan(assignment_.machine, "write", "chunk-write", "cache", write_start);
+    TraceChunkSpan(assignment_.machine, "write", -1, "chunk-write", "cache", write_start);
     writer_busy_ = false;
     ++chunks_written_;
     Pump();

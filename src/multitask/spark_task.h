@@ -64,9 +64,10 @@ class SparkTaskSim {
   int chunks_ready() const;
 
   // Records a completed chunk-phase span ending now on `machine`'s lane group
-  // `lane_base`, tagged with this task's stage label. One branch when tracing
-  // is off.
-  void TraceChunkSpan(int machine, const std::string& lane_base, const char* name,
+  // `lane` (suffixed with `lane_index` when it is not negative: "disk1"),
+  // tagged with this task's stage label. The lane name is built only when a
+  // tracer is installed, so tracing off costs one branch.
+  void TraceChunkSpan(int machine, const char* lane, int lane_index, const char* name,
                       const char* category, monoutil::SimTime start);
 
   SparkExecutorSim* executor_;
@@ -91,6 +92,9 @@ class SparkTaskSim {
   int reads_in_flight_ = 0;
   // mono_lint: allow(raw-unit-double) -- accumulates fractional chunks.
   double delivered_bytes_ = 0.0;
+  // Delivered bytes this task still holds in the executor's buffered-byte
+  // count; computing a chunk releases them.
+  monoutil::Bytes buffered_;
   bool reader_done_ = false;
   // Shuffle fetch engine state.
   struct FetchPortion {

@@ -36,10 +36,20 @@ FluidServer::~FluidServer() {
   sim_->UnregisterAuditable(this);
 }
 
-FluidServer::RequestId FluidServer::SubmitImpl(double amount, InlineCallback&& done,
-                                               double weight, double share_weight) {
+uint32_t FluidServer::AcquireSlot() {
+  if (free_slots_.empty()) {
+    callbacks_.emplace_back();
+    return static_cast<uint32_t>(callbacks_.size() - 1);
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+FluidServer::RequestId FluidServer::Admit(double amount, uint32_t slot, double weight,
+                                          double share_weight) {
   MONO_CHECK(amount >= 0);
-  MONO_CHECK(static_cast<bool>(done));
+  MONO_CHECK(static_cast<bool>(callbacks_[slot].done));
   MONO_CHECK(weight > 0);
   if (share_weight == kSameAsWeight) {
     share_weight = weight;
@@ -47,7 +57,8 @@ FluidServer::RequestId FluidServer::SubmitImpl(double amount, InlineCallback&& d
   MONO_CHECK(share_weight > 0);
   AdvanceProgress();
   const RequestId id = next_id_++;
-  active_.push_back(Request{id, amount, weight, share_weight, 0.0, std::move(done)});
+  callbacks_[slot].id = id;
+  active_.push_back(Request{amount, weight, share_weight, 0.0, slot});
   Reschedule();
   return id;
 }
@@ -55,8 +66,11 @@ FluidServer::RequestId FluidServer::SubmitImpl(double amount, InlineCallback&& d
 double FluidServer::CancelRequest(RequestId id) {
   AdvanceProgress();
   for (auto it = active_.begin(); it != active_.end(); ++it) {
-    if (it->id == id) {
+    CallbackSlot& slot = callbacks_[it->slot];
+    if (slot.id == id) {
       const double remaining = it->remaining;
+      slot.done.reset();
+      free_slots_.push_back(it->slot);
       active_.erase(it);  // Order-preserving; the active set stays in admission order.
       Reschedule();
       return remaining;
@@ -95,57 +109,33 @@ void FluidServer::AdvanceProgress() {
 }
 
 void FluidServer::Reschedule() {
-  // Recompute per-request rates for the current active set.
-  const int n = active();
+  // Recompute per-request rates for the current active set, their total, and
+  // the earliest finish.
   double total_rate = 0.0;
-  if (n > 0) {
+  SimTime min_time{std::numeric_limits<double>::infinity()};
+  if (!active_.empty()) {
     double total_weight = 0.0;
-    for (const auto& req : active_) {
+    double share_sum = 0.0;
+    for (const Request& req : active_) {
       total_weight += req.weight;
+      share_sum += req.share_weight;
     }
     const double cap = capacity_(total_weight);
     MONO_CHECK_MSG(cap > 0, "capacity function must be positive for active requests");
     last_capacity_ = cap;
     max_capacity_seen_ = std::max(max_capacity_seen_, cap);
-    // Weighted fair sharing with a per-request ceiling: start from shares
-    // proportional to share weight and water-fill. A request whose proportional
-    // share reaches the cap is pinned to it and drops out; the capacity it leaves
-    // behind is re-split (again by share weight) among the rest. Every pass pins
-    // at least one request or terminates, so the loop runs at most n times.
-    std::vector<Request*>& open = reschedule_open_;
-    open.clear();
-    open.reserve(active_.size());
-    for (auto& req : active_) {
-      open.push_back(&req);
+    if (per_request_cap_ != kUnlimited) {
+      WaterFillCapped(cap, share_sum);
     }
-    double remaining_cap = cap;
-    while (!open.empty()) {
-      double open_weight = 0.0;
-      for (const Request* req : open) {
-        open_weight += req->share_weight;
+    for (Request& req : active_) {
+      if (per_request_cap_ == kUnlimited) {
+        // Nothing can pin: the proportional share is the whole water-fill.
+        req.rate = cap * req.share_weight / share_sum;
       }
-      const double pass_cap = remaining_cap;
-      bool pinned_any = false;
-      for (auto it = open.begin(); it != open.end();) {
-        const double proportional = pass_cap * (*it)->share_weight / open_weight;
-        if (per_request_cap_ != kUnlimited && proportional >= per_request_cap_) {
-          (*it)->rate = per_request_cap_;
-          remaining_cap -= per_request_cap_;
-          it = open.erase(it);
-          pinned_any = true;
-        } else {
-          ++it;
-        }
-      }
-      if (!pinned_any) {
-        for (Request* req : open) {
-          req->rate = pass_cap * req->share_weight / open_weight;
-        }
-        break;
-      }
-    }
-    for (const auto& req : active_) {
       total_rate += req.rate;
+      if (req.rate > 0) {
+        min_time = std::min(min_time, SimTime(req.remaining / req.rate));
+      }
     }
   } else {
     last_capacity_ = 0.0;
@@ -168,19 +158,51 @@ void FluidServer::Reschedule() {
 
   // Schedule (or clear) the single completion event for the earliest finisher.
   completion_event_.Cancel();
-  if (n == 0) {
+  if (active_.empty()) {
     return;
-  }
-  SimTime min_time{std::numeric_limits<double>::infinity()};
-  for (const auto& req : active_) {
-    if (req.rate > 0) {
-      min_time = std::min(min_time, SimTime(req.remaining / req.rate));
-    }
   }
   MONO_CHECK_MSG(std::isfinite(min_time.seconds()),
                  "active request with zero rate would never finish");
   completion_event_ =
       sim_->ScheduleAfter(min_time, [this] { OnCompletionEvent(); }, "fluid-complete");
+}
+
+void FluidServer::WaterFillCapped(double cap, double share_sum) {
+  // Weighted fair sharing with a per-request ceiling: start from shares
+  // proportional to share weight and water-fill. A request whose proportional
+  // share reaches the cap is pinned to it and drops out; the capacity it leaves
+  // behind is re-split (again by share weight) among the rest. Every pass pins
+  // at least one request or terminates, so the loop runs at most n times. A
+  // pass that pins nothing leaves every open request at its proportional
+  // share, which is its final rate.
+  std::vector<Request*>& open = reschedule_open_;
+  open.clear();
+  for (Request& req : active_) {
+    open.push_back(&req);
+  }
+  double remaining_cap = cap;
+  double open_weight = share_sum;
+  while (!open.empty()) {
+    const double pass_cap = remaining_cap;
+    double kept_weight = 0.0;
+    size_t kept = 0;
+    for (Request* req : open) {
+      const double proportional = pass_cap * req->share_weight / open_weight;
+      if (proportional >= per_request_cap_) {
+        req->rate = per_request_cap_;
+        remaining_cap -= per_request_cap_;
+      } else {
+        req->rate = proportional;
+        kept_weight += req->share_weight;
+        open[kept++] = req;
+      }
+    }
+    if (kept == open.size()) {
+      break;
+    }
+    open.resize(kept);
+    open_weight = kept_weight;
+  }
 }
 
 void FluidServer::OnCompletionEvent() {
@@ -193,15 +215,13 @@ void FluidServer::OnCompletionEvent() {
   std::vector<InlineCallback>& done_callbacks =
       done_scratch_.empty() ? done_scratch_ : local;
   size_t out = 0;
-  for (size_t i = 0; i < active_.size(); ++i) {
-    const double eps = std::max(active_[i].rate, 1.0) * kCompletionEpsilonSeconds;
-    if (active_[i].remaining <= eps) {
-      done_callbacks.push_back(std::move(active_[i].done));
+  for (const Request& req : active_) {
+    const double eps = std::max(req.rate, 1.0) * kCompletionEpsilonSeconds;
+    if (req.remaining <= eps) {
+      done_callbacks.push_back(std::move(callbacks_[req.slot].done));
+      free_slots_.push_back(req.slot);
     } else {
-      if (out != i) {
-        active_[out] = std::move(active_[i]);
-      }
-      ++out;
+      active_[out++] = req;
     }
   }
   active_.resize(out);
@@ -289,14 +309,18 @@ void AuditFluidShares(SimAudit& audit, SimTime now, const char* source,
   }
 }
 
+std::span<const FluidServer::ShareInfo> FluidServer::Shares() const {
+  shares_.clear();
+  for (const Request& req : active_) {
+    shares_.push_back(ShareInfo{callbacks_[req.slot].id, req.rate, req.share_weight});
+  }
+  return shares_;
+}
+
 void FluidServer::AuditInvariants(SimAudit& audit, AuditPhase phase) const {
   const SimTime now = sim_->now();
   const char* source = name_.c_str();
-  audit_shares_.clear();
-  for (const auto& req : active_) {
-    audit_shares_.push_back(ShareInfo{req.id, req.rate, req.share_weight});
-  }
-  AuditFluidShares(audit, now, source, audit_shares_, last_capacity_, per_request_cap_);
+  AuditFluidShares(audit, now, source, Shares(), last_capacity_, per_request_cap_);
 
   // Served work can never exceed the largest capacity ever granted × elapsed time.
   const double elapsed = (now - created_at_).seconds();

@@ -17,6 +17,20 @@
 // pending completion event, so the event count is proportional to the request count.
 // It also integrates served work over time and can record a (time, total-rate) step
 // function for utilization plots (Figs 2 and 9 in the paper).
+//
+// Request path. Every chunk of the simulated Spark baseline is a submit and a
+// completion here, so the path is kept lean without moving a single result:
+//   * An active request is a 40-byte plain record; its `done` callback and id
+//     sit in a slot of a free-listed callback table. Compacting the active set
+//     after a completion copies records, never relocates callbacks.
+//   * An uncapped server (every disk) sets all rates, their total and the
+//     earliest finish in one pass; a capped one (a CPU pool) water-fills by
+//     compacting its open set in place, keeping each pass's proportional share
+//     as the rate when the pass pins nothing.
+// Each rate is the same float expression, each sum runs in admission order,
+// and every reschedule still cancels and re-arms the one completion event, so
+// the event stream (and every run digest) is what the plain two-pass water-fill
+// (tests/fluid_reference.h) produces, bit for bit.
 #ifndef MONOTASKS_SRC_SIMCORE_FLUID_SERVER_H_
 #define MONOTASKS_SRC_SIMCORE_FLUID_SERVER_H_
 
@@ -87,13 +101,9 @@ class FluidServer : public Auditable {
   template <typename F>
   RequestId Submit(double amount, F&& done, double weight = 1.0,
                    double share_weight = kSameAsWeight) {
-    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
-      return SubmitImpl(amount, std::forward<F>(done), weight, share_weight);
-    } else {
-      return SubmitImpl(
-          amount, InlineCallback(std::forward<F>(done), sim_->callback_arena()),
-          weight, share_weight);
-    }
+    const uint32_t slot = AcquireSlot();
+    callbacks_[slot].done = WrapCallback(std::forward<F>(done), sim_->callback_arena());
+    return Admit(amount, slot, weight, share_weight);
   }
 
   // Aborts an in-service request; its `done` callback never fires. Returns the
@@ -143,31 +153,50 @@ class FluidServer : public Auditable {
     double share_weight;
   };
 
+  // The active requests' current slices, in admission order. The span is
+  // valid until the next call.
+  std::span<const ShareInfo> Shares() const;
+
   // Invariant auditing (audit.h): AuditFluidShares over a snapshot of the
   // active requests, served work bounded by capacity × elapsed, and no
   // requests left active when the simulation drains.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
+  // An active request: plain data, so the active set moves by copying.
   struct Request {
-    RequestId id;
     double remaining;
-    double weight = 1.0;        // Contention weight (capacity-function input).
-    double share_weight = 1.0;  // Fair-share weight (capacity-split input).
+    double weight;        // Contention weight (capacity-function input).
+    double share_weight;  // Fair-share weight (capacity-split input).
     // Unit-agnostic: the server drains abstract work (bytes for disks,
     // core-seconds for CPU).
     // mono_lint: allow(raw-unit-double) -- abstract work units per second.
-    double rate = 0.0;
+    double rate;
+    uint32_t slot;  // Index of its callback and id in callbacks_.
+  };
+  static_assert(std::is_trivially_copyable_v<Request> && sizeof(Request) == 40);
+
+  // A request's completion callback and id, held apart from the hot record.
+  struct CallbackSlot {
     InlineCallback done;
+    RequestId id = 0;
   };
 
-  // Shared implementation behind the Submit template.
-  RequestId SubmitImpl(double amount, InlineCallback&& done, double weight,
-                       double share_weight);
+  // Takes a free callback slot (growing the table when none is free).
+  uint32_t AcquireSlot();
 
-  // Advances all active requests to the current time, then recomputes rates and
-  // reschedules the single completion event.
+  // Shared implementation behind the Submit template: admits the request whose
+  // callback already sits in `slot`.
+  RequestId Admit(double amount, uint32_t slot, double weight, double share_weight);
+
+  // Recomputes rates for the current active set and reschedules the single
+  // completion event. Callers first bring progress up to date.
   void Reschedule();
+
+  // The capped water-fill: splits `cap` by share weight (`share_sum` over the
+  // whole active set), pinning requests whose share reaches the per-request
+  // cap and re-splitting what they leave among the rest.
+  void WaterFillCapped(double cap, double share_sum);
 
   // Brings `remaining` up to date with progress since `last_update_`.
   void AdvanceProgress();
@@ -182,11 +211,15 @@ class FluidServer : public Auditable {
   double nominal_capacity_;
 
   // Active requests, in admission order. A vector (not a list): submit and
-  // complete are the fabric's steady-state churn, and vector storage keeps
-  // them free of per-request node allocations once the high-water capacity is
-  // reached. Nothing holds Request pointers across events.
+  // complete are the steady-state churn, and vector storage keeps them free of
+  // per-request node allocations once the high-water capacity is reached.
+  // Nothing holds Request pointers across events.
   std::vector<Request> active_;
-  // Scratch for Reschedule's water-filling pass; member so its capacity
+  // Callback table: one slot per active request, recycled through
+  // free_slots_, so it stops growing at the high-water request count.
+  std::vector<CallbackSlot> callbacks_;
+  std::vector<uint32_t> free_slots_;
+  // Scratch for the capped water-fill's open set; member so its capacity
   // persists across calls instead of reallocating per rate change.
   std::vector<Request*> reschedule_open_;
   // Scratch for OnCompletionEvent's harvested `done` callbacks (re-entrant
@@ -206,9 +239,9 @@ class FluidServer : public Auditable {
   SimTime created_at_;
   double last_capacity_ = 0.0;
   double max_capacity_seen_ = 0.0;
-  // AuditInvariants' snapshot of the active requests; persistent so the
+  // Shares()'s snapshot of the active requests; persistent so the
   // per-reschedule audit costs a fill, not an allocation.
-  mutable std::vector<ShareInfo> audit_shares_;
+  mutable std::vector<ShareInfo> shares_;
 
   bool trace_enabled_ = false;
   RateTrace rate_trace_;

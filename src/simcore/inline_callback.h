@@ -212,6 +212,18 @@ class InlineCallback {
   }
 };
 
+// Wraps `fn` against `arena`; a ready-made InlineCallback (e.g. one a
+// component already built against the same arena) passes through without
+// re-wrapping.
+template <typename F>
+InlineCallback WrapCallback(F&& fn, CallbackArena* arena) {
+  if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
+    return std::forward<F>(fn);
+  } else {
+    return InlineCallback(std::forward<F>(fn), arena);
+  }
+}
+
 }  // namespace monosim
 
 #endif  // MONOTASKS_SRC_SIMCORE_INLINE_CALLBACK_H_

@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -165,14 +164,14 @@ class Simulation {
   // string literal).
   template <typename F>
   EventHandle ScheduleAt(SimTime when, F&& fn, const char* tag = "") {
-    return ScheduleRecord(when, Wrap(std::forward<F>(fn)), tag);
+    return ScheduleRecord(when, WrapCallback(std::forward<F>(fn), &callback_arena_), tag);
   }
 
   // Schedules `fn` to run `delay` seconds from now (delay must be >= 0).
   template <typename F>
   EventHandle ScheduleAfter(SimTime delay, F&& fn, const char* tag = "") {
     MONO_CHECK(delay >= SimTime());
-    return ScheduleRecord(now_ + delay, Wrap(std::forward<F>(fn)), tag);
+    return ScheduleRecord(now_ + delay, WrapCallback(std::forward<F>(fn), &callback_arena_), tag);
   }
 
   // Runs until the event queue is empty.
@@ -200,7 +199,7 @@ class Simulation {
   // the still-current time.
   template <typename F>
   void AtEpochEnd(F&& fn) {
-    InlineCallback task = Wrap(std::forward<F>(fn));
+    InlineCallback task = WrapCallback(std::forward<F>(fn), &callback_arena_);
     MONO_CHECK(static_cast<bool>(task));
     epoch_tasks_.push_back(std::move(task));
   }
@@ -315,18 +314,6 @@ class Simulation {
   // (dropping tombstones on the way) and advances the near/far boundary.
   // Called only with both near structures empty and far_ non-empty.
   void MigrateFar();
-
-  // Wraps a callable for the kernel arena; a ready-made InlineCallback (e.g.
-  // one a component built against callback_arena() already) passes through
-  // without re-wrapping.
-  template <typename F>
-  InlineCallback Wrap(F&& fn) {
-    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
-      return std::forward<F>(fn);
-    } else {
-      return InlineCallback(std::forward<F>(fn), &callback_arena_);
-    }
-  }
 
   // Shared implementation behind the ScheduleAt/ScheduleAfter templates.
   EventHandle ScheduleRecord(SimTime when, InlineCallback&& fn, const char* tag);

@@ -4,6 +4,7 @@
 
 #include "src/framework/environment.h"
 #include "src/multitask/spark_executor.h"
+#include "src/simcore/audit.h"
 #include "src/workloads/read_compute.h"
 #include "src/workloads/sort.h"
 
@@ -129,6 +130,17 @@ TEST(SparkExecutorTest, DeterministicWithJitterSeed) {
   const double first = RunSort(TinyCluster(), config).duration().seconds();
   const double second = RunSort(TinyCluster(), config).duration().seconds();
   EXPECT_DOUBLE_EQ(first, second);
+}
+
+TEST(SparkExecutorTest, ShuffleReadersReleaseEveryBufferedByte) {
+  // Reduce tasks fetch their shuffle portions whole, and an odd-sized sort
+  // splits into chunks that are not whole bytes: the last chunk must release
+  // what the equal whole-byte chunks left over, or the drain audit finds
+  // buffered bytes still counted after the job.
+  ScopedAudit scoped(ScopedAudit::kReport);
+  RunSort(TinyCluster(), SparkConfig{}, MiB(512) + monoutil::Bytes(12345), 7);
+  EXPECT_TRUE(scoped.audit().ok()) << scoped.audit().Summary();
+  EXPECT_GT(scoped.audit().checks_run(), 0u);
 }
 
 }  // namespace

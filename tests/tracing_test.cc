@@ -371,7 +371,11 @@ uint64_t HashMonotaskTimes(const monosim::JobResult& job) {
 // record; restructuring how those views are derived must not move them. The
 // JSON hash alone was re-harvested when the fabric began recording each NIC
 // ingress machine once per flush instead of once per solved flow;
-// TraceContentMatchesParent shows the dropped samples were exact repeats.
+// TraceContentMatchesParent shows the dropped samples were exact repeats. It
+// was re-harvested again when Spark shuffle readers began releasing every
+// buffered byte they fetched: only the values of the Spark "buffered-bytes"
+// counter samples changed (same samples, same timestamps), and each machine's
+// last sample now reads 0 instead of the 122-241 bytes formerly leaked.
 TEST(TracedSortTest, ObservabilityMatchesParent) {
   const TracedRun& run = GetTracedRun();
   std::set<std::string> phases;
@@ -381,7 +385,7 @@ TEST(TracedSortTest, ObservabilityMatchesParent) {
   EXPECT_EQ(phases, (std::set<std::string>{"disk-read", "serve-read", "block-flow",
                                            "shuffle-read", "shuffle-fetch", "compute",
                                            "disk-write"}));
-  EXPECT_EQ(HashBytes(run.json), 0xf8ab09c097b90a8dULL);
+  EXPECT_EQ(HashBytes(run.json), 0x2261fef3fcb76716ULL);
   EXPECT_EQ(HashLog(run.mono_log), 0x213ed3c89fdf1a03ULL);
   EXPECT_EQ(HashMonotaskTimes(run.mono), 0x9708cb7149af530eULL);
 }
@@ -437,7 +441,9 @@ uint64_t HashParsedTrace(const ParsedTrace& trace, bool skip_repeats = false,
 // trace, bit for bit. The constants were harvested from the tree-building
 // parser; the streaming reader that replaced it must not move them. The
 // counter count and the hash were re-harvested when the fabric began
-// recording each NIC ingress machine once per flush.
+// recording each NIC ingress machine once per flush, and the hash again when
+// Spark shuffle readers began releasing every buffered byte (only the Spark
+// "buffered-bytes" sample values moved; see ObservabilityMatchesParent).
 TEST(TracedSortTest, ParsedTraceMatchesParent) {
   const ParsedTrace& trace = GetParsedRun();
   ASSERT_TRUE(trace.ok()) << trace.errors.front();
@@ -445,21 +451,23 @@ TEST(TracedSortTest, ParsedTraceMatchesParent) {
   EXPECT_EQ(trace.spans.size(), 12303u);
   EXPECT_EQ(trace.counters.size(), 30204u);
   EXPECT_EQ(trace.instants.size(), 0u);
-  EXPECT_EQ(HashParsedTrace(trace), 0xe00d00917b41a5f8ULL);
+  EXPECT_EQ(HashParsedTrace(trace), 0x18d8f351669f459cULL);
 }
 
 // Pins the trace's content up to exact repeats: a counter sample that repeats
 // the last sample of its series (same ts, same value) carries nothing, so it is
 // skipped. The constants were harvested while the fabric still recorded one NIC
 // ingress sample per solved flow; recording each machine once per flush must
-// not move them, which shows only exact repeats were dropped.
+// not move them, which shows only exact repeats were dropped. The hash was
+// re-harvested when Spark shuffle readers began releasing every buffered byte
+// (only the Spark "buffered-bytes" sample values moved; the kept count held).
 TEST(TracedSortTest, TraceContentMatchesParent) {
   const ParsedTrace& trace = GetParsedRun();
   ASSERT_TRUE(trace.ok()) << trace.errors.front();
   size_t kept_counters = 0;
   const uint64_t hash = HashParsedTrace(trace, /*skip_repeats=*/true, &kept_counters);
   EXPECT_EQ(kept_counters, 29896u);
-  EXPECT_EQ(hash, 0x0a2d90f59e06aa21ULL);
+  EXPECT_EQ(hash, 0xb25b369b39444c09ULL);
 }
 
 // Every view is derived from the same completion, so they must count the same

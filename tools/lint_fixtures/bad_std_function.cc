@@ -1,5 +1,6 @@
 // Fixture for the std-function-hot-path rule: std::function in event-kernel
-// code (src/simcore) must be flagged unless tagged as config-time.
+// or device code (src/simcore, src/cluster) must be flagged unless tagged as
+// config-time.
 #include <functional>
 
 namespace monosim {

@@ -32,7 +32,9 @@ src/framework, src/storage, src/workloads):
                   allocation order, which is not reproducible.
 
   std-function-hot-path
-                  (src/simcore only) No std::function in the event kernel:
+                  (src/simcore and src/cluster only) No std::function in the
+                  event kernel or on the device APIs (CPU pool, disks, buffer
+                  cache, fabric) whose callbacks ride every chunk event:
                   capturing beyond its small-buffer bound heap-allocates on
                   the schedule/fire path, which the pooled kernel exists to
                   avoid. Take a template callable and wrap it in
@@ -305,15 +307,17 @@ INCLUDE_DIRECTIVE = re.compile(r'^\s*#\s*include\s*"(src/[\w./-]+)"')
 
 CROSS_TU_RULES = ("escaping-capture",)
 
-# The deterministic simulation stack: everything except the kernel-only
-# std-function-hot-path rule, plus the cross-TU discipline rules.
+# The deterministic simulation stack: everything except the
+# std-function-hot-path rule, plus the cross-TU discipline rules. The kernel
+# and the device layer take every rule: their callbacks ride each event.
 _SIM_RULE_SET = tuple(r for r in RULES if r != "std-function-hot-path") + (
     "raw-unit-double", "include-layering") + CROSS_TU_RULES
+_HOT_PATH_RULE_SET = tuple(RULES) + ("raw-unit-double",
+                                     "include-layering") + CROSS_TU_RULES
 
 DIR_RULES: dict[str, tuple[str, ...]] = {
-    "src/simcore": tuple(RULES) + ("raw-unit-double",
-                                   "include-layering") + CROSS_TU_RULES,
-    "src/cluster": _SIM_RULE_SET,
+    "src/simcore": _HOT_PATH_RULE_SET,
+    "src/cluster": _HOT_PATH_RULE_SET,
     "src/monotask": _SIM_RULE_SET,
     "src/multitask": _SIM_RULE_SET,
     "src/model": _SIM_RULE_SET,

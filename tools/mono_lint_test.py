@@ -68,14 +68,36 @@ class StdFunctionHotPathRuleTest(unittest.TestCase):
         # config-time alias and the comment/string mentions stay quiet.
         self.assertEqual(len(found), 2)
 
-    def test_rule_is_scoped_to_the_event_kernel(self) -> None:
-        # Only src/simcore is linted with the rule: the layers above wrap
-        # their callbacks before they reach the kernel, and config-time
-        # std::function there is legitimate.
+    def test_rule_is_scoped_to_the_kernel_and_devices(self) -> None:
+        # Only src/simcore and src/cluster are linted with the rule: the
+        # layers above hand their callbacks to the device APIs, which wrap
+        # them once, and config-time std::function there is legitimate.
         hot = [d for d, rules in mono_lint.DIR_RULES.items()
                if "std-function-hot-path" in rules]
-        self.assertEqual(hot, ["src/simcore"])
+        self.assertEqual(hot, ["src/simcore", "src/cluster"])
         self.assertIn("std-function-hot-path", mono_lint.ALL_RULES)
+
+    def test_device_api_std_function_fails_the_tree(self) -> None:
+        # A std::function parameter on a device API in src/cluster fails the
+        # tree; the same declaration in an executor directory does not.
+        import tempfile
+        device_api = (
+            "#include <functional>\n"
+            "namespace monosim {\n"
+            "class MachineLike {\n"
+            " public:\n"
+            "  void RunCompute(double cpu_seconds, std::function<void()> done);\n"
+            "};\n"
+            "}  // namespace monosim\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            for directory in ("cluster", "multitask"):
+                (root / "src" / directory).mkdir(parents=True)
+                (root / "src" / directory / "machine_like.h").write_text(device_api)
+            flagged = [v for v in mono_lint.lint_tree(root)
+                       if v.rule == "std-function-hot-path"]
+            self.assertEqual([v.path.parent.name for v in flagged], ["cluster"])
+            self.assertEqual(flagged[0].line_number, 5)
 
 
 class RawUnitDoubleRuleTest(unittest.TestCase):

@@ -1,7 +1,6 @@
 #include "src/api/context.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -13,8 +12,26 @@
 namespace monotasks {
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
+// The driver's one wall clock: runs `work` and returns the seconds it took.
+template <typename Work>
+double WallSeconds(Work&& work) {
+  const auto start = std::chrono::steady_clock::now();
+  work();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+std::unique_ptr<Monotask> MakeMonotask(
+    ResourceType resource, std::string label, std::function<void()> fn,
+    int disk_index = 0, monoutil::DiskPhase phase = monoutil::DiskPhase::kRead) {
+  auto monotask =
+      std::make_unique<FunctionMonotask>(resource, std::move(label), std::move(fn));
+  monotask->disk_index = disk_index;
+  monotask->disk_phase = phase;
+  return monotask;
+}
+
+monoutil::Bytes SizeOf(const Buffer& buffer) {
+  return static_cast<monoutil::Bytes>(buffer.size());
 }
 
 }  // namespace
@@ -42,14 +59,16 @@ struct MonoContext::ShuffleSegment {
 struct MonoContext::StagePlan {
   std::string name;
   int num_tasks = 0;
-  // Input: exactly one of these.
-  bool reads_source = false;
+  enum class Input {
+    kSource,   // One block of source_name per task.
+    kShuffle,  // The previous stage's shuffle, merged with merge_fn.
+    kCoGroup,  // That shuffle plus right_plan's, merged with merge2_fn.
+  };
+  Input input = Input::kSource;
   std::string source_name;
-  bool reads_shuffle = false;
   std::function<Buffer(std::vector<Buffer>)> merge_fn;
-  // Two-parent (cogroup/join) input: the right sub-plan is executed as its own
-  // stage chain whose final stage buckets with partition_fn2.
-  bool reads_cogroup = false;
+  // The right sub-plan runs as its own stage chain whose final stage buckets with
+  // right_partition_fn.
   std::function<Buffer(std::vector<Buffer>, std::vector<Buffer>)> merge2_fn;
   std::shared_ptr<const PlanNode> right_plan;
   std::function<std::vector<Buffer>(const Buffer&, int)> right_partition_fn;
@@ -59,6 +78,13 @@ struct MonoContext::StagePlan {
   bool writes_shuffle = false;
   int shuffle_out_partitions = 0;
   std::function<std::vector<Buffer>(const Buffer&, int)> partition_fn;
+};
+
+// What a stage hands on: its shuffle segments if it writes a shuffle, else its
+// collected partitions (none when it saves to a source).
+struct MonoContext::StageOutput {
+  std::vector<ShuffleSegment> segments;
+  std::vector<Buffer> collected;
 };
 
 // ---------- construction ----------
@@ -83,35 +109,32 @@ MonoContext::~MonoContext() {
 }
 
 int MonoContext::CreateSource(const std::string& name, std::vector<Buffer> partitions) {
-  const std::lock_guard<std::mutex> lock(catalog_mutex_);
-  MONO_CHECK_MSG(sources_.find(name) == sources_.end(), "source already exists");
-  std::vector<SourceBlock> blocks;
-  for (size_t p = 0; p < partitions.size(); ++p) {
-    SourceBlock block;
-    block.worker = static_cast<int>(p) % num_workers();
-    Worker& worker = *workers_[static_cast<size_t>(block.worker)];
-    block.disk = static_cast<int>(p / static_cast<size_t>(num_workers())) %
-                 worker.num_disks();
-    block.block_id = name + "." + std::to_string(p);
-    worker.disk(block.disk).Write(block.block_id, std::move(partitions[p]));
-    blocks.push_back(std::move(block));
-  }
-  const int count = static_cast<int>(blocks.size());
-  sources_.emplace(name, std::move(blocks));
-  return count;
+  return AddSource(name, std::move(partitions), /*in_memory=*/false);
 }
 
 int MonoContext::CreateMemorySource(const std::string& name,
                                     std::vector<Buffer> partitions) {
+  return AddSource(name, std::move(partitions), /*in_memory=*/true);
+}
+
+int MonoContext::AddSource(const std::string& name, std::vector<Buffer> partitions,
+                           bool in_memory) {
   const std::lock_guard<std::mutex> lock(catalog_mutex_);
   MONO_CHECK_MSG(sources_.find(name) == sources_.end(), "source already exists");
   std::vector<SourceBlock> blocks;
   for (size_t p = 0; p < partitions.size(); ++p) {
     SourceBlock block;
     block.worker = static_cast<int>(p) % num_workers();
-    block.disk = SourceBlock::kInMemory;
     block.block_id = name + "." + std::to_string(p);
-    block.cached = std::make_shared<const Buffer>(std::move(partitions[p]));
+    if (in_memory) {
+      block.disk = SourceBlock::kInMemory;
+      block.cached = std::make_shared<const Buffer>(std::move(partitions[p]));
+    } else {
+      Worker& worker = *workers_[static_cast<size_t>(block.worker)];
+      block.disk = static_cast<int>(p / static_cast<size_t>(num_workers())) %
+                   worker.num_disks();
+      worker.disk(block.disk).Write(block.block_id, std::move(partitions[p]));
+    }
     blocks.push_back(std::move(block));
   }
   const int count = static_cast<int>(blocks.size());
@@ -134,7 +157,6 @@ std::vector<MonoContext::StagePlan> MonoContext::BuildStages(
 
   std::vector<StagePlan> stages;
   StagePlan current;
-  current.reads_source = true;
   current.source_name = chain.front()->source_name;
   current.num_tasks = chain.front()->num_partitions;
   for (size_t i = 1; i < chain.size(); ++i) {
@@ -146,32 +168,27 @@ std::vector<MonoContext::StagePlan> MonoContext::BuildStages(
       case PlanNode::Kind::kNarrow:
         current.transforms.push_back(node->transform);
         break;
-      case PlanNode::Kind::kShuffle: {
-        current.writes_shuffle = true;
-        current.shuffle_out_partitions = node->num_partitions;
-        current.partition_fn = node->partition_fn;
-        current.name = "stage" + std::to_string(stage_counter_.fetch_add(1));
-        stages.push_back(std::move(current));
-        current = StagePlan{};
-        current.reads_shuffle = true;
-        current.merge_fn = node->merge_fn;
-        current.num_tasks = node->num_partitions;
-        break;
-      }
+      case PlanNode::Kind::kShuffle:
       case PlanNode::Kind::kCoGroup: {
-        // Left side: the chain we are walking buckets with partition_fn.
+        // The chain we are walking buckets with partition_fn (the left side of a
+        // cogroup).
         current.writes_shuffle = true;
         current.shuffle_out_partitions = node->num_partitions;
         current.partition_fn = node->partition_fn;
         current.name = "stage" + std::to_string(stage_counter_.fetch_add(1));
         stages.push_back(std::move(current));
-        // The joining stage: consumes the left shuffle plus the right sub-plan's.
         current = StagePlan{};
-        current.reads_cogroup = true;
-        current.merge2_fn = node->merge2_fn;
-        current.right_plan = node->parent2;
-        current.right_partition_fn = node->partition_fn2;
         current.num_tasks = node->num_partitions;
+        if (node->kind == PlanNode::Kind::kShuffle) {
+          current.input = StagePlan::Input::kShuffle;
+          current.merge_fn = node->merge_fn;
+        } else {
+          // The joining stage: consumes the left shuffle plus the right sub-plan's.
+          current.input = StagePlan::Input::kCoGroup;
+          current.merge2_fn = node->merge2_fn;
+          current.right_plan = node->parent2;
+          current.right_partition_fn = node->partition_fn2;
+        }
         break;
       }
     }
@@ -183,35 +200,38 @@ std::vector<MonoContext::StagePlan> MonoContext::BuildStages(
 
 // ---------- stage execution ----------
 
+// Runs one stage: one multitask per partition, assigned to workers up to their
+// limit. Each multitask is the same body (Source or fetched input, Merge, Finish,
+// WriteOutput or Collect); the two execution modes differ only in how they
+// schedule it — as a monotask DAG on the worker's per-resource schedulers, or
+// whole on one slot thread.
 class MonoContext::StageRunner {
  public:
-  StageRunner(MonoContext* ctx, const StagePlan& plan,
-              const std::vector<ShuffleSegment>* input_shuffle,
-              const std::vector<ShuffleSegment>* input_shuffle2,
-              std::vector<ShuffleSegment>* output_shuffle,
-              std::vector<Buffer>* collected, std::string save_as,
-              EngineStageMetrics* metrics)
+  // `input` holds the segments of the shuffles the stage reads: the first
+  // `left_segments` from the previous stage, the rest from a cogroup's right side.
+  StageRunner(MonoContext* ctx, const StagePlan& plan, std::vector<ShuffleSegment> input,
+              size_t left_segments, std::string save_as)
       : ctx_(ctx),
         plan_(plan),
-        input_shuffle_(input_shuffle),
-        input_shuffle2_(input_shuffle2),
-        output_shuffle_(output_shuffle),
-        collected_(collected),
+        input_(std::move(input)),
+        left_segments_(left_segments),
         save_as_(std::move(save_as)),
-        metrics_(metrics),
         local_queue_(static_cast<size_t>(ctx->num_workers())),
-        active_(static_cast<size_t>(ctx->num_workers()), 0) {}
+        active_(static_cast<size_t>(ctx->num_workers()), 0) {
+    metrics_.name = plan_.name;
+    metrics_.num_tasks = plan_.num_tasks;
+  }
 
-  void Run() {
+  StageOutput Run() {
     remaining_ = plan_.num_tasks;
-    if (collected_ != nullptr) {
-      collected_->assign(static_cast<size_t>(plan_.num_tasks), Buffer{});
-    }
-    if (output_shuffle_ != nullptr) {
-      output_shuffle_->assign(static_cast<size_t>(plan_.num_tasks), ShuffleSegment{});
+    if (plan_.writes_shuffle) {
+      output_.segments.resize(static_cast<size_t>(plan_.num_tasks));
+    } else if (save_as_.empty()) {
+      output_.collected.resize(static_cast<size_t>(plan_.num_tasks));
     }
     // Build locality queues.
-    if (plan_.reads_source) {
+    if (plan_.input == StagePlan::Input::kSource) {
+      const std::lock_guard<std::mutex> lock(ctx_->catalog_mutex_);
       const auto& blocks = ctx_->sources_.at(plan_.source_name);
       MONO_CHECK_MSG(static_cast<int>(blocks.size()) == plan_.num_tasks,
                      "stage task count must match the source partition count");
@@ -224,8 +244,7 @@ class MonoContext::StageRunner {
         any_queue_.push_back(t);
       }
     }
-    const auto start = std::chrono::steady_clock::now();
-    {
+    Timed(&EngineStageMetrics::wall_seconds, [this] {
       std::unique_lock<std::mutex> lock(mutex_);
       // Breadth-first initial fill.
       bool assigned = true;
@@ -238,13 +257,20 @@ class MonoContext::StageRunner {
         }
       }
       cv_.wait(lock, [this] { return remaining_ == 0; });
-    }
-    metrics_->wall_seconds = SecondsSince(start);
-    metrics_->num_tasks = plan_.num_tasks;
-    metrics_->name = plan_.name;
+    });
+    return std::move(output_);
   }
 
+  // Valid once Run() has returned: every task, and so every Add, has finished.
+  const EngineStageMetrics& metrics() const { return metrics_; }
+
  private:
+  // A finished partition: one blob, sliced per reducer when the stage shuffles.
+  struct Output {
+    Buffer blob;
+    std::vector<std::pair<size_t, size_t>> ranges;
+  };
+
   // Must hold mutex_. Returns true if a task was launched on `worker`.
   bool AssignOneLocked(int worker) {
     Worker& w = ctx_->worker(worker);
@@ -281,7 +307,11 @@ class MonoContext::StageRunner {
       local_queue_[best].pop_front();
     }
     ++active_[static_cast<size_t>(worker)];
-    LaunchTask(task, worker);
+    if (ctx_->config_.mode == ExecutionMode::kTaskThreads) {
+      LaunchTaskThread(task, worker);
+    } else {
+      LaunchMonotasks(task, worker);
+    }
     return true;
   }
 
@@ -297,42 +327,148 @@ class MonoContext::StageRunner {
     }
   }
 
-  void AddMetrics(double* field, double seconds) {
+  // ---- Metrics ----
+
+  template <typename T>
+  void Add(T EngineStageMetrics::*field, T amount) {
     const std::lock_guard<std::mutex> lock(metrics_mutex_);
-    *field += seconds;
+    metrics_.*field += amount;
   }
-  void AddBytes(monoutil::Bytes* field, monoutil::Bytes bytes) {
-    const std::lock_guard<std::mutex> lock(metrics_mutex_);
-    *field += bytes;
+  template <typename Work>
+  void Timed(double EngineStageMetrics::*field, Work&& work) {
+    Add(field, WallSeconds(std::forward<Work>(work)));
   }
 
-  // Unified view over the one or two input shuffle segment vectors.
-  size_t TotalSegments() const {
-    size_t total = input_shuffle_ != nullptr ? input_shuffle_->size() : 0;
-    if (input_shuffle2_ != nullptr) {
-      total += input_shuffle2_->size();
-    }
-    return total;
-  }
-  const ShuffleSegment& SegmentAt(size_t index) const {
-    const size_t left = input_shuffle_->size();
-    if (index < left) {
-      return (*input_shuffle_)[index];
-    }
-    return (*input_shuffle2_)[index - left];
+  // ---- The stage body ----
+
+  // The task's source block, copied under the catalog lock: disk-write completions
+  // of a saving stage insert their key into sources_ concurrently (tree rebalance),
+  // so even reads of a pre-existing key must synchronize.
+  SourceBlock Source(int task) {
+    const std::lock_guard<std::mutex> lock(ctx_->catalog_mutex_);
+    return ctx_->sources_.at(plan_.source_name)[static_cast<size_t>(task)];
   }
 
-  void LaunchTask(int task, int worker_index);
+  // Disk reads, counted as read bytes wherever they run.
+  Buffer Read(const SourceBlock& block) {
+    Buffer buffer = ctx_->worker(block.worker).disk(block.disk).Read(block.block_id);
+    Add(&EngineStageMetrics::disk_read_bytes, SizeOf(buffer));
+    return buffer;
+  }
+  Buffer Read(size_t segment_index, int task) {
+    const ShuffleSegment& segment = input_[segment_index];
+    const auto [offset, length] = segment.ranges[static_cast<size_t>(task)];
+    Buffer buffer = ctx_->worker(segment.worker)
+                        .disk(segment.disk)
+                        .ReadRange(segment.block_id, offset, length);
+    Add(&EngineStageMetrics::disk_read_bytes, SizeOf(buffer));
+    return buffer;
+  }
+
+  // Has the home worker's disk scheduler run `read` as a serve monotask on `disk`.
+  // The buffer arrives once the monotask has completed.
+  std::future<Buffer> Serve(int home, int disk, std::string label,
+                            std::function<Buffer()> read) {
+    auto buffer = std::make_shared<Buffer>();
+    auto serve = MakeMonotask(
+        ResourceType::kDisk, std::move(label),
+        [this, buffer, read = std::move(read)] {
+          Timed(&EngineStageMetrics::disk_read_seconds, [&] { *buffer = read(); });
+        },
+        disk, monoutil::DiskPhase::kServe);
+    auto served = std::make_shared<std::promise<Buffer>>();
+    std::future<Buffer> result = served->get_future();
+    ctx_->worker(home).SubmitDetached(
+        std::move(serve), [buffer, served] { served->set_value(std::move(*buffer)); });
+    return result;
+  }
+
+  // Moves `bytes` from worker `src` to `dst` over the fabric; free and uncounted
+  // when local.
+  void Transfer(int src, int dst, monoutil::Bytes bytes) {
+    if (src == dst) {
+      return;
+    }
+    ctx_->fabric_->Transfer(src, dst, bytes);
+    Add(&EngineStageMetrics::network_bytes, bytes);
+  }
+
+  Buffer Merge(std::vector<Buffer> fetched) const {
+    if (plan_.input == StagePlan::Input::kShuffle) {
+      return plan_.merge_fn(std::move(fetched));
+    }
+    const auto split = fetched.begin() + static_cast<ptrdiff_t>(left_segments_);
+    std::vector<Buffer> right(std::make_move_iterator(split),
+                              std::make_move_iterator(fetched.end()));
+    fetched.erase(split, fetched.end());
+    return plan_.merge2_fn(std::move(fetched), std::move(right));
+  }
+
+  // Runs the transforms, then buckets the result into one blob with a range per
+  // reducer if the stage shuffles.
+  Output Finish(Buffer current) const {
+    for (const auto& transform : plan_.transforms) {
+      current = transform(current);
+    }
+    if (!plan_.writes_shuffle) {
+      return Output{std::move(current), {}};
+    }
+    const std::vector<Buffer> buckets =
+        plan_.partition_fn(current, plan_.shuffle_out_partitions);
+    MONO_CHECK_MSG(static_cast<int>(buckets.size()) == plan_.shuffle_out_partitions,
+                   "partition_fn must return one bucket per output partition");
+    Output output;
+    for (const Buffer& bucket : buckets) {
+      output.ranges.emplace_back(output.blob.size(), bucket.size());
+      output.blob.insert(output.blob.end(), bucket.begin(), bucket.end());
+    }
+    return output;
+  }
+
+  bool WritesDisk() const { return plan_.writes_shuffle || !save_as_.empty(); }
+  std::string OutputBlockId(int task) const {
+    return (plan_.writes_shuffle ? "shuffle." + plan_.name : save_as_) + "." +
+           std::to_string(task);
+  }
+
+  // Writes the task's output to `disk` and registers it: as a shuffle segment, or
+  // as a block of the saved source.
+  void WriteOutput(int task, int worker_index, int disk, Output output) {
+    const std::string block_id = OutputBlockId(task);
+    const monoutil::Bytes bytes = SizeOf(output.blob);
+    Timed(&EngineStageMetrics::disk_write_seconds, [&] {
+      ctx_->worker(worker_index).disk(disk).Write(block_id, std::move(output.blob));
+    });
+    Add(&EngineStageMetrics::disk_write_bytes, bytes);
+    if (plan_.writes_shuffle) {
+      output_.segments[static_cast<size_t>(task)] =
+          ShuffleSegment{worker_index, disk, block_id, std::move(output.ranges)};
+      return;
+    }
+    const std::lock_guard<std::mutex> lock(ctx_->catalog_mutex_);
+    auto& blocks = ctx_->sources_[save_as_];
+    if (blocks.size() < static_cast<size_t>(plan_.num_tasks)) {
+      blocks.resize(static_cast<size_t>(plan_.num_tasks));
+    }
+    blocks[static_cast<size_t>(task)] = SourceBlock{worker_index, disk, block_id, nullptr};
+  }
+
+  void Collect(int task, Output output) {
+    output_.collected[static_cast<size_t>(task)] = std::move(output.blob);
+  }
+
+  // ---- The two schedules ----
+
+  void LaunchMonotasks(int task, int worker_index);
   void LaunchTaskThread(int task, int worker_index);
 
   MonoContext* ctx_;
   const StagePlan& plan_;
-  const std::vector<ShuffleSegment>* input_shuffle_;
-  const std::vector<ShuffleSegment>* input_shuffle2_;
-  std::vector<ShuffleSegment>* output_shuffle_;
-  std::vector<Buffer>* collected_;
+  const std::vector<ShuffleSegment> input_;
+  const size_t left_segments_;
   const std::string save_as_;
-  EngineStageMetrics* metrics_;
+  // Each task writes only its own element.
+  StageOutput output_;
 
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -341,304 +477,149 @@ class MonoContext::StageRunner {
   std::vector<int> active_;
   int remaining_ = 0;
   std::mutex metrics_mutex_;
+  EngineStageMetrics metrics_;
 };
 
-void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
-  if (ctx_->config_.mode == ExecutionMode::kTaskThreads) {
-    LaunchTaskThread(task, worker_index);
-    return;
-  }
+// The paper's architecture: the multitask becomes a DAG of single-resource
+// monotasks on its worker — input reads and fetches, then compute, then the
+// output write (or the collect).
+void MonoContext::StageRunner::LaunchMonotasks(int task, int worker_index) {
   Worker& worker = ctx_->worker(worker_index);
 
   // Shared mutable state of this multitask, owned by the closures.
   struct TaskData {
-    Buffer input;                  // Source-read input.
-    std::vector<Buffer> fetched;   // Shuffle: one buffer per map task.
-    Buffer output;                 // Serialized block to write / collect.
-    std::vector<std::pair<size_t, size_t>> out_ranges;  // Shuffle output slices.
+    Buffer input;                 // Source-read input.
+    std::vector<Buffer> fetched;  // Shuffle: one buffer per input segment.
+    Output output;
   };
   auto data = std::make_shared<TaskData>();
 
   std::vector<std::unique_ptr<Monotask>> tasks;
-  std::vector<std::pair<Monotask*, Monotask*>> edges;
   std::vector<Monotask*> inputs;
+  const auto add_input = [&](std::unique_ptr<Monotask> monotask) {
+    inputs.push_back(monotask.get());
+    tasks.push_back(std::move(monotask));
+  };
 
-  if (plan_.reads_source) {
-    // Copied under the catalog lock: disk-write completions of this very stage
-    // insert the save-target key into sources_ concurrently (tree rebalance),
-    // so even reads of a pre-existing key must synchronize.
-    SourceBlock block;
-    {
-      const std::lock_guard<std::mutex> lock(ctx_->catalog_mutex_);
-      block = ctx_->sources_.at(plan_.source_name)[static_cast<size_t>(task)];
-    }
+  if (plan_.input == StagePlan::Input::kSource) {
+    const SourceBlock block = Source(task);
     if (block.disk == SourceBlock::kInMemory) {
       if (block.worker == worker_index) {
         // Cached locally: no input monotask at all; hand the buffer to compute.
         data->input = *block.cached;
       } else {
         // Cached on another worker: a network monotask pays only the transfer.
-        auto fetch = std::make_unique<FunctionMonotask>(
+        add_input(MakeMonotask(
             ResourceType::kNetwork, "fetch-cached:" + block.block_id,
             [this, data, worker_index, block] {
-              const auto start = std::chrono::steady_clock::now();
-              ctx_->fabric_->Transfer(block.worker, worker_index,
-                                      static_cast<monoutil::Bytes>(block.cached->size()));
-              data->input = *block.cached;
-              AddBytes(&metrics_->network_bytes,
-                       static_cast<monoutil::Bytes>(data->input.size()));
-              AddMetrics(&metrics_->network_seconds, SecondsSince(start));
-            });
-        inputs.push_back(fetch.get());
-        tasks.push_back(std::move(fetch));
+              Timed(&EngineStageMetrics::network_seconds, [&] {
+                Transfer(block.worker, worker_index, SizeOf(*block.cached));
+                data->input = *block.cached;
+              });
+            }));
       }
     } else if (block.worker == worker_index) {
-      auto read = std::make_unique<FunctionMonotask>(
+      add_input(MakeMonotask(
           ResourceType::kDisk, "read:" + block.block_id,
-          [this, data, &worker, block] {
-            const auto start = std::chrono::steady_clock::now();
-            data->input = worker.disk(block.disk).Read(block.block_id);
-            AddMetrics(&metrics_->disk_read_seconds, SecondsSince(start));
-            AddBytes(&metrics_->disk_read_bytes,
-                     static_cast<monoutil::Bytes>(data->input.size()));
-          });
-      read->disk_index = block.disk;
-      read->disk_phase = monoutil::DiskPhase::kRead;
-      inputs.push_back(read.get());
-      tasks.push_back(std::move(read));
+          [this, data, block] {
+            Timed(&EngineStageMetrics::disk_read_seconds,
+                  [&] { data->input = Read(block); });
+          },
+          block.disk));
     } else {
       // Remote block: a network monotask that has the block served by the home
       // worker's disk scheduler, then pays for the transfer.
-      auto fetch = std::make_unique<FunctionMonotask>(
+      add_input(MakeMonotask(
           ResourceType::kNetwork, "fetch:" + block.block_id,
           [this, data, worker_index, block] {
-            const auto start = std::chrono::steady_clock::now();
-            Worker& home = ctx_->worker(block.worker);
-            auto buffer = std::make_shared<Buffer>();
-            std::promise<void> served;
-            auto serve = std::make_unique<FunctionMonotask>(
-                ResourceType::kDisk, "serve:" + block.block_id,
-                [this, buffer, &home, block] {
-                  const auto serve_start = std::chrono::steady_clock::now();
-                  *buffer = home.disk(block.disk).Read(block.block_id);
-                  AddMetrics(&metrics_->disk_read_seconds, SecondsSince(serve_start));
-                  AddBytes(&metrics_->disk_read_bytes,
-                           static_cast<monoutil::Bytes>(buffer->size()));
-                });
-            serve->disk_index = block.disk;
-            serve->disk_phase = monoutil::DiskPhase::kServe;
-            // mono_lint: allow(escaping-capture) -- this frame blocks on the future below until the callback fires.
-            home.SubmitDetached(std::move(serve), [&served] { served.set_value(); });
-            served.get_future().wait();
-            ctx_->fabric_->Transfer(block.worker, worker_index,
-                                    static_cast<monoutil::Bytes>(buffer->size()));
-            data->input = std::move(*buffer);
-            AddBytes(&metrics_->network_bytes,
-                     static_cast<monoutil::Bytes>(data->input.size()));
-            AddMetrics(&metrics_->network_seconds, SecondsSince(start));
-          });
-      inputs.push_back(fetch.get());
-      tasks.push_back(std::move(fetch));
+            Timed(&EngineStageMetrics::network_seconds, [&] {
+              Buffer buffer = Serve(block.worker, block.disk, "serve:" + block.block_id,
+                                    [this, block] { return Read(block); })
+                                  .get();
+              Transfer(block.worker, worker_index, SizeOf(buffer));
+              data->input = std::move(buffer);
+            });
+          }));
     }
-  }
-
-  if (plan_.reads_shuffle || plan_.reads_cogroup) {
-    MONO_CHECK(input_shuffle_ != nullptr);
-    const size_t total_segments = TotalSegments();
-    data->fetched.assign(total_segments, Buffer{});
-
+  } else {
+    data->fetched.resize(input_.size());
     // Local portions: one disk-read monotask per local disk holding segments.
-    std::vector<std::vector<int>> per_disk(
-        static_cast<size_t>(worker.num_disks()));
-    std::vector<int> remote_segments;
-    for (size_t m = 0; m < total_segments; ++m) {
-      if (SegmentAt(m).worker == worker_index) {
-        per_disk[static_cast<size_t>(SegmentAt(m).disk)].push_back(static_cast<int>(m));
+    std::vector<std::vector<size_t>> per_disk(static_cast<size_t>(worker.num_disks()));
+    std::vector<size_t> remote;
+    for (size_t m = 0; m < input_.size(); ++m) {
+      if (input_[m].worker == worker_index) {
+        per_disk[static_cast<size_t>(input_[m].disk)].push_back(m);
       } else {
-        remote_segments.push_back(static_cast<int>(m));
+        remote.push_back(m);
       }
     }
     for (int d = 0; d < worker.num_disks(); ++d) {
       if (per_disk[static_cast<size_t>(d)].empty()) {
         continue;
       }
-      auto read = std::make_unique<FunctionMonotask>(
+      add_input(MakeMonotask(
           ResourceType::kDisk, "shuffle-read-local",
-          [this, data, &worker, d, task,
-           segment_ids = per_disk[static_cast<size_t>(d)]] {
-            const auto start = std::chrono::steady_clock::now();
-            monoutil::Bytes bytes;
-            for (int m : segment_ids) {
-              const ShuffleSegment& segment = SegmentAt(static_cast<size_t>(m));
-              const auto [offset, length] =
-                  segment.ranges[static_cast<size_t>(task)];
-              data->fetched[static_cast<size_t>(m)] =
-                  worker.disk(d).ReadRange(segment.block_id, offset, length);
-              bytes += static_cast<monoutil::Bytes>(length);
-            }
-            AddMetrics(&metrics_->disk_read_seconds, SecondsSince(start));
-            AddBytes(&metrics_->disk_read_bytes, bytes);
-          });
-      read->disk_index = d;
-      read->disk_phase = monoutil::DiskPhase::kRead;
-      inputs.push_back(read.get());
-      tasks.push_back(std::move(read));
+          [this, data, task, segments = std::move(per_disk[static_cast<size_t>(d)])] {
+            Timed(&EngineStageMetrics::disk_read_seconds, [&] {
+              for (size_t m : segments) {
+                data->fetched[m] = Read(m, task);
+              }
+            });
+          },
+          d));
     }
-
-    if (!remote_segments.empty()) {
+    if (!remote.empty()) {
       // One network monotask performs this multitask's whole remote fetch set, so
       // the receiver-side scheduler admits it as a unit (§3.3).
-      auto fetch = std::make_unique<FunctionMonotask>(
+      add_input(MakeMonotask(
           ResourceType::kNetwork, "shuffle-fetch",
-          [this, data, worker_index, task, remote_segments] {
-            const auto start = std::chrono::steady_clock::now();
-            struct PendingFetch {
-              int segment;
-              std::shared_ptr<Buffer> buffer;
-              std::promise<void> served;
-            };
-            std::vector<std::unique_ptr<PendingFetch>> pending;
-            // Issue every serve read up front; they queue on the remote disks.
-            for (int m : remote_segments) {
-              const ShuffleSegment& segment = SegmentAt(static_cast<size_t>(m));
-              auto fetch_state = std::make_unique<PendingFetch>();
-              fetch_state->segment = m;
-              fetch_state->buffer = std::make_shared<Buffer>();
-              Worker& home = ctx_->worker(segment.worker);
-              const auto [offset, length] = segment.ranges[static_cast<size_t>(task)];
-              auto serve = std::make_unique<FunctionMonotask>(
-                  ResourceType::kDisk, "shuffle-serve",
-                  [this, buffer = fetch_state->buffer, &home, segment, offset = offset,
-                   length = length] {
-                    const auto serve_start = std::chrono::steady_clock::now();
-                    *buffer = home.disk(segment.disk)
-                                  .ReadRange(segment.block_id, offset, length);
-                    AddMetrics(&metrics_->disk_read_seconds, SecondsSince(serve_start));
-                    AddBytes(&metrics_->disk_read_bytes,
-                             static_cast<monoutil::Bytes>(length));
-                  });
-              serve->disk_index = segment.disk;
-              serve->disk_phase = monoutil::DiskPhase::kServe;
-              PendingFetch* raw = fetch_state.get();
-              home.SubmitDetached(std::move(serve), [raw] { raw->served.set_value(); });
-              pending.push_back(std::move(fetch_state));
-            }
-            // Collect each portion as it is served, paying the transfer time.
-            monoutil::Bytes bytes;
-            for (auto& fetch_state : pending) {
-              fetch_state->served.get_future().wait();
-              const ShuffleSegment& segment =
-                  SegmentAt(static_cast<size_t>(fetch_state->segment));
-              ctx_->fabric_->Transfer(
-                  segment.worker, worker_index,
-                  static_cast<monoutil::Bytes>(fetch_state->buffer->size()));
-              bytes += static_cast<monoutil::Bytes>(fetch_state->buffer->size());
-              data->fetched[static_cast<size_t>(fetch_state->segment)] =
-                  std::move(*fetch_state->buffer);
-            }
-            AddBytes(&metrics_->network_bytes, bytes);
-            AddMetrics(&metrics_->network_seconds, SecondsSince(start));
-          });
-      inputs.push_back(fetch.get());
-      tasks.push_back(std::move(fetch));
+          [this, data, worker_index, task, remote] {
+            Timed(&EngineStageMetrics::network_seconds, [&] {
+              // Issue every serve read up front; they queue on the remote disks.
+              std::vector<std::future<Buffer>> served;
+              for (size_t m : remote) {
+                served.push_back(Serve(input_[m].worker, input_[m].disk, "shuffle-serve",
+                                       [this, m, task] { return Read(m, task); }));
+              }
+              // Collect each portion as it is served, paying the transfer time.
+              for (size_t i = 0; i < remote.size(); ++i) {
+                Buffer buffer = served[i].get();
+                Transfer(input_[remote[i]].worker, worker_index, SizeOf(buffer));
+                data->fetched[remote[i]] = std::move(buffer);
+              }
+            });
+          }));
     }
   }
 
-  // The compute monotask: merge / transform / (bucket for shuffle output).
-  auto compute = std::make_unique<FunctionMonotask>(
-      ResourceType::kCpu, plan_.name + ".compute",
-      [this, data, task] {
-        const auto start = std::chrono::steady_clock::now();
-        Buffer current;
-        if (plan_.reads_cogroup) {
-          const size_t left_count = input_shuffle_->size();
-          std::vector<Buffer> left(
-              std::make_move_iterator(data->fetched.begin()),
-              std::make_move_iterator(data->fetched.begin() +
-                                      static_cast<ptrdiff_t>(left_count)));
-          std::vector<Buffer> right(
-              std::make_move_iterator(data->fetched.begin() +
-                                      static_cast<ptrdiff_t>(left_count)),
-              std::make_move_iterator(data->fetched.end()));
-          current = plan_.merge2_fn(std::move(left), std::move(right));
-        } else if (plan_.reads_shuffle) {
-          current = plan_.merge_fn(std::move(data->fetched));
-        } else {
-          current = std::move(data->input);
-        }
-        for (const auto& transform : plan_.transforms) {
-          current = transform(current);
-        }
-        if (plan_.writes_shuffle) {
-          std::vector<Buffer> buckets =
-              plan_.partition_fn(current, plan_.shuffle_out_partitions);
-          MONO_CHECK(static_cast<int>(buckets.size()) == plan_.shuffle_out_partitions);
-          Buffer blob;
-          data->out_ranges.clear();
-          for (const Buffer& bucket : buckets) {
-            data->out_ranges.emplace_back(blob.size(), bucket.size());
-            blob.insert(blob.end(), bucket.begin(), bucket.end());
-          }
-          data->output = std::move(blob);
-        } else {
-          data->output = std::move(current);
-        }
-        (void)task;
-        AddMetrics(&metrics_->compute_seconds, SecondsSince(start));
-      });
-  Monotask* compute_ptr = compute.get();
+  tasks.push_back(MakeMonotask(ResourceType::kCpu, plan_.name + ".compute", [this, data] {
+    Timed(&EngineStageMetrics::compute_seconds, [&] {
+      data->output = Finish(plan_.input == StagePlan::Input::kSource
+                                ? std::move(data->input)
+                                : Merge(std::move(data->fetched)));
+    });
+  }));
+  Monotask* compute = tasks.back().get();
+  std::vector<std::pair<Monotask*, Monotask*>> edges;
   for (Monotask* input : inputs) {
-    edges.emplace_back(input, compute_ptr);
+    edges.emplace_back(input, compute);
   }
-  tasks.push_back(std::move(compute));
 
-  // Output monotask.
-  const bool writes_disk = plan_.writes_shuffle || !save_as_.empty();
-  if (writes_disk) {
+  if (WritesDisk()) {
     const int disk = worker.PickWriteDisk();
-    const std::string block_id = plan_.writes_shuffle
-                                     ? "shuffle." + plan_.name + "." + std::to_string(task)
-                                     : save_as_ + "." + std::to_string(task);
-    auto write = std::make_unique<FunctionMonotask>(
-        ResourceType::kDisk, "write:" + block_id,
-        [this, data, &worker, disk, block_id, task, worker_index] {
-          const auto start = std::chrono::steady_clock::now();
-          const auto bytes = static_cast<monoutil::Bytes>(data->output.size());
-          worker.disk(disk).Write(block_id, std::move(data->output));
-          AddMetrics(&metrics_->disk_write_seconds, SecondsSince(start));
-          AddBytes(&metrics_->disk_write_bytes, bytes);
-          if (plan_.writes_shuffle) {
-            ShuffleSegment segment;
-            segment.worker = worker_index;
-            segment.disk = disk;
-            segment.block_id = block_id;
-            segment.ranges = data->out_ranges;
-            (*output_shuffle_)[static_cast<size_t>(task)] = std::move(segment);
-          } else {
-            const std::lock_guard<std::mutex> lock(ctx_->catalog_mutex_);
-            auto& blocks = ctx_->sources_[save_as_];
-            if (blocks.size() < static_cast<size_t>(plan_.num_tasks)) {
-              blocks.resize(static_cast<size_t>(plan_.num_tasks));
-            }
-            blocks[static_cast<size_t>(task)] =
-                SourceBlock{worker_index, disk, block_id, nullptr};
-          }
-        });
-    write->disk_index = disk;
-    write->disk_phase = monoutil::DiskPhase::kWrite;
-    edges.emplace_back(compute_ptr, write.get());
-    tasks.push_back(std::move(write));
+    tasks.push_back(MakeMonotask(
+        ResourceType::kDisk, "write:" + OutputBlockId(task),
+        [this, data, task, worker_index, disk] {
+          WriteOutput(task, worker_index, disk, std::move(data->output));
+        },
+        disk, monoutil::DiskPhase::kWrite));
   } else {
     // Collected output: stash the buffer at compute completion (no disk involved).
-    auto stash = std::make_unique<FunctionMonotask>(
-        ResourceType::kCpu, "collect",
-        [this, data, task] {
-          const std::lock_guard<std::mutex> lock(metrics_mutex_);
-          (*collected_)[static_cast<size_t>(task)] = std::move(data->output);
-        });
-    edges.emplace_back(compute_ptr, stash.get());
-    tasks.push_back(std::move(stash));
+    tasks.push_back(MakeMonotask(ResourceType::kCpu, "collect", [this, data, task] {
+      Collect(task, std::move(data->output));
+    }));
   }
+  edges.emplace_back(compute, tasks.back().get());
 
   worker.dag_scheduler().SubmitDag(std::move(tasks), edges,
                                    // mono_lint: allow(escaping-capture) -- the runner joins every task before it is destroyed.
@@ -650,140 +631,75 @@ void MonoContext::StageRunner::LaunchTask(int task, int worker_index) {
 // admission — concurrent tasks contend however they happen to interleave, and the
 // only per-task measurement available afterwards is wall time.
 void MonoContext::StageRunner::LaunchTaskThread(int task, int worker_index) {
-  Worker& worker = ctx_->worker(worker_index);
-  auto body = std::make_unique<FunctionMonotask>(
-      ResourceType::kCpu, plan_.name + ".task",
-      [this, task, worker_index, &worker] {
-        // ---- Input ----
-        Buffer current;
-        if (plan_.reads_source) {
-          // Copied under the catalog lock, as in the monotask path: concurrent
-          // save-target inserts rebalance the sources_ tree.
-          SourceBlock block;
-          {
-            const std::lock_guard<std::mutex> lock(ctx_->catalog_mutex_);
-            block = ctx_->sources_.at(plan_.source_name)[static_cast<size_t>(task)];
-          }
-          const auto start = std::chrono::steady_clock::now();
-          if (block.disk == SourceBlock::kInMemory) {
-            current = *block.cached;
-            if (block.worker != worker_index) {
-              ctx_->fabric_->Transfer(block.worker, worker_index,
-                                      static_cast<monoutil::Bytes>(current.size()));
-              AddBytes(&metrics_->network_bytes,
-                       static_cast<monoutil::Bytes>(current.size()));
-            }
-            AddMetrics(&metrics_->network_seconds, SecondsSince(start));
-          } else {
-            Worker& home = ctx_->worker(block.worker);
-            current = home.disk(block.disk).Read(block.block_id);
-            AddBytes(&metrics_->disk_read_bytes,
-                     static_cast<monoutil::Bytes>(current.size()));
-            if (block.worker != worker_index) {
-              ctx_->fabric_->Transfer(block.worker, worker_index,
-                                      static_cast<monoutil::Bytes>(current.size()));
-              AddBytes(&metrics_->network_bytes,
-                       static_cast<monoutil::Bytes>(current.size()));
-            }
-            AddMetrics(&metrics_->disk_read_seconds, SecondsSince(start));
-          }
-        } else if (plan_.reads_shuffle || plan_.reads_cogroup) {
-          const size_t total_segments = TotalSegments();
-          std::vector<Buffer> fetched(total_segments);
-          const auto start = std::chrono::steady_clock::now();
-          for (size_t m = 0; m < total_segments; ++m) {
-            const ShuffleSegment& segment = SegmentAt(m);
-            const auto [offset, length] = segment.ranges[static_cast<size_t>(task)];
-            Worker& home = ctx_->worker(segment.worker);
-            fetched[m] = home.disk(segment.disk).ReadRange(segment.block_id, offset,
-                                                           length);
-            AddBytes(&metrics_->disk_read_bytes,
-                     static_cast<monoutil::Bytes>(length));
-            if (segment.worker != worker_index) {
-              ctx_->fabric_->Transfer(segment.worker, worker_index,
-                                      static_cast<monoutil::Bytes>(length));
-              AddBytes(&metrics_->network_bytes,
-                       static_cast<monoutil::Bytes>(length));
-            }
-          }
-          AddMetrics(&metrics_->network_seconds, SecondsSince(start));
-          const auto merge_start = std::chrono::steady_clock::now();
-          if (plan_.reads_cogroup) {
-            const size_t left_count = input_shuffle_->size();
-            std::vector<Buffer> left(
-                std::make_move_iterator(fetched.begin()),
-                std::make_move_iterator(fetched.begin() +
-                                        static_cast<ptrdiff_t>(left_count)));
-            std::vector<Buffer> right(
-                std::make_move_iterator(fetched.begin() +
-                                        static_cast<ptrdiff_t>(left_count)),
-                std::make_move_iterator(fetched.end()));
-            current = plan_.merge2_fn(std::move(left), std::move(right));
-          } else {
-            current = plan_.merge_fn(std::move(fetched));
-          }
-          AddMetrics(&metrics_->compute_seconds, SecondsSince(merge_start));
-        }
-
-        // ---- Compute ----
-        const auto compute_start = std::chrono::steady_clock::now();
-        for (const auto& transform : plan_.transforms) {
-          current = transform(current);
-        }
-        Buffer output;
-        std::vector<std::pair<size_t, size_t>> out_ranges;
-        if (plan_.writes_shuffle) {
-          std::vector<Buffer> buckets =
-              plan_.partition_fn(current, plan_.shuffle_out_partitions);
-          for (const Buffer& bucket : buckets) {
-            out_ranges.emplace_back(output.size(), bucket.size());
-            output.insert(output.end(), bucket.begin(), bucket.end());
-          }
-        } else {
-          output = std::move(current);
-        }
-        AddMetrics(&metrics_->compute_seconds, SecondsSince(compute_start));
-
-        // ---- Output ----
-        const bool writes_disk = plan_.writes_shuffle || !save_as_.empty();
-        if (writes_disk) {
-          const int disk = worker.PickWriteDisk();
-          const std::string block_id =
-              plan_.writes_shuffle
-                  ? "shuffle." + plan_.name + "." + std::to_string(task)
-                  : save_as_ + "." + std::to_string(task);
-          const auto write_start = std::chrono::steady_clock::now();
-          const auto bytes = static_cast<monoutil::Bytes>(output.size());
-          worker.disk(disk).Write(block_id, std::move(output));
-          AddMetrics(&metrics_->disk_write_seconds, SecondsSince(write_start));
-          AddBytes(&metrics_->disk_write_bytes, bytes);
-          if (plan_.writes_shuffle) {
-            ShuffleSegment segment;
-            segment.worker = worker_index;
-            segment.disk = disk;
-            segment.block_id = block_id;
-            segment.ranges = std::move(out_ranges);
-            (*output_shuffle_)[static_cast<size_t>(task)] = std::move(segment);
-          } else {
-            const std::lock_guard<std::mutex> lock(ctx_->catalog_mutex_);
-            auto& blocks = ctx_->sources_[save_as_];
-            if (blocks.size() < static_cast<size_t>(plan_.num_tasks)) {
-              blocks.resize(static_cast<size_t>(plan_.num_tasks));
-            }
-            blocks[static_cast<size_t>(task)] =
-                SourceBlock{worker_index, disk, block_id, nullptr};
-          }
-        } else {
-          const std::lock_guard<std::mutex> lock(metrics_mutex_);
-          (*collected_)[static_cast<size_t>(task)] = std::move(output);
+  auto body = MakeMonotask(ResourceType::kCpu, plan_.name + ".task", [this, task, worker_index] {
+    Buffer input;
+    std::vector<Buffer> fetched;
+    if (plan_.input == StagePlan::Input::kSource) {
+      const SourceBlock block = Source(task);
+      if (block.disk == SourceBlock::kInMemory) {
+        Timed(&EngineStageMetrics::network_seconds, [&] {
+          input = *block.cached;
+          Transfer(block.worker, worker_index, SizeOf(input));
+        });
+      } else {
+        Timed(&EngineStageMetrics::disk_read_seconds, [&] {
+          input = Read(block);
+          Transfer(block.worker, worker_index, SizeOf(input));
+        });
+      }
+    } else {
+      // Every shuffle read, local or remote, is one unscheduled fetch.
+      fetched.resize(input_.size());
+      Timed(&EngineStageMetrics::network_seconds, [&] {
+        for (size_t m = 0; m < input_.size(); ++m) {
+          fetched[m] = Read(m, task);
+          Transfer(input_[m].worker, worker_index, SizeOf(fetched[m]));
         }
       });
+    }
+    Output output;
+    Timed(&EngineStageMetrics::compute_seconds, [&] {
+      output = Finish(plan_.input == StagePlan::Input::kSource ? std::move(input)
+                                                               : Merge(std::move(fetched)));
+    });
+    if (WritesDisk()) {
+      WriteOutput(task, worker_index, ctx_->worker(worker_index).PickWriteDisk(),
+                  std::move(output));
+    } else {
+      Collect(task, std::move(output));
+    }
+  });
+  Worker& worker = ctx_->worker(worker_index);
   worker.SubmitDetached(std::move(body),
                         // mono_lint: allow(escaping-capture) -- the runner joins every task before it is destroyed.
                         [this, worker_index] { OnTaskDone(worker_index); });
 }
 
 // ---------- job execution ----------
+
+MonoContext::StageOutput MonoContext::RunStages(const std::vector<StagePlan>& stages,
+                                                const std::string& save_as) {
+  StageOutput output;
+  for (size_t s = 0; s < stages.size(); ++s) {
+    const StagePlan& plan = stages[s];
+    std::vector<ShuffleSegment> input = std::move(output.segments);
+    const size_t left_segments = input.size();
+    if (plan.input == StagePlan::Input::kCoGroup) {
+      // Execute the right parent sub-plan to its own shuffle output (recursively —
+      // it may itself contain shuffles or joins).
+      std::vector<ShuffleSegment> right =
+          RunToShuffle(plan.right_plan, plan.right_partition_fn, plan.num_tasks);
+      input.insert(input.end(), std::make_move_iterator(right.begin()),
+                   std::make_move_iterator(right.end()));
+    }
+    const bool is_last = s + 1 == stages.size();
+    StageRunner runner(this, plan, std::move(input), left_segments,
+                       is_last ? save_as : std::string());
+    output = runner.Run();
+    last_metrics_.stages.push_back(runner.metrics());
+  }
+  return output;
+}
 
 std::vector<MonoContext::ShuffleSegment> MonoContext::RunToShuffle(
     const std::shared_ptr<const PlanNode>& root,
@@ -796,27 +712,7 @@ std::vector<MonoContext::ShuffleSegment> MonoContext::RunToShuffle(
   last.writes_shuffle = true;
   last.shuffle_out_partitions = num_out_partitions;
   last.partition_fn = partition_fn;
-
-  std::vector<ShuffleSegment> shuffle_in;
-  std::vector<ShuffleSegment> shuffle_out;
-  for (size_t s = 0; s < stages.size(); ++s) {
-    const StagePlan& plan = stages[s];
-    shuffle_out.clear();
-    std::vector<ShuffleSegment> right_shuffle;
-    if (plan.reads_cogroup) {
-      right_shuffle = RunToShuffle(plan.right_plan, plan.right_partition_fn,
-                                   plan.num_tasks);
-    }
-    EngineStageMetrics metrics;
-    StageRunner runner(this, plan,
-                       (plan.reads_shuffle || plan.reads_cogroup) ? &shuffle_in : nullptr,
-                       plan.reads_cogroup ? &right_shuffle : nullptr,
-                       &shuffle_out, nullptr, std::string(), &metrics);
-    runner.Run();
-    last_metrics_.stages.push_back(std::move(metrics));
-    shuffle_in = std::move(shuffle_out);
-  }
-  return shuffle_in;
+  return RunStages(stages, std::string()).segments;
 }
 
 std::vector<Buffer> MonoContext::RunJob(const std::shared_ptr<const PlanNode>& root) {
@@ -836,34 +732,10 @@ std::vector<Buffer> MonoContext::Execute(const std::shared_ptr<const PlanNode>& 
                                          const std::string& save_as) {
   const std::vector<StagePlan> stages = BuildStages(root);
   last_metrics_ = EngineJobMetrics{};
-  const auto job_start = std::chrono::steady_clock::now();
-
-  std::vector<ShuffleSegment> shuffle_in;
-  std::vector<Buffer> collected;
-  for (size_t s = 0; s < stages.size(); ++s) {
-    const StagePlan& plan = stages[s];
-    const bool is_last = s + 1 == stages.size();
-    std::vector<ShuffleSegment> shuffle_out;
-    std::vector<ShuffleSegment> right_shuffle;
-    if (plan.reads_cogroup) {
-      // Execute the right parent sub-plan to its own shuffle output (recursively —
-      // it may itself contain shuffles or joins).
-      right_shuffle = RunToShuffle(plan.right_plan, plan.right_partition_fn,
-                                   plan.num_tasks);
-    }
-    EngineStageMetrics metrics;
-    StageRunner runner(this, plan,
-                       (plan.reads_shuffle || plan.reads_cogroup) ? &shuffle_in : nullptr,
-                       plan.reads_cogroup ? &right_shuffle : nullptr,
-                       plan.writes_shuffle ? &shuffle_out : nullptr,
-                       (is_last && save_as.empty()) ? &collected : nullptr,
-                       is_last ? save_as : std::string(), &metrics);
-    runner.Run();
-    last_metrics_.stages.push_back(std::move(metrics));
-    shuffle_in = std::move(shuffle_out);
-  }
-  last_metrics_.wall_seconds = SecondsSince(job_start);
-  return collected;
+  StageOutput output;
+  last_metrics_.wall_seconds =
+      WallSeconds([&] { output = RunStages(stages, save_as); });
+  return std::move(output.collected);
 }
 
 }  // namespace monotasks

@@ -1,16 +1,19 @@
 // MonoContext: the driver of the threaded monotasks engine.
 //
 // Owns the in-process cluster (workers + fabric), turns logical plans into stages at
-// shuffle boundaries, decomposes each stage into one multitask per partition, and
-// decomposes each multitask into its monotask DAG on the assigned worker:
+// shuffle boundaries and decomposes each stage into one multitask per partition.
+// Every multitask runs the same body: read its input (a source block, or its slice
+// of each shuffle segment), merge, transform, then bucket and write, save, or
+// collect. The ExecutionMode only chooses how that body is scheduled. kMonotasks
+// decomposes it into a monotask DAG on the assigned worker:
 //
 //   map-like:     [disk-read | remote fetch]  ->  compute  ->  disk-write
 //   reduce-like:  [local shuffle disk-reads + remote fetch set]  ->  compute  -> ...
 //
-// Workers are assigned up to their §3.4 multitask limit; there is no
-// tasks-per-machine knob (§7). Per-stage monotask service times are accumulated and
-// exposed in EngineJobMetrics, feeding the same §6 performance model as the cluster
-// simulator.
+// and assigns workers up to their §3.4 multitask limit, with no tasks-per-machine
+// knob (§7). kTaskThreads runs the body whole on one of `cores` slot threads.
+// Per-stage service times are accumulated and exposed in EngineJobMetrics, feeding
+// the same §6 performance model as the cluster simulator.
 #ifndef MONOTASKS_SRC_API_CONTEXT_H_
 #define MONOTASKS_SRC_API_CONTEXT_H_
 
@@ -88,11 +91,16 @@ class MonoContext {
   struct StagePlan;
   struct ShuffleSegment;
   struct SourceBlock;
+  struct StageOutput;
   class StageRunner;
 
+  int AddSource(const std::string& name, std::vector<Buffer> partitions, bool in_memory);
   std::vector<StagePlan> BuildStages(const std::shared_ptr<const PlanNode>& root) const;
   std::vector<Buffer> Execute(const std::shared_ptr<const PlanNode>& root,
                               const std::string& save_as);
+  // Runs `stages` in order, each reading the shuffle the previous one wrote, and
+  // returns the last one's output; it saves as `save_as` when that is non-empty.
+  StageOutput RunStages(const std::vector<StagePlan>& stages, const std::string& save_as);
   // Runs a sub-plan (the right parent of a join) to a shuffle output bucketed for
   // `num_out_partitions` consumers.
   std::vector<ShuffleSegment> RunToShuffle(

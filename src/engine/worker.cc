@@ -12,15 +12,6 @@ constexpr int kDiskOutstanding = 1;
 // Receiver-side limit on multitasks with outstanding fetches (§3.3).
 constexpr int kNetworkMultitaskLimit = 4;
 
-// std::atomic<double> has no fetch_add until C++20's on floating types is spotty in
-// practice; a CAS loop keeps the accounting portable.
-void AtomicAdd(std::atomic<double>* target, double delta) {
-  double current = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(current, current + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 Worker::Worker(int id, const EngineConfig& config, InProcessFabric* fabric)
@@ -83,17 +74,17 @@ void Worker::OnComplete(Monotask* task, double service_seconds) {
   std::string lane = "cpu";
   switch (task->resource()) {
     case ResourceType::kCpu:
-      AtomicAdd(&counters_.cpu_seconds, service_seconds);
+      counters_.cpu_seconds.fetch_add(service_seconds, std::memory_order_relaxed);
       ++counters_.cpu_count;
       break;
     case ResourceType::kDisk:
-      AtomicAdd(&counters_.disk_seconds, service_seconds);
+      counters_.disk_seconds.fetch_add(service_seconds, std::memory_order_relaxed);
       ++counters_.disk_count;
       category = "disk";
       lane = "disk" + std::to_string(task->disk_index);
       break;
     case ResourceType::kNetwork:
-      AtomicAdd(&counters_.network_seconds, service_seconds);
+      counters_.network_seconds.fetch_add(service_seconds, std::memory_order_relaxed);
       ++counters_.network_count;
       category = "network";
       lane = "net";

@@ -14,14 +14,30 @@
 namespace monotasks {
 namespace {
 
-EngineConfig FastConfig(int workers = 2, int cores = 2, int disks = 1) {
+EngineConfig FastConfig(ExecutionMode mode, int workers = 2, int cores = 2,
+                        int disks = 1) {
   EngineConfig config;
   config.num_workers = workers;
   config.cores_per_worker = cores;
   config.disks_per_worker = disks;
+  config.mode = mode;
   config.time_scale = 2000.0;  // Device seconds pass in fractions of a millisecond.
   return config;
 }
+
+// Defines one test body `Name(ExecutionMode mode)` and registers it once per
+// execution mode: `MonoSuite.Name` (the name each case has always had) runs it on
+// monotasks and `ThreadSuite.Name` on the task-thread baseline. Both modes share
+// the driver's stage body, so every case must hold in both.
+#define DATASET_TEST_BOTH_MODES(MonoSuite, ThreadSuite, Name)          \
+  void Name(ExecutionMode mode);                                       \
+  TEST(MonoSuite, Name) { Name(ExecutionMode::kMonotasks); }           \
+  TEST(ThreadSuite, Name) { Name(ExecutionMode::kTaskThreads); }       \
+  void Name(ExecutionMode mode)
+#define DATASET_TEST(Name) \
+  DATASET_TEST_BOTH_MODES(DatasetTest, DatasetTaskThreadsTest, Name)
+#define DATASET_JOIN_TEST(Name) \
+  DATASET_TEST_BOTH_MODES(DatasetJoinTest, DatasetJoinTaskThreadsTest, Name)
 
 TEST(SerdeTest, RoundTripsPrimitives) {
   const std::vector<int64_t> values = {1, -5, 1 << 30};
@@ -42,8 +58,8 @@ TEST(SerdeTest, RoundTripsDoubles) {
   EXPECT_EQ(DeserializeVector<double>(SerializeVector<double>(values)), values);
 }
 
-TEST(DatasetTest, ParallelizeAndCollectPreservesRecords) {
-  MonoClient client(FastConfig());
+DATASET_TEST(ParallelizeAndCollectPreservesRecords) {
+  MonoClient client(FastConfig(mode));
   std::vector<int64_t> input;
   for (int64_t i = 0; i < 100; ++i) {
     input.push_back(i);
@@ -54,8 +70,8 @@ TEST(DatasetTest, ParallelizeAndCollectPreservesRecords) {
   EXPECT_EQ(output, input);
 }
 
-TEST(DatasetTest, MapTransformsEveryRecord) {
-  MonoClient client(FastConfig());
+DATASET_TEST(MapTransformsEveryRecord) {
+  MonoClient client(FastConfig(mode));
   auto data = client.Parallelize<int64_t>({1, 2, 3, 4, 5}, 2);
   auto doubled = data.Map<int64_t>([](const int64_t& x) { return 2 * x; });
   std::vector<int64_t> output = doubled.Collect();
@@ -63,8 +79,8 @@ TEST(DatasetTest, MapTransformsEveryRecord) {
   EXPECT_EQ(output, (std::vector<int64_t>{2, 4, 6, 8, 10}));
 }
 
-TEST(DatasetTest, FilterDropsRecords) {
-  MonoClient client(FastConfig());
+DATASET_TEST(FilterDropsRecords) {
+  MonoClient client(FastConfig(mode));
   std::vector<int64_t> input;
   for (int64_t i = 0; i < 50; ++i) {
     input.push_back(i);
@@ -74,8 +90,8 @@ TEST(DatasetTest, FilterDropsRecords) {
   EXPECT_EQ(evens.Count(), 25);
 }
 
-TEST(DatasetTest, FlatMapExpandsRecords) {
-  MonoClient client(FastConfig());
+DATASET_TEST(FlatMapExpandsRecords) {
+  MonoClient client(FastConfig(mode));
   auto data = client.Parallelize<std::string>({"a b", "c d e"}, 2);
   auto words = data.FlatMap<std::string>([](const std::string& line) {
     std::vector<std::string> out;
@@ -89,8 +105,8 @@ TEST(DatasetTest, FlatMapExpandsRecords) {
   EXPECT_EQ(words.Count(), 5);
 }
 
-TEST(DatasetTest, WordCountEndToEnd) {
-  MonoClient client(FastConfig(3, 2, 2));
+DATASET_TEST(WordCountEndToEnd) {
+  MonoClient client(FastConfig(mode, 3, 2, 2));
   std::vector<std::string> lines;
   for (int i = 0; i < 40; ++i) {
     lines.push_back("the quick brown fox jumps over the lazy dog the end");
@@ -118,8 +134,8 @@ TEST(DatasetTest, WordCountEndToEnd) {
   EXPECT_EQ(counts.size(), 9u);
 }
 
-TEST(DatasetTest, ReduceByKeyProducesUniqueKeys) {
-  MonoClient client(FastConfig());
+DATASET_TEST(ReduceByKeyProducesUniqueKeys) {
+  MonoClient client(FastConfig(mode));
   using Record = std::pair<int64_t, int64_t>;
   std::vector<Record> input;
   for (int64_t i = 0; i < 200; ++i) {
@@ -135,8 +151,8 @@ TEST(DatasetTest, ReduceByKeyProducesUniqueKeys) {
   }
 }
 
-TEST(DatasetTest, PartitionByCoLocatesEqualKeys) {
-  MonoClient client(FastConfig());
+DATASET_TEST(PartitionByCoLocatesEqualKeys) {
+  MonoClient client(FastConfig(mode));
   using Record = std::pair<int64_t, int64_t>;
   std::vector<Record> input;
   for (int64_t i = 0; i < 60; ++i) {
@@ -147,8 +163,8 @@ TEST(DatasetTest, PartitionByCoLocatesEqualKeys) {
   EXPECT_EQ(partitioned.Count(), 60);
 }
 
-TEST(DatasetTest, SortBySortsWithinPartitions) {
-  MonoClient client(FastConfig());
+DATASET_TEST(SortBySortsWithinPartitions) {
+  MonoClient client(FastConfig(mode));
   std::vector<int64_t> input = {9, 3, 7, 1, 8, 2, 6, 4, 5, 0};
   auto sorted = client.Parallelize<int64_t>(input, 3).SortBy<int64_t>(
       [](const int64_t& x) { return x; }, 1);
@@ -156,8 +172,8 @@ TEST(DatasetTest, SortBySortsWithinPartitions) {
   EXPECT_EQ(sorted.Collect(), (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(DatasetTest, SaveAndReadBack) {
-  MonoClient client(FastConfig());
+DATASET_TEST(SaveAndReadBack) {
+  MonoClient client(FastConfig(mode));
   auto data = client.Parallelize<int64_t>({5, 6, 7, 8}, 2);
   data.Map<int64_t>([](const int64_t& x) { return x + 1; }).Save("bumped");
   auto reloaded = client.FromSource<int64_t>("bumped", 2);
@@ -166,8 +182,8 @@ TEST(DatasetTest, SaveAndReadBack) {
   EXPECT_EQ(output, (std::vector<int64_t>{6, 7, 8, 9}));
 }
 
-TEST(DatasetTest, MetricsExposeMonotaskTimes) {
-  MonoClient client(FastConfig());
+DATASET_TEST(MetricsExposeMonotaskTimes) {
+  MonoClient client(FastConfig(mode));
   using Record = std::pair<int64_t, int64_t>;
   std::vector<Record> input;
   for (int64_t i = 0; i < 500; ++i) {
@@ -191,8 +207,8 @@ TEST(DatasetTest, MetricsExposeMonotaskTimes) {
   EXPECT_GT(metrics.wall_seconds, 0.0);
 }
 
-TEST(DatasetTest, MultiStagePipeline) {
-  MonoClient client(FastConfig());
+DATASET_TEST(MultiStagePipeline) {
+  MonoClient client(FastConfig(mode));
   using Record = std::pair<int64_t, int64_t>;
   std::vector<Record> input;
   for (int64_t i = 0; i < 100; ++i) {
@@ -213,8 +229,8 @@ TEST(DatasetTest, MultiStagePipeline) {
   EXPECT_EQ(output[0].second, 10);  // ...and there are 10 keys.
 }
 
-TEST(DatasetTest, ManyPartitionsOnFewWorkers) {
-  MonoClient client(FastConfig(2, 2, 1));
+DATASET_TEST(ManyPartitionsOnFewWorkers) {
+  MonoClient client(FastConfig(mode, 2, 2, 1));
   std::vector<int64_t> input;
   for (int64_t i = 0; i < 1000; ++i) {
     input.push_back(i);
@@ -225,8 +241,8 @@ TEST(DatasetTest, ManyPartitionsOnFewWorkers) {
   EXPECT_EQ(total, 1000);
 }
 
-TEST(DatasetTest, EmptyPartitionsAreHandled) {
-  MonoClient client(FastConfig());
+DATASET_TEST(EmptyPartitionsAreHandled) {
+  MonoClient client(FastConfig(mode));
   // 3 records over 8 partitions: most partitions are empty.
   auto data = client.Parallelize<int64_t>({1, 2, 3}, 8);
   auto reduced = ReduceByKey<int64_t, int64_t>(
@@ -237,8 +253,8 @@ TEST(DatasetTest, EmptyPartitionsAreHandled) {
 }
 
 
-TEST(DatasetTest, CacheSkipsDiskOnReRead) {
-  MonoClient client(FastConfig());
+DATASET_TEST(CacheSkipsDiskOnReRead) {
+  MonoClient client(FastConfig(mode));
   std::vector<int64_t> input;
   for (int64_t i = 0; i < 4000; ++i) {
     input.push_back(i);
@@ -263,16 +279,16 @@ TEST(DatasetTest, CacheSkipsDiskOnReRead) {
   EXPECT_EQ(reads_after, reads_before);  // The cached job touched no disk.
 }
 
-TEST(DatasetTest, CachePreservesRecords) {
-  MonoClient client(FastConfig());
+DATASET_TEST(CachePreservesRecords) {
+  MonoClient client(FastConfig(mode));
   auto cached = client.Parallelize<int64_t>({7, 8, 9}, 2).Cache();
   auto out = cached.Collect();
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<int64_t>{7, 8, 9}));
 }
 
-TEST(DatasetTest, CachedDataFlowsThroughShuffles) {
-  MonoClient client(FastConfig());
+DATASET_TEST(CachedDataFlowsThroughShuffles) {
+  MonoClient client(FastConfig(mode));
   using Record = std::pair<int64_t, int64_t>;
   std::vector<Record> input;
   for (int64_t i = 0; i < 100; ++i) {
@@ -285,8 +301,8 @@ TEST(DatasetTest, CachedDataFlowsThroughShuffles) {
 }
 
 
-TEST(DatasetJoinTest, InnerJoinMatchesKeys) {
-  MonoClient client(FastConfig());
+DATASET_JOIN_TEST(InnerJoinMatchesKeys) {
+  MonoClient client(FastConfig(mode));
   using UserAge = std::pair<int64_t, int64_t>;
   using UserCity = std::pair<int64_t, std::string>;
   auto ages = client.Parallelize<UserAge>(
@@ -305,8 +321,8 @@ TEST(DatasetJoinTest, InnerJoinMatchesKeys) {
   EXPECT_EQ(out[1].second.second, "shanghai");
 }
 
-TEST(DatasetJoinTest, JoinHandlesDuplicateKeys) {
-  MonoClient client(FastConfig());
+DATASET_JOIN_TEST(JoinHandlesDuplicateKeys) {
+  MonoClient client(FastConfig(mode));
   using Record = std::pair<int64_t, int64_t>;
   auto left = client.Parallelize<Record>({{7, 1}, {7, 2}}, 2);
   auto right = client.Parallelize<Record>({{7, 10}, {7, 20}, {8, 30}}, 2);
@@ -315,8 +331,8 @@ TEST(DatasetJoinTest, JoinHandlesDuplicateKeys) {
   EXPECT_EQ(joined.Collect().size(), 4u);
 }
 
-TEST(DatasetJoinTest, JoinComposesWithFurtherStages) {
-  MonoClient client(FastConfig());
+DATASET_JOIN_TEST(JoinComposesWithFurtherStages) {
+  MonoClient client(FastConfig(mode));
   using Record = std::pair<int64_t, int64_t>;
   std::vector<Record> left_in;
   std::vector<Record> right_in;
@@ -340,24 +356,32 @@ TEST(DatasetJoinTest, JoinComposesWithFurtherStages) {
   }
 }
 
-TEST(DatasetJoinTest, JoinWorksInTaskThreadsMode) {
-  EngineConfig config = FastConfig();
-  config.mode = ExecutionMode::kTaskThreads;
-  MonoClient client(config);
-  using Record = std::pair<int64_t, int64_t>;
-  auto left = client.Parallelize<Record>({{1, 10}, {2, 20}}, 2);
-  auto right = client.Parallelize<Record>({{1, 100}, {3, 300}}, 2);
-  auto joined = Join<int64_t, int64_t, int64_t>(left, right, 2);
-  const auto out = joined.Collect();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].first, 1);
-  EXPECT_EQ(out[0].second.first, 10);
-  EXPECT_EQ(out[0].second.second, 100);
+// A partition_fn that returns fewer buckets than the shuffle has reducers is a
+// plan bug. The map task must stop on it, in both modes, before any reducer
+// indexes past the segment's bucket ranges.
+DATASET_TEST_BOTH_MODES(DatasetDeathTest, DatasetTaskThreadsDeathTest,
+                        ShortBucketListAborts) {
+  // The check fires on an engine thread.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto run = [mode] {
+    MonoContext context(FastConfig(mode));
+    context.CreateSource("short", {SerializeVector<int64_t>({1, 2}),
+                                   SerializeVector<int64_t>({3, 4})});
+    const auto one_bucket = [](const Buffer& in, int) { return std::vector<Buffer>{in}; };
+    const auto concat = [](std::vector<Buffer> fetched) {
+      Buffer out;
+      for (const Buffer& bucket : fetched) {
+        out.insert(out.end(), bucket.begin(), bucket.end());
+      }
+      return out;
+    };
+    context.RunJob(PlanNode::Shuffle(PlanNode::Source("short", 2), 4, one_bucket, concat));
+  };
+  EXPECT_DEATH(run(), "one bucket per output partition");
 }
 
-
-TEST(DatasetTest, SampleIsDeterministicAndApproximate) {
-  MonoClient client(FastConfig());
+DATASET_TEST(SampleIsDeterministicAndApproximate) {
+  MonoClient client(FastConfig(mode));
   std::vector<int64_t> input;
   for (int64_t i = 0; i < 4000; ++i) {
     input.push_back(i);

@@ -82,9 +82,8 @@ StageExecution::StageExecution(const JobSpec& job, int stage_index, int num_mach
     const double f = factor[static_cast<size_t>(t)];
     if (file != nullptr) {
       // Block sizes are fixed by the DFS; jitter applies to compute/output only.
-      const DfsBlock& block = file->blocks[static_cast<size_t>(t)];
-      params.input_bytes = block.size;
-      params.replicas = block.replicas;
+      params.input_bytes = file->blocks[static_cast<size_t>(t)].size;
+      params.replicas = file->replicas(static_cast<size_t>(t));
     } else {
       params.input_bytes = share(total_input, t);
     }

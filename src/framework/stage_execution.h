@@ -9,6 +9,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,8 +82,9 @@ class StageExecution {
  private:
   struct TaskParams {
     // DFS input replicas (empty: no locality preference). Any replica holder can
-    // read the block locally; a non-holder reads remotely from the primary.
-    std::vector<DfsBlock::Replica> replicas;
+    // read the block locally; a non-holder reads remotely from the primary. A
+    // view into the DfsSim's file, which outlives the job.
+    std::span<const DfsReplica> replicas;
     monoutil::Bytes input_bytes;
     double cpu_seconds = 0.0;
     double deser_cpu_seconds = 0.0;

@@ -37,6 +37,16 @@ void SparkExecutorSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
                      state.buffered_bytes >= monoutil::Bytes(0),
                  now, source, "machine-bookkeeping",
                  "negative slot, serve-read, or buffered-byte count");
+    audit.ExpectLazy(state.active_serve_reads <= kServeReadConcurrency &&
+                         (state.serve_read_queue.empty() ||
+                          state.active_serve_reads == kServeReadConcurrency),
+                     now, source, "serve-read-pool", [&] {
+                       std::ostringstream d;
+                       d << state.active_serve_reads << " active and "
+                         << state.serve_read_queue.size()
+                         << " queued serve read(s) with a pool of " << kServeReadConcurrency;
+                       return d.str();
+                     });
   }
   audit.ExpectLazy(busy_total == static_cast<int>(running_.size()), now, source,
                    "slot-bookkeeping", [&] {
@@ -143,9 +153,7 @@ void SparkExecutorSim::OnTaskComplete(SparkTaskSim* task) {
   // deferred to a zero-delay event that runs after the current event unwinds.
   auto it = running_.find(task->dispatch_id());
   MONO_CHECK(it != running_.end());
-  // shared_ptr because std::function requires a copyable callable.
-  sim_->ScheduleAfter(SimTime(),
-                      [owned = std::shared_ptr<SparkTaskSim>(std::move(it->second))] {});
+  sim_->ScheduleAfter(SimTime(), [owned = std::move(it->second)] {});
   running_.erase(it);
   stage->OnTaskFinished(task_index, sim_->now());
   TryDispatch(machine);
@@ -165,48 +173,46 @@ int SparkExecutorSim::PickServeDisk(int machine) {
   return disk;
 }
 
-void SparkExecutorSim::ServeRead(int machine, monoutil::Bytes bytes,
-                                 std::function<void()> done) {
+void SparkExecutorSim::SubmitServeRead(int machine, ServeRequest request) {
   MachineState& state = machines_[static_cast<size_t>(machine)];
-  const SimTime requested = sim_->now();
-  auto start = [this, machine, bytes, requested,
-                done = std::move(done)]() mutable {
-    // Queue-wait decomposition (telemetry.h): the shuffle service's I/O pool
-    // is the Spark baseline's only explicit per-resource queue, so its wait is
-    // the comparable number to mono.disk.queue_wait_seconds.
-    if (monotrace::TelemetryEnabled()) {
-      static monotrace::LatencyHistogram* wait_hist =
-          monotrace::MetricsRegistry::Global().Histogram(
-              "spark.serve_read.queue_wait_seconds");
-      wait_hist->Add((sim_->now() - requested).seconds());
-    }
-    const SimTime dispatched = sim_->now();
-    const int disk = PickServeDisk(machine);
-    cluster_->machine(machine).disk(disk).Read(bytes, [this, machine, dispatched,
-                                                       done = std::move(done)] {
-      if (monotrace::TelemetryEnabled()) {
-        static monotrace::LatencyHistogram* service_hist =
-            monotrace::MetricsRegistry::Global().Histogram(
-                "spark.serve_read.service_seconds");
-        service_hist->Add((sim_->now() - dispatched).seconds());
-      }
-      MachineState& state = machines_[static_cast<size_t>(machine)];
-      --state.active_serve_reads;
-      if (!state.serve_read_queue.empty()) {
-        auto next = std::move(state.serve_read_queue.front());
-        state.serve_read_queue.pop_front();
-        ++state.active_serve_reads;
-        next();
-      }
-      done();
-    });
-  };
-  if (state.active_serve_reads < config_.serve_read_concurrency) {
+  if (state.active_serve_reads < kServeReadConcurrency) {
     ++state.active_serve_reads;
-    start();
+    StartServeRead(machine, std::move(request));
   } else {
-    state.serve_read_queue.push_back(std::move(start));
+    state.serve_read_queue.push_back(std::move(request));
   }
+}
+
+void SparkExecutorSim::StartServeRead(int machine, ServeRequest request) {
+  // Queue-wait decomposition (telemetry.h): the shuffle service's I/O pool
+  // is the Spark baseline's only explicit per-resource queue, so its wait is
+  // the comparable number to mono.disk.queue_wait_seconds.
+  if (monotrace::TelemetryEnabled()) {
+    static monotrace::LatencyHistogram* wait_hist =
+        monotrace::MetricsRegistry::Global().Histogram(
+            "spark.serve_read.queue_wait_seconds");
+    wait_hist->Add((sim_->now() - request.requested).seconds());
+  }
+  const SimTime dispatched = sim_->now();
+  const int disk = PickServeDisk(machine);
+  cluster_->machine(machine).disk(disk).Read(
+      request.bytes, [this, machine, dispatched, done = std::move(request.done)]() mutable {
+        if (monotrace::TelemetryEnabled()) {
+          static monotrace::LatencyHistogram* service_hist =
+              monotrace::MetricsRegistry::Global().Histogram(
+                  "spark.serve_read.service_seconds");
+          service_hist->Add((sim_->now() - dispatched).seconds());
+        }
+        MachineState& state = machines_[static_cast<size_t>(machine)];
+        --state.active_serve_reads;
+        if (!state.serve_read_queue.empty()) {
+          ServeRequest next = std::move(state.serve_read_queue.front());
+          state.serve_read_queue.pop_front();
+          ++state.active_serve_reads;
+          StartServeRead(machine, std::move(next));
+        }
+        done();
+      });
 }
 
 double SparkExecutorSim::ChunkCpuFactor() {

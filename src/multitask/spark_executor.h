@@ -16,10 +16,10 @@
 #define MONOTASKS_SRC_MULTITASK_SPARK_EXECUTOR_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/machine.h"
@@ -28,6 +28,7 @@
 #include "src/framework/task.h"
 #include "src/framework/task_pool.h"
 #include "src/simcore/audit.h"
+#include "src/simcore/inline_callback.h"
 #include "src/simcore/simulation.h"
 
 namespace monosim {
@@ -39,10 +40,6 @@ struct SparkConfig {
   int slots_per_machine = 0;
   // Synchronously flush writes to disk instead of leaving them in the buffer cache.
   bool write_through = false;
-  // Concurrent shuffle-serve disk reads per machine (the shuffle service's I/O
-  // thread pool). Unlike the monotask disk scheduler this does not coordinate with
-  // the tasks' own reads and writes, so contention remains.
-  int serve_read_concurrency = 4;
   // Coefficient of variation of per-chunk CPU time (0 = deterministic). Real tasks
   // see per-record skew and JVM pauses; enabling this reproduces the fine-grained
   // bottleneck oscillation of Fig 2 without changing mean runtimes.
@@ -66,12 +63,26 @@ class SparkExecutorSim : public ExecutorSim, public Auditable {
 
   const SparkConfig& config() const { return config_; }
 
+  // Concurrent shuffle-serve disk reads per machine (the shuffle service's I/O
+  // thread pool). Unlike the monotask disk scheduler this does not coordinate with
+  // the tasks' own reads and writes, so contention remains.
+  static constexpr int kServeReadConcurrency = 4;
+
   // Invariant auditing (audit.h): per-machine busy-slot counts match the running
-  // registry; at drain no task, serve read, or queued serve request is left.
+  // registry; serve reads stay within kServeReadConcurrency and queue only while
+  // the pool is full; at drain no task, serve read, or queued serve request is
+  // left.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
   friend class SparkTaskSim;
+
+  // A serve read waiting for, or holding, a slot of the shuffle service's pool.
+  struct ServeRequest {
+    monoutil::Bytes bytes;
+    SimTime requested;
+    InlineCallback done;
+  };
 
   struct MachineState {
     int busy_slots = 0;
@@ -79,7 +90,7 @@ class SparkExecutorSim : public ExecutorSim, public Auditable {
     int next_serve_disk = 0;
     monoutil::Bytes buffered_bytes;
     int active_serve_reads = 0;
-    std::deque<std::function<void()>> serve_read_queue;
+    std::deque<ServeRequest> serve_read_queue;  // FIFO.
   };
 
   void TryDispatch(int machine);
@@ -89,8 +100,16 @@ class SparkExecutorSim : public ExecutorSim, public Auditable {
   int PickWriteDisk(int machine);
   int PickServeDisk(int machine);
   // Reads shuffle data on `machine` on behalf of a remote fetch, bounded by the
-  // shuffle service's I/O concurrency.
-  void ServeRead(int machine, monoutil::Bytes bytes, std::function<void()> done);
+  // shuffle service's I/O concurrency; `done` (any void() callable) is wrapped
+  // once against the simulation's callback arena and fires when the data is read.
+  template <typename F>
+  void ServeRead(int machine, monoutil::Bytes bytes, F&& done) {
+    SubmitServeRead(machine, ServeRequest{bytes, sim_->now(),
+                                          WrapCallback(std::forward<F>(done),
+                                                       sim_->callback_arena())});
+  }
+  void SubmitServeRead(int machine, ServeRequest request);
+  void StartServeRead(int machine, ServeRequest request);
   void AddBuffered(int machine, monoutil::Bytes bytes);
   void RemoveBuffered(int machine, monoutil::Bytes bytes);
   // Trace process group for a machine's work under this executor.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -132,17 +131,8 @@ EventHandle Simulation::ScheduleRecord(SimTime when, InlineCallback&& fn,
   EventRecord* record = AllocRecord();
   record->fn = std::move(fn);
   record->tag = tag;
-  const uint64_t seq = next_seq_++;
-  if (BeforeLimit(when, seq)) {
-    // Due before the current batch's boundary: joins the near heap so pops
-    // interleave it correctly with the sorted batch.
-    near_heap_.push_back(QueueEntry{when, seq, record});
-    SiftUp(near_heap_.size() - 1);
-  } else {
-    // The common case — at or beyond the boundary: one unsorted append, no
-    // sift. Ordering is recovered in batch when the entry migrates near.
-    far_.push_back(QueueEntry{when, seq, record});
-  }
+  queue_.push_back(QueueEntry{when, next_seq_++, record});
+  std::push_heap(queue_.begin(), queue_.end(), FiresLater);
   MaybeCompact();
   return EventHandle(self_slot_, record, record->generation);
 }
@@ -164,136 +154,17 @@ void Simulation::MixDigest(SimTime when, uint64_t seq, const char* tag) {
   mix_bytes(reinterpret_cast<const unsigned char*>(tag), std::strlen(tag));
 }
 
-void Simulation::SiftUp(size_t index) {
-  const QueueEntry item = near_heap_[index];
-  while (index > 0) {
-    const size_t parent = (index - 1) / 4;
-    if (!Earlier(item, near_heap_[parent])) {
-      break;
-    }
-    near_heap_[index] = near_heap_[parent];
-    index = parent;
-  }
-  near_heap_[index] = item;
-}
-
-void Simulation::SiftDown(size_t index) {
-  const size_t size = near_heap_.size();
-  const QueueEntry item = near_heap_[index];
-  for (;;) {
-    const size_t first_child = 4 * index + 1;
-    if (first_child >= size) {
-      break;
-    }
-    size_t best = first_child;
-    const size_t last_child = std::min(first_child + 4, size);
-    for (size_t child = first_child + 1; child < last_child; ++child) {
-      if (Earlier(near_heap_[child], near_heap_[best])) {
-        best = child;
-      }
-    }
-    if (!Earlier(near_heap_[best], item)) {
-      break;
-    }
-    near_heap_[index] = near_heap_[best];
-    index = best;
-  }
-  near_heap_[index] = item;
-}
-
-void Simulation::BuildHeap() {
-  if (near_heap_.size() < 2) {
-    return;
-  }
-  // Floyd: sift down every parent, deepest first. The last parent of a 4-ary
-  // heap of n entries sits at (n - 2) / 4.
-  for (size_t index = (near_heap_.size() - 2) / 4 + 1; index-- > 0;) {
-    SiftDown(index);
-  }
-}
-
-void Simulation::MigrateFar() {
-  size_t batch = std::max(kMinMigrateBatch, far_.size() / kMigrateShrinkDivisor);
-  if (batch >= far_.size()) {
-    // Taking everything: the boundary moves just past the latest migrated
-    // key, so follow-up schedules at already-seen times stay near (they must
-    // interleave with this batch) while genuinely later ones land in far_.
-    batch = far_.size();
-    SimTime max_when = far_.front().when;
-    for (const QueueEntry& entry : far_) {
-      max_when = std::max(max_when, entry.when);
-    }
-    limit_when_ = max_when;
-    limit_seq_ = std::numeric_limits<uint64_t>::max();
-  } else {
-    // Partition so far_[0..batch) are the batch earliest entries; far_[batch]
-    // is then the earliest remaining and becomes the new boundary. Keys are
-    // unique, so the selected set is deterministic.
-    const auto nth = far_.begin() + static_cast<ptrdiff_t>(batch);
-    std::nth_element(far_.begin(), nth, far_.end(), Earlier);
-    limit_when_ = nth->when;
-    limit_seq_ = nth->seq;
-  }
-  for (size_t i = 0; i < batch; ++i) {
-    if (far_[i].record->cancelled) {
-      // Tombstones die here instead of riding along to be skipped at pop.
-      MONO_CHECK(tombstones_ > 0);
-      --tombstones_;
-      FreeRecord(far_[i].record);
-    } else {
-      near_sorted_.push_back(far_[i]);
-    }
-  }
-  far_.erase(far_.begin(), far_.begin() + static_cast<ptrdiff_t>(batch));
-  // Descending, so pops take the earliest entry from the back in O(1). One
-  // sequential sort per batch replaces a cache-missing sift per event.
-  std::sort(near_sorted_.begin(), near_sorted_.end(),
-            [](const QueueEntry& a, const QueueEntry& b) { return Earlier(b, a); });
-}
-
-Simulation::QueueEntry* Simulation::FrontRaw() {
-  for (;;) {
-    if (!near_sorted_.empty()) {
-      QueueEntry* front = &near_sorted_.back();
-      if (!near_heap_.empty() && Earlier(near_heap_.front(), *front)) {
-        front = &near_heap_.front();
-      }
-      return front;
-    }
-    if (!near_heap_.empty()) {
-      return &near_heap_.front();
-    }
-    if (far_.empty()) {
-      return nullptr;
-    }
-    MigrateFar();
-  }
-}
-
 Simulation::QueueEntry* Simulation::FrontLive() {
-  for (;;) {
-    QueueEntry* front = FrontRaw();
-    if (front == nullptr || !front->record->cancelled) {
-      return front;
-    }
+  while (!queue_.empty() && queue_.front().record->cancelled) {
     PopTop();
   }
+  return queue_.empty() ? nullptr : &queue_.front();
 }
 
 Simulation::QueueEntry Simulation::PopTop() {
-  QueueEntry top;
-  if (!near_sorted_.empty() &&
-      (near_heap_.empty() || Earlier(near_sorted_.back(), near_heap_.front()))) {
-    top = near_sorted_.back();
-    near_sorted_.pop_back();
-  } else {
-    top = near_heap_.front();
-    near_heap_.front() = near_heap_.back();
-    near_heap_.pop_back();
-    if (!near_heap_.empty()) {
-      SiftDown(0);
-    }
-  }
+  std::pop_heap(queue_.begin(), queue_.end(), FiresLater);
+  QueueEntry top = queue_.back();
+  queue_.pop_back();
   if (top.record->cancelled) {
     MONO_CHECK(tombstones_ > 0);
     --tombstones_;
@@ -307,26 +178,18 @@ void Simulation::MaybeCompact() {
   if (tombstones_ == 0) {
     return;  // The common case on the schedule fast path: one load, no sums.
   }
-  const size_t total = near_sorted_.size() + near_heap_.size() + far_.size();
-  if (total < kCompactionMinQueueSize || tombstones_ * 2 <= total) {
+  if (queue_.size() < kCompactionMinQueueSize || tombstones_ * 2 <= queue_.size()) {
     return;
   }
-  const auto filter = [this](std::vector<QueueEntry>& entries) {
-    size_t out = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].record->cancelled) {
-        FreeRecord(entries[i].record);
-      } else {
-        entries[out++] = entries[i];
-      }
+  std::erase_if(queue_, [this](const QueueEntry& entry) {
+    if (!entry.record->cancelled) {
+      return false;
     }
-    entries.resize(out);
-  };
-  filter(near_sorted_);  // Stable, so the descending order survives.
-  filter(near_heap_);
-  filter(far_);
+    FreeRecord(entry.record);
+    return true;
+  });
   tombstones_ = 0;
-  BuildHeap();
+  std::make_heap(queue_.begin(), queue_.end(), FiresLater);
 }
 
 bool Simulation::NoLiveEventAtNow() {

@@ -31,24 +31,18 @@
 // carry a generation counter instead of shared ownership, so record reuse and
 // compaction cannot be observed through a stale handle.
 //
-// The queue itself is two-level. Entries ordered before a moving boundary
-// live in the *near* structures (a descending sorted array popped from the
-// back, plus a small 4-ary heap for entries scheduled mid-batch); everything
-// at or beyond the boundary sits in an unsorted *far* buffer that costs one
-// append to schedule into. When the near side drains, a batch of the
-// earliest far entries is carved out (nth_element + one sort) and becomes
-// the next near array. A heap over millions of future events pays a
-// cache-missing sift per operation; the two-level layout replaces that with
-// sequential batched sorting, roughly doubling schedule/fire throughput at
-// queue depths in the millions. Fire order is (time, sequence) either way,
-// so the event schedule — and with it the run digest — is bit-identical to
-// a single-heap kernel's.
+// The queue is one binary heap over a vector of 24-byte entries, ordered by
+// (time, sequence). Real workloads keep it shallow: on the benchmark ledger's
+// workloads the mean depth is 20-94 entries and the deepest point 1,780 (the
+// 600 GiB sort), so the heap stays in cache and batching schedules ahead of
+// the front would buy nothing. Fire order is the total order (time,
+// sequence), so the event schedule, and with it the run digest, does not
+// depend on the queue's layout.
 #ifndef MONOTASKS_SRC_SIMCORE_SIMULATION_H_
 #define MONOTASKS_SRC_SIMCORE_SIMULATION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -218,9 +212,7 @@ class Simulation {
 
   // Queue introspection (tests, benches): total entries including tombstones, and
   // the tombstones among them. queue_size() - queued_tombstones() is the live count.
-  size_t queue_size() const {
-    return near_sorted_.size() + near_heap_.size() + far_.size();
-  }
+  size_t queue_size() const { return queue_.size(); }
   uint64_t queued_tombstones() const { return tombstones_; }
 
   // Queues smaller than this never compact: scanning a handful of entries costs
@@ -264,56 +256,26 @@ class Simulation {
   // monotonicity check. No-op when no audit is installed.
   void RunAuditChecks(AuditPhase phase);
 
-  // Queue entry: 24 bytes, so sorting and sifting move a third of the bytes a
-  // shared_ptr-carrying entry did. The callback and tag live in the record,
-  // off the comparison path.
+  // Queue entry: 24 bytes. The callback and tag live in the record, off the
+  // comparison path.
   struct QueueEntry {
     SimTime when;
     uint64_t seq;
     EventRecord* record;
   };
 
-  static bool Earlier(const QueueEntry& a, const QueueEntry& b) {
+  // Heap order for std::push_heap/pop_heap: the front of the heap is the
+  // entry no other entry fires before.
+  static bool FiresLater(const QueueEntry& a, const QueueEntry& b) {
     if (a.when != b.when) {
-      return a.when < b.when;
+      return a.when > b.when;
     }
-    return a.seq < b.seq;
+    return a.seq > b.seq;
   }
-
-  // True when (when, seq) sorts before the near/far boundary, i.e. the entry
-  // belongs in the near structures.
-  bool BeforeLimit(SimTime when, uint64_t seq) const {
-    if (when != limit_when_) {
-      return when < limit_when_;
-    }
-    return seq < limit_seq_;
-  }
-
-  // Migration batch sizing: take at least kMinMigrateBatch entries (small
-  // batches don't amortize the nth_element pass over far_), and at least
-  // 1/kMigrateShrinkDivisor of far_ (so the total partitioning work across a
-  // drain is a geometric series, O(1) amortized per event).
-  static constexpr size_t kMinMigrateBatch = 1 << 16;
-  static constexpr size_t kMigrateShrinkDivisor = 4;
-
-  // 4-ary heap primitives over near_heap_.
-  void SiftUp(size_t index);
-  void SiftDown(size_t index);
-  void BuildHeap();
-
-  // Returns the earliest queued entry — migrating a batch out of far_ when
-  // the near structures are empty — or nullptr when the whole queue is
-  // drained. The returned entry may be a tombstone.
-  QueueEntry* FrontRaw();
 
   // Discards cancelled entries at the front of the queue; returns the
   // earliest live entry, or nullptr when the queue is drained.
   QueueEntry* FrontLive();
-
-  // Carves the next batch of earliest far_ entries into near_sorted_
-  // (dropping tombstones on the way) and advances the near/far boundary.
-  // Called only with both near structures empty and far_ non-empty.
-  void MigrateFar();
 
   // Shared implementation behind the ScheduleAt/ScheduleAfter templates.
   EventHandle ScheduleRecord(SimTime when, InlineCallback&& fn, const char* tag);
@@ -329,8 +291,8 @@ class Simulation {
 
   // Removes and returns the earliest entry, maintaining the tombstone count.
   // A cancelled entry's record is freed before returning; a live entry's
-  // record stays alive for the caller to fire and free. Callers must have
-  // seen FrontRaw() != nullptr (the front then sits in the near structures).
+  // record stays alive for the caller to fire and free. The queue must not be
+  // empty.
   QueueEntry PopTop();
 
   // True when no live event shares the current timestamp: the epoch is over once
@@ -359,18 +321,9 @@ class Simulation {
   uint64_t fired_ = 0;
   uint64_t digest_ = 14695981039346656037ULL;  // FNV-1a 64-bit offset basis.
   SimTime last_fired_time_;
-  // Two-level event queue. near_sorted_ (descending by (when, seq), popped
-  // from the back) and near_heap_ (flat 4-ary min-heap for entries scheduled
-  // after the current batch was carved) hold every entry ordered before the
-  // boundary (limit_when_, limit_seq_); far_ is an unsorted append-only
-  // buffer for everything at or beyond it. All three are plain vectors so
-  // compaction can filter them in place. The boundary starts at -inf: the
-  // first schedule lands in far_, and the first pop migrates a batch.
-  std::vector<QueueEntry> near_sorted_;
-  std::vector<QueueEntry> near_heap_;
-  std::vector<QueueEntry> far_;
-  SimTime limit_when_{-std::numeric_limits<double>::infinity()};
-  uint64_t limit_seq_ = 0;
+  // Event queue: a heap under FiresLater, so queue_.front() fires next. A
+  // plain vector, so compaction can filter it in place.
+  std::vector<QueueEntry> queue_;
   uint64_t tombstones_ = 0;
   std::vector<const Auditable*> auditables_;
   std::vector<InlineCallback> epoch_tasks_;

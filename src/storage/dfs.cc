@@ -1,5 +1,6 @@
 #include "src/storage/dfs.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -51,19 +52,21 @@ const DfsFile& DfsSim::PlaceFile(const std::string& name, Bytes total_bytes,
   DfsFile file;
   file.name = name;
   file.block_size = block_size;
+  file.replication = replication_;
+  file.blocks.reserve(static_cast<size_t>(num_blocks));
+  file.placement.reserve(static_cast<size_t>(num_blocks) * static_cast<size_t>(replication_));
   Bytes remaining = total_bytes;
   const int start = static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(num_machines_)));
   for (int b = 0; b < num_blocks; ++b) {
-    DfsBlock block;
-    block.size = std::min(block_size, remaining);
-    remaining -= block.size;
+    const Bytes size = std::min(block_size, remaining);
+    remaining -= size;
+    file.blocks.push_back(DfsBlock{size});
     for (int r = 0; r < replication_; ++r) {
       const int machine = (start + b + r) % num_machines_;
       auto& disk_cursor = next_disk_[static_cast<size_t>(machine)];
-      block.replicas.push_back(DfsBlock::Replica{machine, disk_cursor});
+      file.placement.push_back(DfsReplica{machine, disk_cursor});
       disk_cursor = (disk_cursor + 1) % disks_per_machine_;
     }
-    file.blocks.push_back(std::move(block));
   }
   MONO_CHECK_MSG(remaining == Bytes(0), "blocks do not cover the file");
   auto [it, inserted] = files_.emplace(name, std::move(file));

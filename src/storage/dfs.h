@@ -8,7 +8,9 @@
 #ifndef MONOTASKS_SRC_STORAGE_DFS_H_
 #define MONOTASKS_SRC_STORAGE_DFS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,18 +22,28 @@ namespace monosim {
 
 struct DfsBlock {
   monoutil::Bytes size;
-  // Machine/disk of each replica; replicas[0] is the primary.
-  struct Replica {
-    int machine = 0;
-    int disk = 0;
-  };
-  std::vector<Replica> replicas;
+};
+
+// Machine/disk holding one copy of a block.
+struct DfsReplica {
+  int machine = 0;
+  int disk = 0;
 };
 
 struct DfsFile {
   std::string name;
   monoutil::Bytes block_size;
+  int replication = 1;
   std::vector<DfsBlock> blocks;
+  // Every block's replicas in one array, block by block: `replication` entries
+  // per block, the primary first.
+  std::vector<DfsReplica> placement;
+
+  // Replicas of block `b`; [0] is the primary.
+  std::span<const DfsReplica> replicas(size_t b) const {
+    return std::span<const DfsReplica>(placement).subspan(
+        b * static_cast<size_t>(replication), static_cast<size_t>(replication));
+  }
 
   monoutil::Bytes total_bytes() const;
 };
@@ -39,7 +51,8 @@ struct DfsFile {
 class DfsSim {
  public:
   // Passive metadata store: files are created at setup time and only read
-  // during a run.
+  // during a run. Files live in a node-based map, so a DfsFile reference (and
+  // a span of its replicas) stays valid while more files are created.
 
   // `disks_per_machine` must match the cluster the file will be read on.
   DfsSim(int num_machines, int disks_per_machine, int replication, uint64_t seed);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
+#include "tests/alloc_hooks.h"
 
 namespace monosim {
 namespace {
@@ -30,9 +31,9 @@ TEST(DfsTest, BlocksSpreadRoundRobinAcrossMachines) {
   const DfsFile& file = dfs.CreateFileWithBlocks("input", MiB(400), 8);
   // Exactly two blocks per machine.
   std::vector<int> count(4, 0);
-  for (const auto& block : file.blocks) {
-    ASSERT_EQ(block.replicas.size(), 1u);
-    ++count[static_cast<size_t>(block.replicas[0].machine)];
+  for (size_t b = 0; b < file.blocks.size(); ++b) {
+    ASSERT_EQ(file.replicas(b).size(), 1u);
+    ++count[static_cast<size_t>(file.replicas(b)[0].machine)];
   }
   for (int c : count) {
     EXPECT_EQ(c, 2);
@@ -42,17 +43,18 @@ TEST(DfsTest, BlocksSpreadRoundRobinAcrossMachines) {
 TEST(DfsTest, DisksRotateWithinMachine) {
   DfsSim dfs(1, 2, 1, 1);
   const DfsFile& file = dfs.CreateFileWithBlocks("input", MiB(100), 4);
-  EXPECT_NE(file.blocks[0].replicas[0].disk, file.blocks[1].replicas[0].disk);
+  EXPECT_NE(file.replicas(0)[0].disk, file.replicas(1)[0].disk);
 }
 
 TEST(DfsTest, ReplicasLandOnDistinctMachines) {
   DfsSim dfs(4, 1, 3, 1);
   const DfsFile& file = dfs.CreateFileWithBlocks("input", MiB(100), 4);
-  for (const auto& block : file.blocks) {
-    ASSERT_EQ(block.replicas.size(), 3u);
-    EXPECT_NE(block.replicas[0].machine, block.replicas[1].machine);
-    EXPECT_NE(block.replicas[1].machine, block.replicas[2].machine);
-    EXPECT_NE(block.replicas[0].machine, block.replicas[2].machine);
+  for (size_t b = 0; b < file.blocks.size(); ++b) {
+    const auto replicas = file.replicas(b);
+    ASSERT_EQ(replicas.size(), 3u);
+    EXPECT_NE(replicas[0].machine, replicas[1].machine);
+    EXPECT_NE(replicas[1].machine, replicas[2].machine);
+    EXPECT_NE(replicas[0].machine, replicas[2].machine);
   }
 }
 
@@ -70,10 +72,24 @@ TEST(DfsTest, PlacementIsDeterministicPerSeed) {
   const DfsFile& f1 = dfs1.CreateFileWithBlocks("x", MiB(800), 16);
   const DfsFile& f2 = dfs2.CreateFileWithBlocks("x", MiB(800), 16);
   for (size_t b = 0; b < f1.blocks.size(); ++b) {
-    EXPECT_EQ(f1.blocks[b].replicas[0].machine, f2.blocks[b].replicas[0].machine);
-    EXPECT_EQ(f1.blocks[b].replicas[0].disk, f2.blocks[b].replicas[0].disk);
+    EXPECT_EQ(f1.replicas(b)[0].machine, f2.replicas(b)[0].machine);
+    EXPECT_EQ(f1.replicas(b)[0].disk, f2.replicas(b)[0].disk);
   }
 }
+
+#if MONO_TEST_ALLOC_HOOKS
+TEST(DfsTest, PlacementAllocationsDoNotGrowWithBlockCount) {
+  // A file keeps its blocks in one reserved array and every block's replicas
+  // in another, so placing 1,000 blocks costs the allocations placing 10 does.
+  const auto allocations = [](int num_blocks) {
+    DfsSim dfs(20, 2, 3, 1);
+    const long before = monotest::AllocationCount().load();
+    dfs.CreateFileWithBlocks("input", MiB(num_blocks), num_blocks);
+    return monotest::AllocationCount().load() - before;
+  };
+  EXPECT_EQ(allocations(10), allocations(1000));
+}
+#endif  // MONO_TEST_ALLOC_HOOKS
 
 }  // namespace
 }  // namespace monosim

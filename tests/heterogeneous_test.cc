@@ -112,12 +112,12 @@ TEST(ReplicationLocalityTest, ReplicaHoldersReadLocally) {
   StageExecution exec(job, 0, 4, &env.dfs(), nullptr, &rng);
 
   int local_takes = 0;
-  for (const auto& block : file.blocks) {
-    ASSERT_EQ(block.replicas.size(), 2u);
+  for (size_t b = 0; b < file.blocks.size(); ++b) {
+    ASSERT_EQ(file.replicas(b).size(), 2u);
   }
   // Take every task from the machine of its SECOND replica.
   for (size_t b = 0; b < file.blocks.size(); ++b) {
-    const int second_holder = file.blocks[b].replicas[1].machine;
+    const int second_holder = file.replicas(b)[1].machine;
     auto task = exec.TakeTask(second_holder);
     ASSERT_TRUE(task.has_value());
     if (task->input_local) {
@@ -135,7 +135,7 @@ TEST(ReplicationLocalityTest, NonHolderReadsRemotelyFromPrimary) {
   SimEnvironment env(ClusterConfig::Of(8, MachineConfig::HddWorker(1)),
                      /*dfs_replication=*/1);
   const DfsFile& file = env.dfs().CreateFileWithBlocks("input", MiB(128), 1);
-  const int home = file.blocks[0].replicas[0].machine;
+  const int home = file.replicas(0)[0].machine;
   JobSpec job;
   job.name = "remote";
   StageSpec stage;
@@ -152,7 +152,7 @@ TEST(ReplicationLocalityTest, NonHolderReadsRemotelyFromPrimary) {
   ASSERT_TRUE(task.has_value());
   EXPECT_FALSE(task->input_local);
   EXPECT_EQ(task->input_machine, home);
-  EXPECT_EQ(task->input_disk, file.blocks[0].replicas[0].disk);
+  EXPECT_EQ(task->input_disk, file.replicas(0)[0].disk);
 }
 
 TEST(ReplicationLocalityTest, ReplicatedJobRunsWithLessRemoteTraffic) {

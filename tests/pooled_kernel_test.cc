@@ -1,5 +1,5 @@
 // Regression tests for the pooled event kernel (slab-allocated records,
-// inline callbacks, generation-checked handles, two-level queue).
+// inline callbacks, generation-checked handles, one event heap).
 //
 // Three layers of coverage:
 //

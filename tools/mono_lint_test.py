@@ -68,18 +68,20 @@ class StdFunctionHotPathRuleTest(unittest.TestCase):
         # config-time alias and the comment/string mentions stay quiet.
         self.assertEqual(len(found), 2)
 
-    def test_rule_is_scoped_to_the_kernel_and_devices(self) -> None:
-        # Only src/simcore and src/cluster are linted with the rule: the
-        # layers above hand their callbacks to the device APIs, which wrap
+    def test_rule_is_scoped_to_the_kernel_devices_and_spark_executor(self) -> None:
+        # Only src/simcore, src/cluster and src/multitask are linted with the
+        # rule: the Spark executor's per-chunk plumbing rides every event, the
+        # other layers hand their callbacks to the device APIs, which wrap
         # them once, and config-time std::function there is legitimate.
         hot = [d for d, rules in mono_lint.DIR_RULES.items()
                if "std-function-hot-path" in rules]
-        self.assertEqual(hot, ["src/simcore", "src/cluster"])
+        self.assertEqual(hot, ["src/simcore", "src/cluster", "src/multitask"])
         self.assertIn("std-function-hot-path", mono_lint.ALL_RULES)
 
     def test_device_api_std_function_fails_the_tree(self) -> None:
-        # A std::function parameter on a device API in src/cluster fails the
-        # tree; the same declaration in an executor directory does not.
+        # A std::function parameter on a device API in src/cluster or in the
+        # Spark executor (src/multitask) fails the tree; the same declaration
+        # in the monotask executor's directory does not.
         import tempfile
         device_api = (
             "#include <functional>\n"
@@ -91,13 +93,14 @@ class StdFunctionHotPathRuleTest(unittest.TestCase):
             "}  // namespace monosim\n")
         with tempfile.TemporaryDirectory() as tmp:
             root = pathlib.Path(tmp)
-            for directory in ("cluster", "multitask"):
+            for directory in ("cluster", "monotask", "multitask"):
                 (root / "src" / directory).mkdir(parents=True)
                 (root / "src" / directory / "machine_like.h").write_text(device_api)
             flagged = [v for v in mono_lint.lint_tree(root)
                        if v.rule == "std-function-hot-path"]
-            self.assertEqual([v.path.parent.name for v in flagged], ["cluster"])
-            self.assertEqual(flagged[0].line_number, 5)
+            self.assertEqual(sorted(v.path.parent.name for v in flagged),
+                             ["cluster", "multitask"])
+            self.assertEqual({v.line_number for v in flagged}, {5})
 
 
 class RawUnitDoubleRuleTest(unittest.TestCase):

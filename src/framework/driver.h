@@ -34,6 +34,7 @@ class JobDriver {
   // Must be set before the first SubmitJob.
   void set_executor(ExecutorSim* executor) { executor_ = executor; }
 
+  // mono_lint: allow(std-function-hot-path) -- one per submitted job, fired once at its end.
   using DoneCallback = std::function<void(JobResult)>;
 
   // Submits a job; stages run in order with a barrier in between. `done` fires (as a

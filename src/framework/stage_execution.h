@@ -47,6 +47,7 @@ class StageExecution {
 
   // ---- Executor callbacks ----
 
+  // mono_lint: allow(std-function-hot-path) -- set once per stage, fired once at its end.
   void set_on_complete(std::function<void()> on_complete) {
     on_complete_ = std::move(on_complete);
   }
@@ -109,6 +110,7 @@ class StageExecution {
 
   std::vector<monoutil::SimTime> task_start_;
   std::vector<monoutil::Bytes> shuffle_on_machine_;
+  // mono_lint: allow(std-function-hot-path) -- per stage, see set_on_complete.
   std::function<void()> on_complete_;
   StageResult result_;
   std::string trace_label_;

@@ -18,25 +18,21 @@
 //     time, and shuffle data is always read back from disk on the serving machine;
 //   * buffered task data is measured (peak_buffered_bytes), never regulated: as in
 //     the paper's implementation, memory pressure does not reorder disk work (§3.5).
+//
+// The multitask lifecycle, buffered-byte accounting and disk round-robins are
+// ExecutorSim's (executor.h); this executor supplies the §3.4 multitask limit and
+// MonoMultitaskSim, and keeps the monotasks policy: the per-resource schedulers,
+// the load-aware write choice and the receiver-side network admission.
 #ifndef MONOTASKS_SRC_MONOTASK_MONO_EXECUTOR_H_
 #define MONOTASKS_SRC_MONOTASK_MONO_EXECUTOR_H_
 
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "src/cluster/machine.h"
 #include "src/framework/executor.h"
-#include "src/framework/task.h"
-#include "src/framework/task_pool.h"
 #include "src/monotask/resource_schedulers.h"
-#include "src/simcore/audit.h"
-#include "src/simcore/simulation.h"
 
 namespace monosim {
-
-class MonoMultitaskSim;
 
 struct MonoConfig {
   // Outstanding monotasks per flash disk: flash reaches peak throughput with ~4
@@ -52,27 +48,18 @@ struct MonoConfig {
   bool fifo_disk_queues = false;
 };
 
-class MonotasksExecutorSim : public ExecutorSim, public Auditable {
+class MonotasksExecutorSim : public ExecutorSim {
  public:
-  // The executor and its per-resource schedulers model machine-side work. It
-  // outlives the simulation run (tests/benches keep it alive past Run()), so
-  // `this` captures into monotask completion plumbing cannot dangle.
-  MONO_SIM_OWNED;
-
   MonotasksExecutorSim(Simulation* sim, ClusterSim* cluster, TaskPool* pool,
                        MonoConfig config = {});
-  ~MonotasksExecutorSim() override;
 
-  void OnWorkAvailable() override;
-  monoutil::Bytes peak_buffered_bytes() const override { return peak_buffered_; }
-  const char* trace_name() const override { return "mono"; }
   void set_monotask_log(MonotaskLog* log) override { monotask_log_ = log; }
   MonotaskLog* monotask_log() const { return monotask_log_; }
 
   const MonoConfig& config() const { return config_; }
 
   // Maximum multitasks assigned concurrently to `machine` (§3.4).
-  int MultitaskLimit(int machine) const;
+  int MultitaskLimit(int machine) const override;
 
   // Scheduler access (used by MonoMultitaskSim and by tests).
   SlotSchedulerSim& cpu_scheduler(int machine);
@@ -82,24 +69,14 @@ class MonotasksExecutorSim : public ExecutorSim, public Auditable {
 
   // Picks the disk for a write monotask: round-robin, or the shortest write queue
   // when load-aware writes are enabled.
-  int PickWriteDisk(int machine);
-  // Picks the disk that serves a shuffle read (round-robin over the machine's disks).
-  int PickServeDisk(int machine);
-
-  void AddBuffered(int machine, monoutil::Bytes bytes);
-  void RemoveBuffered(int machine, monoutil::Bytes bytes);
-
-  // Trace process group for a machine's work under this executor.
-  std::string TraceProcess(int machine) const {
-    return "mono:m" + std::to_string(machine);
-  }
+  int PickWriteDisk(int machine) override;
 
   // Enables queue-length tracing on every per-resource scheduler (§3.1: contention
   // is visible as queue length). Call before submitting jobs.
   void EnableQueueTraces();
 
-  // Invariant auditing (audit.h): per-machine multitask counts match the running
-  // registry; at drain every scheduler queue is empty and no multitask is left.
+  // Invariant auditing (audit.h): the base's multitask bookkeeping, plus at
+  // drain every scheduler queue is empty and nothing runs on any scheduler.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
@@ -109,28 +86,13 @@ class MonotasksExecutorSim : public ExecutorSim, public Auditable {
     std::unique_ptr<SlotSchedulerSim> cpu;
     std::vector<std::unique_ptr<SlotSchedulerSim>> disks;
     std::unique_ptr<NetworkSchedulerSim> network;
-    int active_multitasks = 0;
-    int next_write_disk = 0;
-    int next_serve_disk = 0;
-    monoutil::Bytes buffered_bytes;
   };
 
-  void TryDispatch(int machine);
-  bool DispatchOne(int machine);
-  void OnMultitaskComplete(MonoMultitaskSim* multitask);
+  std::unique_ptr<MultitaskSim> MakeTask(TaskAssignment assignment,
+                                         uint64_t dispatch_id) override;
 
-  Simulation* sim_;
-  ClusterSim* cluster_;
-  TaskPool* pool_;
   MonoConfig config_;
-
   std::vector<WorkerState> workers_;
-  // Running registry keyed by the executor-assigned dispatch id, not the
-  // multitask's address: no schedule decision may depend on heap layout
-  // (determinism contract, DESIGN §10).
-  std::unordered_map<uint64_t, std::unique_ptr<MonoMultitaskSim>> running_;
-  uint64_t next_dispatch_id_ = 0;
-  monoutil::Bytes peak_buffered_;
   MonotaskLog* monotask_log_ = nullptr;
 };
 

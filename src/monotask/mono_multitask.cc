@@ -39,22 +39,16 @@ struct LatencyHistograms {
 
 MonoMultitaskSim::MonoMultitaskSim(MonotasksExecutorSim* executor,
                                    TaskAssignment assignment, uint64_t dispatch_id)
-    : executor_(executor), assignment_(std::move(assignment)),
-      dispatch_id_(dispatch_id), start_time_(executor->sim_->now()) {
-  const StageSpec& spec = assignment_.stage->spec();
-  write_total_ = assignment_.shuffle_write_bytes + assignment_.output_bytes;
-  const bool shuffle_in_memory =
-      spec.output == OutputSink::kShuffle && spec.shuffle_to_memory;
-  write_is_io_ = write_total_ > Bytes(0) && !shuffle_in_memory;
-}
+    : MultitaskSim(std::move(assignment), dispatch_id, executor->sim_->now()),
+      executor_(executor) {}
 
 void MonoMultitaskSim::Complete(MonoResource resource, const char* phase, int machine,
                                 int disk, SimTime service, SimTime wait, Bytes bytes,
                                 SimTime flow_start) {
   StageResult& stage = assignment_.stage->result();
   const SimTime done = executor_->sim_->now();
-  const MonotaskRecord record{dispatch_id_, stage.stage_index,   machine, resource,
-                              phase,        done - service - wait, done - service, done};
+  const MonotaskRecord record{dispatch_id(),         stage.stage_index, machine, resource, phase,
+                              done - service - wait, done - service,     done};
 
   MonotaskTimes& times = stage.monotask_times;
   switch (resource) {
@@ -118,29 +112,7 @@ void MonoMultitaskSim::RecordAdmissionWait(SimTime wait) {
   }
 }
 
-void MonoMultitaskSim::Start() {
-  StageExecution* stage = assignment_.stage;
-  const StageSpec& spec = stage->spec();
-
-  // Ground-truth usage for work whose size is known up front (shuffle fetch I/O is
-  // accounted per portion below, when its disk/network split is known).
-  auto& usage = stage->result().usage;
-  if (spec.input == InputSource::kDfs) {
-    usage.disk_read_bytes += assignment_.input_bytes;
-    usage.input_disk_read_bytes += assignment_.input_bytes;
-    usage.input_uncompressed_bytes +=
-        assignment_.input_bytes * spec.input_compression_ratio;
-    if (!assignment_.input_local) {
-      usage.network_bytes += assignment_.input_bytes;
-    }
-  }
-  if (write_is_io_) {
-    usage.disk_write_bytes += write_total_;
-  }
-  if (spec.output == OutputSink::kShuffle) {
-    stage->RecordShuffleWrite(assignment_.machine, assignment_.shuffle_write_bytes);
-  }
-
+void MonoMultitaskSim::Run() {
   // The entire input is buffered in memory before compute starts (§3.5).
   executor_->AddBuffered(assignment_.machine, assignment_.input_bytes);
   StartInputPhase();
@@ -172,7 +144,6 @@ void MonoMultitaskSim::StartInputPhase() {
                        });
     } else {
       // Remote block: gated by the network scheduler like a one-portion fetch set.
-      network_slot_held_ = true;
       executor_->network_scheduler(assignment_.machine)
           // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
           .Acquire([this](SimTime acquire_wait) {
@@ -204,7 +175,6 @@ void MonoMultitaskSim::StartInputPhase() {
                                                      flow_start);
                                             executor_->network_scheduler(assignment_.machine)
                                                 .Release();
-                                            network_slot_held_ = false;
                                             OnInputPieceDone();
                                           });
                       });
@@ -258,7 +228,6 @@ void MonoMultitaskSim::StartInputPhase() {
         usage.disk_read_bytes += portion.bytes;
       }
     }
-    network_slot_held_ = true;
     // One network slot covers the whole fetch set: all of this multitask's requests
     // go out together, so its data arrives before later multitasks' data (§3.3).
     executor_->network_scheduler(assignment_.machine)
@@ -272,7 +241,6 @@ void MonoMultitaskSim::StartInputPhase() {
             auto piece_done = [this, remaining] {
               if (--*remaining == 0) {
                 executor_->network_scheduler(assignment_.machine).Release();
-                network_slot_held_ = false;
               }
               OnInputPieceDone();
             };
@@ -332,7 +300,7 @@ void MonoMultitaskSim::StartComputePhase() {
     static monotrace::LatencyHistogram* dep_blocked =
         monotrace::MetricsRegistry::Global().Histogram(
             "mono.compute.dep_blocked_seconds");
-    dep_blocked->Add((executor_->sim_->now() - start_time_).seconds());
+    dep_blocked->Add((executor_->sim_->now() - start_time()).seconds());
   }
   executor_->cpu_scheduler(assignment_.machine)
       // mono_lint: allow(escaping-capture) -- DAG callback, fires before Finish().
@@ -348,7 +316,7 @@ void MonoMultitaskSim::StartComputePhase() {
 }
 
 void MonoMultitaskSim::StartWritePhase() {
-  if (!write_is_io_) {
+  if (!output_io_) {
     executor_->RemoveBuffered(assignment_.machine, write_total_);
     Finish();
     return;
@@ -365,7 +333,7 @@ void MonoMultitaskSim::StartWritePhase() {
 }
 
 void MonoMultitaskSim::Finish() {
-  executor_->OnMultitaskComplete(this);
+  executor_->OnTaskComplete(this);
 }
 
 }  // namespace monosim

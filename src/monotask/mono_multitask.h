@@ -17,37 +17,24 @@
 #ifndef MONOTASKS_SRC_MONOTASK_MONO_MULTITASK_H_
 #define MONOTASKS_SRC_MONOTASK_MONO_MULTITASK_H_
 
+#include "src/framework/executor.h"
 #include "src/framework/monotask_log.h"
-#include "src/framework/task.h"
 
 namespace monosim {
 
 class MonotasksExecutorSim;
 
-class MonoMultitaskSim {
+class MonoMultitaskSim final : public MultitaskSim {
  public:
   // Deliberately NOT MONO_SIM_OWNED: the executor destroys the multitask when
   // it completes, mid-run, so a `this` capture scheduled from here may only
   // reach APIs whose callbacks are guaranteed to fire before Finish() runs.
-
-  // `dispatch_id` is the executor-assigned stable identity of this dispatch
-  // (the key of the executor's running registry; never a heap address).
   MonoMultitaskSim(MonotasksExecutorSim* executor, TaskAssignment assignment,
                    uint64_t dispatch_id);
 
-  MonoMultitaskSim(const MonoMultitaskSim&) = delete;
-  MonoMultitaskSim& operator=(const MonoMultitaskSim&) = delete;
-
-  // Begins execution: enqueues the input-phase monotasks.
-  void Start();
-
-  uint64_t dispatch_id() const { return dispatch_id_; }
-  const TaskAssignment& assignment() const { return assignment_; }
-
-  // When the multitask was dispatched (set at construction).
-  monoutil::SimTime start_time() const { return start_time_; }
-
  private:
+  // Buffers the input and enqueues the input-phase monotasks.
+  void Run() override;
   void StartInputPhase();
   void OnInputPieceDone();
   void StartComputePhase();
@@ -71,14 +58,7 @@ class MonoMultitaskSim {
   void RecordAdmissionWait(monoutil::SimTime wait);
 
   MonotasksExecutorSim* executor_;
-  TaskAssignment assignment_;
-  uint64_t dispatch_id_;
-  monoutil::SimTime start_time_;
-
   int pending_input_pieces_ = 0;
-  bool network_slot_held_ = false;
-  monoutil::Bytes write_total_;
-  bool write_is_io_ = false;
 };
 
 }  // namespace monosim

@@ -12,28 +12,24 @@
 // The resulting behaviour exhibits exactly the three clarity problems of §2.2:
 // per-task resource use oscillates (Fig 2), concurrent tasks contend on the devices,
 // and the buffer cache causes disk work the framework never issued.
+//
+// The multitask lifecycle, buffered-byte accounting and disk round-robins are
+// ExecutorSim's (executor.h); this executor supplies the slot count and
+// SparkTaskSim, and keeps the Spark policy: the shuffle service's bounded
+// serve-read pool, per-chunk CPU jitter and write-through.
 #ifndef MONOTASKS_SRC_MULTITASK_SPARK_EXECUTOR_H_
 #define MONOTASKS_SRC_MULTITASK_SPARK_EXECUTOR_H_
 
 #include <deque>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/cluster/machine.h"
 #include "src/common/rng.h"
 #include "src/framework/executor.h"
-#include "src/framework/task.h"
-#include "src/framework/task_pool.h"
-#include "src/simcore/audit.h"
 #include "src/simcore/inline_callback.h"
-#include "src/simcore/simulation.h"
 
 namespace monosim {
-
-class SparkTaskSim;
 
 struct SparkConfig {
   // Concurrent tasks per machine; 0 means "number of cores" (Spark's default).
@@ -46,20 +42,13 @@ struct SparkConfig {
   double chunk_cpu_jitter_cv = 0.0;
 };
 
-class SparkExecutorSim : public ExecutorSim, public Auditable {
+class SparkExecutorSim : public ExecutorSim {
  public:
-  // Machine-side execution; outlives the simulation run (tests/benches keep it
-  // alive past Run()), so `this` captures into completion plumbing cannot
-  // dangle.
-  MONO_SIM_OWNED;
-
   SparkExecutorSim(Simulation* sim, ClusterSim* cluster, TaskPool* pool,
                    SparkConfig config = {});
-  ~SparkExecutorSim() override;
 
-  void OnWorkAvailable() override;
-  monoutil::Bytes peak_buffered_bytes() const override { return peak_buffered_; }
-  const char* trace_name() const override { return "spark"; }
+  // Slots per machine: the configured count, or the machine's cores.
+  int MultitaskLimit(int machine) const override;
 
   const SparkConfig& config() const { return config_; }
 
@@ -68,10 +57,9 @@ class SparkExecutorSim : public ExecutorSim, public Auditable {
   // the tasks' own reads and writes, so contention remains.
   static constexpr int kServeReadConcurrency = 4;
 
-  // Invariant auditing (audit.h): per-machine busy-slot counts match the running
-  // registry; serve reads stay within kServeReadConcurrency and queue only while
-  // the pool is full; at drain no task, serve read, or queued serve request is
-  // left.
+  // Invariant auditing (audit.h): the base's task bookkeeping, plus serve reads
+  // stay within kServeReadConcurrency and queue only while the pool is full, and
+  // at drain no serve read or queued serve request is left.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
  private:
@@ -84,21 +72,13 @@ class SparkExecutorSim : public ExecutorSim, public Auditable {
     InlineCallback done;
   };
 
-  struct MachineState {
-    int busy_slots = 0;
-    int next_write_disk = 0;
-    int next_serve_disk = 0;
-    monoutil::Bytes buffered_bytes;
-    int active_serve_reads = 0;
-    std::deque<ServeRequest> serve_read_queue;  // FIFO.
+  struct ServePool {
+    int active = 0;
+    std::deque<ServeRequest> queue;  // FIFO.
   };
 
-  void TryDispatch(int machine);
-  bool DispatchOne(int machine);
-  void OnTaskComplete(SparkTaskSim* task);
-  int SlotsFor(int machine) const;
-  int PickWriteDisk(int machine);
-  int PickServeDisk(int machine);
+  std::unique_ptr<MultitaskSim> MakeTask(TaskAssignment assignment,
+                                         uint64_t dispatch_id) override;
   // Reads shuffle data on `machine` on behalf of a remote fetch, bounded by the
   // shuffle service's I/O concurrency; `done` (any void() callable) is wrapped
   // once against the simulation's callback arena and fires when the data is read.
@@ -110,28 +90,12 @@ class SparkExecutorSim : public ExecutorSim, public Auditable {
   }
   void SubmitServeRead(int machine, ServeRequest request);
   void StartServeRead(int machine, ServeRequest request);
-  void AddBuffered(int machine, monoutil::Bytes bytes);
-  void RemoveBuffered(int machine, monoutil::Bytes bytes);
-  // Trace process group for a machine's work under this executor.
-  std::string TraceProcess(int machine) const {
-    return "spark:m" + std::to_string(machine);
-  }
   // Multiplicative factor applied to one chunk's CPU time (mean 1; see
   // chunk_cpu_jitter_cv).
   double ChunkCpuFactor();
 
-  Simulation* sim_;
-  ClusterSim* cluster_;
-  TaskPool* pool_;
   SparkConfig config_;
-
-  std::vector<MachineState> machines_;
-  // Running registry keyed by the executor-assigned dispatch id, not the
-  // task's address: no schedule decision may depend on heap layout
-  // (determinism contract, DESIGN §10).
-  std::unordered_map<uint64_t, std::unique_ptr<SparkTaskSim>> running_;
-  uint64_t next_dispatch_id_ = 0;
-  monoutil::Bytes peak_buffered_;
+  std::vector<ServePool> serve_pools_;  // Per machine.
   monoutil::Rng rng_{20171028};  // Drives chunk jitter only.
 };
 

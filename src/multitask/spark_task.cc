@@ -28,25 +28,18 @@ constexpr int kMaxParallelFetches = 5;
 
 SparkTaskSim::SparkTaskSim(SparkExecutorSim* executor, TaskAssignment assignment,
                            uint64_t dispatch_id)
-    : executor_(executor),
-      assignment_(std::move(assignment)),
-      dispatch_id_(dispatch_id),
-      start_time_(executor->sim_->now()) {
+    : MultitaskSim(std::move(assignment), dispatch_id, executor->sim_->now()),
+      executor_(executor) {
   const StageSpec& spec = assignment_.stage->spec();
-
   has_input_io_ = (spec.input == InputSource::kDfs || spec.input == InputSource::kShuffle) &&
                   assignment_.input_bytes > Bytes(0);
-  const Bytes write_total = assignment_.shuffle_write_bytes + assignment_.output_bytes;
-  const bool shuffle_in_memory =
-      spec.output == OutputSink::kShuffle && spec.shuffle_to_memory;
-  has_output_io_ = write_total > Bytes(0) && !shuffle_in_memory;
 
   if (assignment_.input_bytes > Bytes(0)) {
     total_chunks_ = static_cast<int>(
         (assignment_.input_bytes + kChunkBytes - Bytes(1)).count() / kChunkBytes.count());
-  } else if (write_total > Bytes(0)) {
+  } else if (write_total_ > Bytes(0)) {
     total_chunks_ =
-        static_cast<int>((write_total + kChunkBytes - Bytes(1)).count() /
+        static_cast<int>((write_total_ + kChunkBytes - Bytes(1)).count() /
                          kChunkBytes.count());
   } else {
     total_chunks_ = 1;
@@ -56,7 +49,7 @@ SparkTaskSim::SparkTaskSim(SparkExecutorSim* executor, TaskAssignment assignment
       static_cast<double>(total_chunks_);
   chunk_cpu_seconds_ = assignment_.cpu_seconds / static_cast<double>(total_chunks_);
   chunk_write_bytes_ =
-      static_cast<double>(write_total.count()) / static_cast<double>(total_chunks_);
+      static_cast<double>(write_total_.count()) / static_cast<double>(total_chunks_);
 }
 
 void SparkTaskSim::TraceChunkSpan(int machine, const char* lane, int lane_index,
@@ -73,42 +66,15 @@ void SparkTaskSim::TraceChunkSpan(int machine, const char* lane, int lane_index,
   }
 }
 
-void SparkTaskSim::Start() {
-  StageExecution* stage = assignment_.stage;
-  const StageSpec& spec = stage->spec();
-
-  // Ground-truth usage accounting for work whose size is known up front. Shuffle
-  // fetch I/O is accounted per portion because its disk/network split depends on
-  // where the data lives.
-  auto& usage = stage->result().usage;
-  if (spec.input == InputSource::kDfs) {
-    usage.disk_read_bytes += assignment_.input_bytes;
-    usage.input_disk_read_bytes += assignment_.input_bytes;
-    usage.input_uncompressed_bytes +=
-        assignment_.input_bytes * spec.input_compression_ratio;
-    if (!assignment_.input_local) {
-      usage.network_bytes += assignment_.input_bytes;
-    }
-  }
-  const Bytes write_total = assignment_.shuffle_write_bytes + assignment_.output_bytes;
-  if (has_output_io_) {
-    usage.disk_write_bytes += write_total;
-  }
-  if (spec.output == OutputSink::kShuffle) {
-    // Recorded up front: the reduce stage only begins after every map task is done,
-    // so the per-machine totals are complete by the time they are consumed.
-    stage->RecordShuffleWrite(assignment_.machine, assignment_.shuffle_write_bytes);
-  }
-
-  // Set up the reader.
+void SparkTaskSim::Run() {
   if (!has_input_io_) {
     reader_done_ = true;
     delivered_bytes_ = static_cast<double>(assignment_.input_bytes.count());
-  } else if (spec.input == InputSource::kShuffle) {
+  } else if (assignment_.stage->spec().input == InputSource::kShuffle) {
     for (const ShufflePortion& portion : ComputeShufflePortions(assignment_)) {
       fetch_queue_.push_back(FetchPortion{portion.src_machine, portion.bytes});
     }
-    serve_from_disk_ = !stage->prev()->spec().shuffle_to_memory;
+    serve_from_disk_ = !assignment_.stage->prev()->spec().shuffle_to_memory;
   }
   Pump();
 }
@@ -283,7 +249,7 @@ void SparkTaskSim::AdvanceCompute() {
   // Backpressure: the writer buffer is bounded, so compute stalls if writing falls
   // too far behind (e.g. the buffer cache is throttling).
   const int write_backlog = chunks_computed_ - chunks_written_;
-  if (has_output_io_ && write_backlog > kReadaheadChunks) {
+  if (output_io_ && write_backlog > kReadaheadChunks) {
     return;
   }
   if (chunks_ready() <= chunks_computed_) {
@@ -315,7 +281,7 @@ void SparkTaskSim::AdvanceCompute() {
 }
 
 void SparkTaskSim::AdvanceWriter() {
-  if (!has_output_io_) {
+  if (!output_io_) {
     chunks_written_ = chunks_computed_;
     return;
   }
@@ -349,7 +315,7 @@ void SparkTaskSim::MaybeFinish() {
     return;
   }
   const bool compute_done = chunks_computed_ == total_chunks_;
-  const bool writes_done = !has_output_io_ || chunks_written_ == total_chunks_;
+  const bool writes_done = !output_io_ || chunks_written_ == total_chunks_;
   if (compute_done && writes_done) {
     finished_ = true;
     executor_->OnTaskComplete(this);

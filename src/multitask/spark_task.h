@@ -18,36 +18,24 @@
 #include <string>
 #include <vector>
 
-#include "src/framework/task.h"
+#include "src/framework/executor.h"
 
 namespace monosim {
 
 class SparkExecutorSim;
 
-class SparkTaskSim {
+class SparkTaskSim final : public MultitaskSim {
  public:
   // Deliberately NOT MONO_SIM_OWNED: the executor destroys the task when it
   // completes, mid-run, so a `this` capture scheduled from here may only reach
   // APIs whose callbacks are guaranteed to fire before MaybeFinish() runs.
-
-  // `dispatch_id` is the executor-assigned stable identity of this dispatch
-  // (the key of the executor's running registry; never a heap address).
   SparkTaskSim(SparkExecutorSim* executor, TaskAssignment assignment,
                uint64_t dispatch_id);
 
-  SparkTaskSim(const SparkTaskSim&) = delete;
-  SparkTaskSim& operator=(const SparkTaskSim&) = delete;
-
-  // Begins execution (after the launch overhead has been paid by the executor).
-  void Start();
-
-  uint64_t dispatch_id() const { return dispatch_id_; }
-  const TaskAssignment& assignment() const { return assignment_; }
-
-  // When the task claimed its slot (set at construction, i.e. dispatch time).
-  monoutil::SimTime start_time() const { return start_time_; }
-
  private:
+  // Starts the reader and pumps the pipeline.
+  void Run() override;
+
   // Pipeline drivers: each checks whether its lane can advance and issues the next
   // resource request if so. Called after every completion event.
   void AdvanceReader();
@@ -71,9 +59,6 @@ class SparkTaskSim {
                       const char* category, monoutil::SimTime start);
 
   SparkExecutorSim* executor_;
-  TaskAssignment assignment_;
-  uint64_t dispatch_id_;
-  monoutil::SimTime start_time_;
 
   // Chunk geometry.
   int total_chunks_ = 1;
@@ -85,7 +70,6 @@ class SparkTaskSim {
   // mono_lint: allow(raw-unit-double) -- fractional, see above.
   double chunk_write_bytes_ = 0.0;
   bool has_input_io_ = false;
-  bool has_output_io_ = false;
 
   // Reader state.
   int reads_issued_ = 0;       // Block reader: chunks issued.

@@ -2,12 +2,14 @@
 // simulated cluster, checking completion, metric consistency, and the qualitative
 // behaviours the paper reports.
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/framework/environment.h"
 #include "src/monotask/mono_executor.h"
 #include "src/multitask/spark_executor.h"
+#include "src/simcore/audit.h"
 
 namespace monosim {
 namespace {
@@ -320,6 +322,41 @@ TEST(ExecutorIntegrationTest, LoadAwareWritesPickTheShortestWriteQueue) {
   EXPECT_EQ(round_robin.PickWriteDisk(0), 1);
   EXPECT_EQ(round_robin.PickWriteDisk(0), 0);
   rr_env.sim().Run();
+}
+
+// Each executor's own drain audit: clean after a job, and a buffered byte that
+// is never released is reported at drain from that executor's source.
+template <typename Executor>
+class ExecutorDrainAuditTest : public ::testing::Test {};
+
+template <typename Executor>
+constexpr const char* kAuditSource = "";
+template <>
+constexpr const char* kAuditSource<SparkExecutorSim> = "spark-executor";
+template <>
+constexpr const char* kAuditSource<MonotasksExecutorSim> = "mono-executor";
+
+using BothExecutors = ::testing::Types<SparkExecutorSim, MonotasksExecutorSim>;
+TYPED_TEST_SUITE(ExecutorDrainAuditTest, BothExecutors);
+
+TYPED_TEST(ExecutorDrainAuditTest, CleanJobPassesAndLeakedBufferIsReported) {
+  SimEnvironment env(SmallCluster());
+  TypeParam executor(&env.sim(), &env.cluster(), &env.pool());
+  env.AttachExecutor(&executor);
+  {
+    ScopedAudit clean(ScopedAudit::kReport);
+    env.driver().RunJob(MapReduceJob(&env));
+    EXPECT_TRUE(clean.audit().ok()) << clean.audit().Summary();
+    EXPECT_GT(clean.audit().checks_run(), 0u);
+  }
+  ScopedAudit leaked(ScopedAudit::kReport);
+  executor.AddBuffered(1, monoutil::Bytes(1));
+  env.sim().Run();  // Nothing is pending, so this only runs the drain audit.
+  ASSERT_EQ(leaked.audit().violations().size(), 1u) << leaked.audit().Summary();
+  const AuditViolation& violation = leaked.audit().violations().front();
+  EXPECT_EQ(violation.invariant, "drained-buffered-bytes");
+  EXPECT_EQ(violation.source, kAuditSource<TypeParam>);
+  EXPECT_NE(violation.detail.find("machine 1"), std::string::npos) << violation.detail;
 }
 
 }  // namespace

@@ -32,11 +32,11 @@ src/framework, src/storage, src/workloads):
                   allocation order, which is not reproducible.
 
   std-function-hot-path
-                  (src/simcore, src/cluster and src/multitask only) No
-                  std::function in the event kernel, on the device APIs (CPU
-                  pool, disks, buffer cache, fabric) or in the Spark
+                  (src/simcore, src/cluster, src/multitask and src/framework
+                  only) No std::function in the event kernel, on the device
+                  APIs (CPU pool, disks, buffer cache, fabric), in the Spark
                   executor's chunk pipeline, whose callbacks ride every chunk
-                  event:
+                  event, or in the shared multitask lifecycle:
                   capturing beyond its small-buffer bound heap-allocates on
                   the schedule/fire path, which the pooled kernel exists to
                   avoid. Take a template callable and wrap it in
@@ -70,7 +70,8 @@ Cross-TU rules. These run over a project-wide index: every class in src/ is
 recorded with its file, its `MONO_SIM_OWNED` lifetime marker
 (src/simcore/simulation.h), its component-typed members, its pass-through
 accessors (methods returning a component by reference/pointer) and the
-methods its body declares. Member-access chains such as
+methods its body declares; a derived class inherits its bases' marker,
+members and accessors. Member-access chains such as
 `cluster_->machine(m).disk(d).Read(...)` are resolved through that index.
 
   escaping-capture
@@ -83,7 +84,8 @@ methods its body declares. Member-access chains such as
                   frame. It must not capture by reference (`[&]`, `[&x]`) or
                   capture the address of a local in an init-capture. `this`
                   may be captured only in classes marked MONO_SIM_OWNED in
-                  their header (the object outlives the simulation run);
+                  their header, or derived from one (the object outlives the
+                  simulation run);
                   anything else needs an audited
                   `// mono_lint: allow(escaping-capture) -- <why safe>` tag.
 
@@ -311,8 +313,9 @@ CROSS_TU_RULES = ("escaping-capture",)
 
 # The deterministic simulation stack: everything except the
 # std-function-hot-path rule, plus the cross-TU discipline rules. The kernel,
-# the device layer and the Spark executor take every rule: their callbacks
-# ride each event.
+# the device layer, the Spark executor and the framework (the multitask
+# lifecycle both executors share) take every rule: their callbacks ride each
+# event.
 _SIM_RULE_SET = tuple(r for r in RULES if r != "std-function-hot-path") + (
     "raw-unit-double", "include-layering") + CROSS_TU_RULES
 _HOT_PATH_RULE_SET = tuple(RULES) + ("raw-unit-double",
@@ -324,7 +327,7 @@ DIR_RULES: dict[str, tuple[str, ...]] = {
     "src/monotask": _SIM_RULE_SET,
     "src/multitask": _HOT_PATH_RULE_SET,
     "src/model": _SIM_RULE_SET,
-    "src/framework": _SIM_RULE_SET,
+    "src/framework": _HOT_PATH_RULE_SET,
     "src/storage": _SIM_RULE_SET,
     "src/workloads": _SIM_RULE_SET,
     # The layer boundary and lambda discipline still hold in the wall-clock
@@ -628,10 +631,17 @@ class _ClassRegion(NamedTuple):
     methods: frozenset[str]
 
 
-def _class_opens(tokens: list[tuple[str, int]]) -> dict[int, str]:
-    """Token index of each class/struct body's `{` -> the class name."""
+# Head tokens that are not base-class names: `class D final : public B {`.
+_BASE_HEAD_WORDS = frozenset({"final", "public", "protected", "private",
+                              "virtual"})
+
+
+def _class_heads(
+        tokens: list[tuple[str, int]]) -> dict[int, tuple[str, list[str]]]:
+    """Token index of each class/struct body's `{` -> (class name, the
+    identifiers after `:` in its head: its base classes)."""
     n = len(tokens)
-    opens: dict[int, str] = {}
+    heads: dict[int, tuple[str, list[str]]] = {}
     i = 0
     while i < n:
         tok = tokens[i][0]
@@ -642,11 +652,20 @@ def _class_opens(tokens: list[tuple[str, int]]) -> dict[int, str]:
             while j < n and tokens[j][0] not in (";", "{", "(", ")"):
                 j += 1
             if j < n and tokens[j][0] == "{":
-                opens[j] = tokens[i + 1][0]
+                head = [t for t, _ in tokens[i + 2:j]]
+                bases = head[head.index(":") + 1:] if ":" in head else []
+                heads[j] = (tokens[i + 1][0],
+                            [t for t in bases if is_ident(t)
+                             and t not in _BASE_HEAD_WORDS])
                 i += 2
                 continue
         i += 1
-    return opens
+    return heads
+
+
+def _class_opens(tokens: list[tuple[str, int]]) -> dict[int, str]:
+    """Token index of each class/struct body's `{` -> the class name."""
+    return {brace: name for brace, (name, _) in _class_heads(tokens).items()}
 
 
 def _class_regions(tokens: list[tuple[str, int]]) -> list[_ClassRegion]:
@@ -680,14 +699,18 @@ def build_index(paths: Iterable[pathlib.Path]) -> ProjectIndex:
     """Two-pass symbol index over `paths` (headers and sources)."""
     filedata = []
     names: set[str] = set()
+    bases: dict[str, list[str]] = {}
     for path in paths:
         try:
             text = path.read_text(encoding="utf-8", errors="replace")
         except OSError:
             continue
         code_lines = strip_lines(text.splitlines())
-        regions = _class_regions(tokenize(code_lines))
+        tokens = tokenize(code_lines)
+        regions = _class_regions(tokens)
         names.update(region.name for region in regions)
+        for name, parents in _class_heads(tokens).values():
+            bases.setdefault(name, parents)
         filedata.append((path, code_lines, regions))
 
     index = ProjectIndex()
@@ -726,6 +749,25 @@ def build_index(paths: Iterable[pathlib.Path]) -> ProjectIndex:
             for m in member_re.finditer(code):
                 if m.group(2) not in info.accessors:
                     info.members[m.group(2)] = m.group(1)
+
+    # A derived class inherits its bases' members, accessors and
+    # MONO_SIM_OWNED marker: a derived executor's code (and a task reaching
+    # through it) names the base's components, and lives as long as the base.
+    def inherit(info: ClassInfo, seen: set[str]) -> None:
+        for parent in bases.get(info.name, []):
+            base = index.classes.get(parent)
+            if base is None or parent in seen:
+                continue
+            seen.add(parent)
+            inherit(base, seen)
+            for name, ctype in base.members.items():
+                info.members.setdefault(name, ctype)
+            for name, ctype in base.accessors.items():
+                info.accessors.setdefault(name, ctype)
+            info.sim_owned = info.sim_owned or base.sim_owned
+
+    for info in index.classes.values():
+        inherit(info, {info.name})
     return index
 
 

@@ -68,20 +68,23 @@ class StdFunctionHotPathRuleTest(unittest.TestCase):
         # config-time alias and the comment/string mentions stay quiet.
         self.assertEqual(len(found), 2)
 
-    def test_rule_is_scoped_to_the_kernel_devices_and_spark_executor(self) -> None:
-        # Only src/simcore, src/cluster and src/multitask are linted with the
-        # rule: the Spark executor's per-chunk plumbing rides every event, the
-        # other layers hand their callbacks to the device APIs, which wrap
-        # them once, and config-time std::function there is legitimate.
+    def test_rule_is_scoped_to_the_kernel_devices_and_executors(self) -> None:
+        # Only src/simcore, src/cluster, src/multitask and src/framework are
+        # linted with the rule: the Spark executor's per-chunk plumbing and
+        # the shared multitask lifecycle ride every event, the other layers
+        # hand their callbacks to the device APIs, which wrap them once, and
+        # config-time std::function there is legitimate.
         hot = [d for d, rules in mono_lint.DIR_RULES.items()
                if "std-function-hot-path" in rules]
-        self.assertEqual(hot, ["src/simcore", "src/cluster", "src/multitask"])
+        self.assertEqual(hot, ["src/simcore", "src/cluster", "src/multitask",
+                               "src/framework"])
         self.assertIn("std-function-hot-path", mono_lint.ALL_RULES)
 
     def test_device_api_std_function_fails_the_tree(self) -> None:
-        # A std::function parameter on a device API in src/cluster or in the
-        # Spark executor (src/multitask) fails the tree; the same declaration
-        # in the monotask executor's directory does not.
+        # A std::function parameter on a device API in src/cluster, in the
+        # Spark executor (src/multitask) or in the shared executor base
+        # (src/framework) fails the tree; the same declaration in the
+        # monotask executor's directory does not.
         import tempfile
         device_api = (
             "#include <functional>\n"
@@ -93,13 +96,13 @@ class StdFunctionHotPathRuleTest(unittest.TestCase):
             "}  // namespace monosim\n")
         with tempfile.TemporaryDirectory() as tmp:
             root = pathlib.Path(tmp)
-            for directory in ("cluster", "monotask", "multitask"):
+            for directory in ("cluster", "framework", "monotask", "multitask"):
                 (root / "src" / directory).mkdir(parents=True)
                 (root / "src" / directory / "machine_like.h").write_text(device_api)
             flagged = [v for v in mono_lint.lint_tree(root)
                        if v.rule == "std-function-hot-path"]
             self.assertEqual(sorted(v.path.parent.name for v in flagged),
-                             ["cluster", "multitask"])
+                             ["cluster", "framework", "multitask"])
             self.assertEqual({v.line_number for v in flagged}, {5})
 
 
@@ -283,6 +286,44 @@ class ProjectIndexTest(unittest.TestCase):
         index = mono_lint.build_index([FIXTURES / "good_escaping_capture.cc"])
         self.assertTrue(index.classes["OwnedTaskSim"].sim_owned)
         self.assertFalse(index.classes["SlotSchedulerSim"].sim_owned)
+
+    def test_members_and_sim_ownership_are_inherited(self) -> None:
+        # A derived executor reaches its base's components and is owned like
+        # its base; a task reaching a component through the derived executor
+        # is still resolved, so its `this` capture is checked.
+        import tempfile
+        source = (
+            "class DiskSim {\n"
+            " public:\n"
+            "  void Read(long bytes, Callback done);\n"
+            "};\n"
+            "class BaseExecutor {\n"
+            " public:\n"
+            "  MONO_SIM_OWNED;\n"
+            " protected:\n"
+            "  DiskSim* disk_;\n"
+            "};\n"
+            "class Executor final : public BaseExecutor {\n"
+            "  void Serve();\n"
+            "};\n"
+            "class TaskSim {\n"
+            "  void Run();\n"
+            "  Executor* executor_;\n"
+            "};\n"
+            "void Executor::Serve() { disk_->Read(1, [this] {}); }\n"
+            "void TaskSim::Run() { executor_->disk_->Read(1, [this] {}); }\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "inherited.cc"
+            path.write_text(source)
+            index = mono_lint.build_index([path])
+            executor = index.classes["Executor"]
+            self.assertTrue(executor.sim_owned)
+            self.assertEqual(executor.members.get("disk_"), "DiskSim")
+            violations = mono_lint.lint_file(path, ["escaping-capture"],
+                                             index=index)
+        self.assertEqual([v.line_number for v in violations], [19])
+        self.assertIn("TaskSim is not marked MONO_SIM_OWNED",
+                      violations[0].message)
 
 
 class StaleDeferringApiTest(unittest.TestCase):

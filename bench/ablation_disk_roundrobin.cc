@@ -6,8 +6,9 @@
 // phases and both resources idle half the time. Round-robin between reads and writes
 // keeps a pipeline of monotasks on every resource.
 //
-// We compare the stock monotasks executor against one whose disk schedulers use a
-// single FIFO queue, on a read-compute-write workload.
+// We compare the stock monotasks executor against the same executor with
+// MonoConfig::fifo_disk_queues set, whose disk schedulers then serve one FIFO queue,
+// on a read-compute-write workload.
 #include <cstdio>
 #include <iostream>
 
@@ -15,17 +16,6 @@
 #include "src/common/table.h"
 #include "src/workloads/clusters.h"
 #include "src/workloads/sort.h"
-
-namespace monosim {
-
-// A monotasks executor variant with FIFO disk queues: implemented by funneling every
-// disk monotask into the same phase queue, which degenerates round-robin to FIFO.
-class FifoDiskExecutor : public MonotasksExecutorSim {
- public:
-  using MonotasksExecutorSim::MonotasksExecutorSim;
-};
-
-}  // namespace monosim
 
 int main() {
   std::puts("=== Ablation: disk scheduler round-robin vs FIFO queueing ===");

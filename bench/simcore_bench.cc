@@ -38,7 +38,7 @@
 
 namespace {
 
-// Runs `body` with telemetry (histograms, gauges, and — via `sim` — the flight
+// Runs `body` with telemetry (histograms and — via `sim` — the flight
 // recorder) globally disabled, restoring the always-on default afterwards. The
 // *_telemetry_off scenarios price the telemetry tentpole: the paired on/off
 // digests must be identical (telemetry never schedules events) and CI gates
@@ -199,8 +199,8 @@ void WriteJson(const std::string& path, const std::vector<Scenario>& scenarios) 
     }
     out << "}" << (i + 1 < scenarios.size() ? "," : "") << "\n";
   }
-  // Aggregation-side observability for the run itself: every counter,
-  // histogram and gauge the process accumulated (telemetry tentpole).
+  // Aggregation-side observability for the run itself: every counter and
+  // histogram the process accumulated.
   out << "  ],\n  \"telemetry\":\n"
       << monotrace::MetricsRegistry::Global().TakeTelemetrySnapshot().ToJson(2)
       << "\n}\n";

@@ -1,12 +1,11 @@
 // mono_stat: the always-on telemetry station.
 //
 // Everything printed here comes from instrumentation that is on in every run —
-// the MetricsRegistry aggregates (counters, log-bucketed latency histograms,
-// time-weighted gauges) and the bounded MonotaskLog — with zero configuration:
-// no MONO_TRACE, no rebuild, no sampling window to arm. This is the paper's
-// performance-clarity claim made concrete: after any run you can ask "where
-// did the time go?" and get per-stage, per-resource blame with queue-wait
-// separated from service.
+// the MetricsRegistry aggregates (counters and log-bucketed latency histograms)
+// and the bounded MonotaskLog — with zero configuration: no MONO_TRACE, no
+// rebuild, no sampling window to arm. This is the paper's performance-clarity
+// claim made concrete: after any run you can ask "where did the time go?" and
+// get per-stage, per-resource blame with queue-wait separated from service.
 //
 // The tool runs the §5.2 sort (scaled down) under the monotasks executor and
 // prints:
@@ -92,7 +91,7 @@ int main(int argc, char** argv) {
   }
 
   // 3. The process-wide TelemetrySnapshot: queue-wait and service histograms
-  // from the executors, utilization integrals from the devices, cache gauges.
+  // from the executors and the completion and flush counters.
   std::puts("\ntelemetry snapshot (same schema as BENCH_*.json and MONO_TELEMETRY):");
   std::fputs(monotrace::MetricsRegistry::Global().TakeTelemetrySnapshot().ToJson().c_str(),
              stdout);

@@ -12,10 +12,8 @@ namespace monosim {
 
 using monoutil::Bytes;
 
-BufferCacheSim::BufferCacheSim(Simulation* sim, const BufferCacheConfig& config,
-                               std::vector<DiskSim*> disks)
+BufferCacheSim::BufferCacheSim(Simulation* sim, std::vector<DiskSim*> disks)
     : sim_(sim),
-      config_(config),
       disks_(std::move(disks)),
       dirty_per_disk_(disks_.size(), Bytes()),
       submitted_per_disk_(disks_.size(), Bytes()),
@@ -24,22 +22,12 @@ BufferCacheSim::BufferCacheSim(Simulation* sim, const BufferCacheConfig& config,
       flush_in_flight_(disks_.size(), false) {
   MONO_CHECK(sim_ != nullptr);
   MONO_CHECK(!disks_.empty());
-  MONO_CHECK(config_.dirty_limit > Bytes(0));
-  MONO_CHECK(config_.memory_bandwidth > monoutil::BytesPerSecond(0));
   // Disk names look like "machine3.disk0"; the machine part keys our traces.
   trace_prefix_ = disks_[0]->name().substr(0, disks_[0]->name().find('.'));
-  if (monotrace::TelemetryEnabled()) {
-    dirty_gauge_ = monotrace::MetricsRegistry::Global().Gauge(
-        "cache." + trace_prefix_ + ".dirty_bytes");
-    dirty_gauge_->Set(static_cast<double>(total_dirty_.count()), sim_->now().seconds());
-  }
   sim_->RegisterAuditable(this);
 }
 
 void BufferCacheSim::TraceDirtyBytes() const {
-  if (dirty_gauge_ != nullptr && monotrace::TelemetryEnabled()) {
-    dirty_gauge_->Set(static_cast<double>(total_dirty_.count()), sim_->now().seconds());
-  }
   if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
     tracer->Counter("os-cache", trace_prefix_ + ".dirty-bytes", sim_->now().seconds(),
                     static_cast<double>(total_dirty_.count()));
@@ -47,7 +35,7 @@ void BufferCacheSim::TraceDirtyBytes() const {
 }
 
 void BufferCacheSim::UpdateOverLimit() {
-  const bool over = total_dirty_ >= config_.dirty_limit;
+  const bool over = total_dirty_ >= kDirtyLimit;
   if (over == over_limit_) {
     return;
   }
@@ -172,7 +160,7 @@ void BufferCacheSim::WriteImpl(int disk_index, Bytes bytes, InlineCallback&& don
                                bool sync) {
   MONO_CHECK(disk_index >= 0 && static_cast<size_t>(disk_index) < disks_.size());
   MONO_CHECK(bytes >= Bytes(0));
-  if (total_dirty_ + bytes > config_.dirty_limit && total_dirty_ > Bytes(0)) {
+  if (total_dirty_ + bytes > kDirtyLimit && total_dirty_ > Bytes(0)) {
     // Over the dirty limit: throttle the writer until flushing frees headroom, and
     // make sure flushing is actually running.
     blocked_writes_.push_back(
@@ -199,9 +187,9 @@ void BufferCacheSim::AdmitWrite(int disk_index, Bytes bytes, InlineCallback&& do
     MaybeStartWriteback(/*pressure=*/true);
     return;
   }
-  const SimTime copy_time = bytes / config_.memory_bandwidth;
+  const SimTime copy_time = bytes / kMemoryBandwidth;
   sim_->ScheduleAfter(copy_time, std::move(done), "cache-copy");
-  MaybeStartWriteback(/*pressure=*/total_dirty_ >= config_.dirty_limit);
+  MaybeStartWriteback(/*pressure=*/total_dirty_ >= kDirtyLimit);
 }
 
 void BufferCacheSim::MaybeStartWriteback(bool pressure) {
@@ -218,7 +206,7 @@ void BufferCacheSim::MaybeStartWriteback(bool pressure) {
   if (!writeback_armed_) {
     writeback_armed_ = true;
     writeback_timer_ = sim_->ScheduleAfter(
-        config_.writeback_delay,
+        kWritebackDelay,
         [this] {
           writeback_armed_ = false;
           if (total_dirty_ > Bytes(0)) {
@@ -244,7 +232,7 @@ void BufferCacheSim::PumpFlusher() {
     if (flush_in_flight_[d] || dirty_per_disk_[d] == Bytes(0)) {
       continue;
     }
-    const Bytes chunk = std::min(dirty_per_disk_[d], config_.flush_chunk);
+    const Bytes chunk = std::min(dirty_per_disk_[d], kFlushChunk);
     flush_in_flight_[d] = true;
     ++active_flushes_;
     const int disk_index = static_cast<int>(d);
@@ -292,7 +280,7 @@ void BufferCacheSim::OnFlushDone(int disk_index, Bytes bytes) {
   // limit itself is admitted once the cache is empty (it then flushes under pressure).
   while (!blocked_writes_.empty() &&
          (total_dirty_ == Bytes(0) ||
-          total_dirty_ + blocked_writes_.front().bytes <= config_.dirty_limit)) {
+          total_dirty_ + blocked_writes_.front().bytes <= kDirtyLimit)) {
     PendingWrite write = std::move(blocked_writes_.front());
     blocked_writes_.pop_front();
     if (monotrace::TelemetryEnabled()) {

@@ -8,12 +8,12 @@
 // limit and throttle writers to disk speed.
 //
 // Model:
-//   * A cached write of n bytes completes after n / memory_bandwidth, provided the
-//     dirty total stays under `dirty_limit`; otherwise the writer waits (FIFO) until
+//   * A cached write of n bytes completes after n / kMemoryBandwidth, provided the
+//     dirty total stays under kDirtyLimit; otherwise the writer waits (FIFO) until
 //     flushing frees headroom.
-//   * Background writeback starts `writeback_delay` seconds after the cache first
-//     becomes dirty (re-armed whenever it drains), or immediately under pressure, and
-//     issues `flush_chunk`-sized writes to the dirtiest disk, one outstanding flush
+//   * Background writeback starts kWritebackDelay after the cache first becomes
+//     dirty (re-armed whenever it drains), or immediately under pressure, and
+//     issues kFlushChunk-sized writes to the dirtiest disk, one outstanding flush
 //     per disk, through the same DiskSim the framework uses — so flushes contend.
 #ifndef MONOTASKS_SRC_CLUSTER_BUFFER_CACHE_H_
 #define MONOTASKS_SRC_CLUSTER_BUFFER_CACHE_H_
@@ -23,14 +23,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/cluster/cluster_config.h"
 #include "src/cluster/disk.h"
 #include "src/simcore/audit.h"
 #include "src/simcore/simulation.h"
-
-namespace monotrace {
-class TimeWeightedGauge;
-}  // namespace monotrace
 
 namespace monosim {
 
@@ -40,9 +35,18 @@ class BufferCacheSim : public Auditable {
   // captures into the writeback timer and flush completions cannot dangle.
   MONO_SIM_OWNED;
 
+  // Dirty bytes the OS tolerates before throttling writers into the disk (Linux's
+  // dirty_ratio applied to the ~60 GB workers of §5.1).
+  static constexpr monoutil::Bytes kDirtyLimit = monoutil::GiB(8);
+  // Delay before background writeback begins flushing dirty data.
+  static constexpr monoutil::SimTime kWritebackDelay = monoutil::Seconds(30);
+  // Size of each background flush request issued to a disk.
+  static constexpr monoutil::Bytes kFlushChunk = monoutil::MiB(16);
+  // Memory copy bandwidth governing how fast a cached write "completes".
+  static constexpr monoutil::BytesPerSecond kMemoryBandwidth = monoutil::GiBps(3);
+
   // `disks` must outlive the cache. One flusher state is kept per disk.
-  BufferCacheSim(Simulation* sim, const BufferCacheConfig& config,
-                 std::vector<DiskSim*> disks);
+  BufferCacheSim(Simulation* sim, std::vector<DiskSim*> disks);
   ~BufferCacheSim() override;
 
   BufferCacheSim(const BufferCacheSim&) = delete;
@@ -114,7 +118,6 @@ class BufferCacheSim : public Auditable {
   void UpdateOverLimit();
 
   Simulation* sim_;
-  BufferCacheConfig config_;
   std::vector<DiskSim*> disks_;
   // Machine prefix for trace series ("machine3", from the disks' names).
   std::string trace_prefix_;
@@ -136,9 +139,6 @@ class BufferCacheSim : public Auditable {
   SimTime over_limit_seconds_;
   SimTime over_limit_since_;
   bool over_limit_ = false;
-
-  // Registry handles resolved once at construction (per-machine gauge name).
-  monotrace::TimeWeightedGauge* dirty_gauge_ = nullptr;
 };
 
 }  // namespace monosim

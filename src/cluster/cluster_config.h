@@ -1,9 +1,11 @@
 // Hardware configuration for the simulated cluster.
 //
 // Presets mirror the instance types used in the paper's evaluation (§5.1): machines
-// with 8 vCPUs, ~60 GB of memory, and two HDDs (m2.4xlarge-like) or one/two SSDs
-// (i2.2xlarge-like). Absolute device speeds are calibration parameters, not claims;
-// the experiments depend on ratios (CPU work per byte vs. device bandwidth).
+// with 8 vCPUs and two HDDs (m2.4xlarge-like) or one/two SSDs (i2.2xlarge-like).
+// Their ~60 GB of memory shows up only as the buffer cache's dirty limit
+// (BufferCacheSim::kDirtyLimit). Absolute device speeds are calibration parameters,
+// not claims; the experiments depend on ratios (CPU work per byte vs. device
+// bandwidth).
 #ifndef MONOTASKS_SRC_CLUSTER_CLUSTER_CONFIG_H_
 #define MONOTASKS_SRC_CLUSTER_CLUSTER_CONFIG_H_
 
@@ -21,14 +23,12 @@ enum class DiskType {
   kSsd,
 };
 
+// A disk's type and speed. The HDD seek degradation, the request contention
+// weights and the SSD capacity curve are calibration constants in disk.cc.
 struct DiskConfig {
   DiskType type = DiskType::kHdd;
   // Sequential bandwidth for a single streaming request.
   monoutil::BytesPerSecond bandwidth = monoutil::MiBps(90);
-  // HDD only: aggregate throughput degrades as 1 / (1 + alpha * (w - 1)) where w is
-  // the total contention weight of the in-service requests (the request weights
-  // and the SSD capacity curve are calibration constants in disk.cc).
-  double seek_alpha = 0.2;
 
   static DiskConfig Hdd() { return DiskConfig{}; }
   static DiskConfig Ssd() {
@@ -39,25 +39,11 @@ struct DiskConfig {
   }
 };
 
-struct BufferCacheConfig {
-  // Dirty bytes the OS tolerates before throttling writers into the disk (Linux's
-  // dirty_ratio applied to the ~60 GB workers of §5.1).
-  monoutil::Bytes dirty_limit = monoutil::GiB(8);
-  // Delay before background writeback begins flushing dirty data.
-  monoutil::SimTime writeback_delay = monoutil::Seconds(30);
-  // Size of each background flush request issued to a disk.
-  monoutil::Bytes flush_chunk = monoutil::MiB(16);
-  // Memory copy bandwidth governing how fast a cached write "completes".
-  monoutil::BytesPerSecond memory_bandwidth = monoutil::GiBps(3);
-};
-
 struct MachineConfig {
   int cores = 8;
   std::vector<DiskConfig> disks = {DiskConfig::Hdd(), DiskConfig::Hdd()};
   // Full-duplex NIC bandwidth (each direction).
   monoutil::BytesPerSecond nic_bandwidth = monoutil::Gbps(1);
-  monoutil::Bytes memory = monoutil::GiB(60);
-  BufferCacheConfig buffer_cache;
 
   // 8 vCPU, 2 HDD, 1 Gbps: the m2.4xlarge-like workers from §5.1.
   static MachineConfig HddWorker(int num_disks = 2);

@@ -13,8 +13,12 @@ namespace {
 constexpr int kSsdChannels = 4;
 constexpr double kSsdSingleStreamFraction = 0.55;
 
+// HDD: aggregate throughput degrades as 1 / (1 + kHddSeekAlpha * (w - 1)) once the
+// total contention weight w of the in-service requests exceeds 1.
+constexpr double kHddSeekAlpha = 0.2;
+
 // Per-request contention weights, summed over the requests in service: the `w` of
-// the HDD degradation (DiskConfig::seek_alpha) and the load on the SSD ramp. They
+// the HDD degradation (kHddSeekAlpha) and the load on the SSD ramp. They
 // encode what actually costs head movement on a disk: concurrent *sequential
 // readers* are nearly free (OS readahead amortizes the seeks), writes alone are
 // nearly free (the elevator batches them), but writes interleaved with reads
@@ -31,7 +35,7 @@ constexpr double kWriteContentionWeightMixed = 6.0;
 CapacityFn MakeCapacity(const DiskConfig& config) {
   switch (config.type) {
     case DiskType::kHdd:
-      return HddCapacity(config.bandwidth.bps(), config.seek_alpha);
+      return HddCapacity(config.bandwidth.bps(), kHddSeekAlpha);
     case DiskType::kSsd:
       return SsdCapacity(config.bandwidth.bps(), kSsdChannels, kSsdSingleStreamFraction);
   }

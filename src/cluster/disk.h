@@ -54,9 +54,6 @@ class DiskSim : public Auditable {
                    /*share_weight=*/1.0);
   }
 
-  // Number of requests currently being served by the device.
-  int active_requests() const { return server_.active(); }
-
   monoutil::Bytes bytes_read() const { return bytes_read_; }
   monoutil::Bytes bytes_written() const { return bytes_written_; }
 

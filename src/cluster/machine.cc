@@ -21,7 +21,7 @@ MachineSim::MachineSim(Simulation* sim, int machine_id, const MachineConfig& con
         config.disks[d]));
     raw_disks.push_back(disks_.back().get());
   }
-  buffer_cache_ = std::make_unique<BufferCacheSim>(sim, config.buffer_cache, raw_disks);
+  buffer_cache_ = std::make_unique<BufferCacheSim>(sim, raw_disks);
 }
 
 void MachineSim::EnableTrace() {
@@ -39,14 +39,6 @@ ClusterSim::ClusterSim(Simulation* sim, const ClusterConfig& config)
   }
   fabric_ = std::make_unique<NetworkFabricSim>(sim, config.num_machines,
                                                config.machine.nic_bandwidth);
-}
-
-int ClusterSim::total_cores() const {
-  return num_machines() * config_.machine.cores;
-}
-
-int ClusterSim::total_disks() const {
-  return num_machines() * static_cast<int>(config_.machine.disks.size());
 }
 
 ClusterSim::UsageCounters ClusterSim::SnapshotUsage() const {

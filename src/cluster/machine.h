@@ -44,7 +44,6 @@ class MachineSim {
     MONO_CHECK(cpu_seconds >= 0);
     cpu_.Submit(cpu_seconds, std::forward<F>(done));
   }
-  int active_compute() const { return cpu_.active(); }
 
   DiskSim& disk(int index) { return *disks_[static_cast<size_t>(index)]; }
   const DiskSim& disk(int index) const { return *disks_[static_cast<size_t>(index)]; }
@@ -77,10 +76,6 @@ class ClusterSim {
   NetworkFabricSim& fabric() { return *fabric_; }
   const ClusterConfig& config() const { return config_; }
   Simulation& sim() { return *sim_; }
-
-  // Total cores / disks across the cluster (used by the performance model).
-  int total_cores() const;
-  int total_disks() const;
 
   // Enables rate tracing cluster-wide (CPU, disks, NIC ingress).
   void EnableTrace();

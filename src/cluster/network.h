@@ -127,7 +127,6 @@ class NetworkFabricSim : public Auditable {
   }
 
   int num_machines() const { return static_cast<int>(ingress_flows_.size()); }
-  monoutil::BytesPerSecond nic_bandwidth() const { return nic_bandwidth_; }
 
   // Number of flows currently arriving at / departing from `machine`.
   int ingress_flows(int machine) const;

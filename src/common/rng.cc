@@ -79,6 +79,4 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace monoutil

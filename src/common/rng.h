@@ -36,11 +36,6 @@ class Rng {
   // Returns a sample from a normal distribution (Box-Muller; one value per call).
   double Normal(double mean, double stddev);
 
-  // Returns a child generator whose stream is independent of this one. Used to give
-  // each simulated machine / workload its own stream so adding one consumer does not
-  // perturb the draws seen by others.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
 };

@@ -43,22 +43,6 @@ void TablePrinter::Print(std::ostream& out) const {
   }
 }
 
-void TablePrinter::PrintCsv(std::ostream& out) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) {
-        out << ',';
-      }
-      out << row[c];
-    }
-    out << '\n';
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
 std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);

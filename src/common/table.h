@@ -24,9 +24,6 @@ class TablePrinter {
   // Renders an aligned, pipe-separated table.
   void Print(std::ostream& out) const;
 
-  // Renders comma-separated values (no alignment padding).
-  void PrintCsv(std::ostream& out) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -17,11 +17,6 @@ LatencyHistogram* MetricsRegistry::Histogram(const std::string& name) {
   return &histograms_[name];
 }
 
-TimeWeightedGauge* MetricsRegistry::Gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return &gauges_[name];
-}
-
 double MetricsRegistry::Value(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
@@ -58,14 +53,6 @@ TelemetrySnapshot MetricsRegistry::TakeTelemetrySnapshot() const {
     }
     snap.histograms.emplace(name, s);
   }
-  for (const auto& [name, gauge] : gauges_) {
-    GaugeSummary s;
-    s.last = gauge.last();
-    s.mean = gauge.TimeWeightedMean();
-    s.max = gauge.max();
-    s.integral = gauge.integral();
-    snap.gauges.emplace(name, s);
-  }
   return snap;
 }
 
@@ -76,9 +63,6 @@ void MetricsRegistry::ResetForTest() {
   }
   for (auto& [name, histogram] : histograms_) {
     histogram.Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge.Reset();
   }
 }
 

@@ -1,9 +1,9 @@
-// MetricsRegistry: process-global named counters, histograms, and gauges.
+// MetricsRegistry: process-global named counters and histograms.
 //
 // Where the Tracer records *when* things happened, the registry keeps cheap
 // always-on aggregates — events fired, tasks completed, bytes flushed, and
-// (via telemetry.h) latency distributions and time-weighted occupancy — that
-// examples and benches can publish without enabling tracing. Counters are
+// (via telemetry.h) latency distributions — that examples and benches can
+// publish without enabling tracing. Counters are
 // doubles (byte and second totals overflow int64 semantics awkwardly) and
 // additions are lock-free CAS loops, so instrumented code may add from the
 // threaded engine's scheduler threads; histogram Adds are single relaxed
@@ -18,8 +18,8 @@
 //   flushed->Add(flush_bytes);
 //   wait->Add(now - enqueued);
 //
-// Get()/Histogram()/Gauge() return stable pointers for the life of the
-// registry; instruments are never removed. ResetForTest() zeroes (not removes)
+// Get()/Histogram() return stable pointers for the life of the registry;
+// instruments are never removed. ResetForTest() zeroes (not removes)
 // everything so tests can assert deltas without coordinating names.
 #ifndef MONOTASKS_SRC_COMMON_TRACING_METRICS_REGISTRY_H_
 #define MONOTASKS_SRC_COMMON_TRACING_METRICS_REGISTRY_H_
@@ -61,11 +61,10 @@ class MetricsRegistry {
   // pointer stays valid for the registry's lifetime.
   MetricCounter* Get(const std::string& name);
 
-  // Returns the histogram / gauge named `name`, creating it empty on first
+  // Returns the histogram named `name`, creating it empty on first
   // use. Pointers stay valid for the registry's lifetime, so instrumentation
   // sites may cache them in function-local statics.
   LatencyHistogram* Histogram(const std::string& name);
-  TimeWeightedGauge* Gauge(const std::string& name);
 
   // Current value of `name` (0 if never created).
   double Value(const std::string& name) const;
@@ -73,7 +72,7 @@ class MetricsRegistry {
   // Name -> value snapshot of the counters only, sorted by name.
   std::map<std::string, double> Snapshot() const;
 
-  // Full snapshot: counters plus histogram and gauge summaries. The single
+  // Full snapshot: counters plus histogram summaries. The single
   // schema benches and examples/mono_stat publish (telemetry.h).
   TelemetrySnapshot TakeTelemetrySnapshot() const;
 
@@ -86,7 +85,6 @@ class MetricsRegistry {
   // std::map: node-based, so returned pointers survive later inserts.
   std::map<std::string, MetricCounter> counters_;
   std::map<std::string, LatencyHistogram> histograms_;
-  std::map<std::string, TimeWeightedGauge> gauges_;
 };
 
 }  // namespace monotrace

@@ -13,20 +13,6 @@ namespace {
 
 std::atomic<bool> g_telemetry_enabled{true};
 
-// Spinlock guard for TimeWeightedGauge: updates are a handful of double ops,
-// far below the cost of parking a thread.
-class SpinGuard {
- public:
-  explicit SpinGuard(std::atomic_flag& flag) : flag_(flag) {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  ~SpinGuard() { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag& flag_;
-};
-
 }  // namespace
 
 bool TelemetryEnabled() {
@@ -113,52 +99,6 @@ void LatencyHistogram::Reset() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
-// ---- TimeWeightedGauge ----
-
-void TimeWeightedGauge::Set(double t, double v) {
-  SpinGuard guard(lock_);
-  if (!started_ || t < last_t_) {
-    // First observation, or a fresh timeline (a new Simulation restarting at
-    // zero): re-base the window rather than accrue a negative span.
-    started_ = true;
-    first_t_ = t;
-    integral_ = 0.0;
-    max_v_ = v;
-  } else {
-    integral_ += last_v_ * (t - last_t_);
-  }
-  last_t_ = t;
-  last_v_ = v;
-  if (v > max_v_) max_v_ = v;
-}
-
-double TimeWeightedGauge::last() const {
-  SpinGuard guard(lock_);
-  return last_v_;
-}
-
-double TimeWeightedGauge::max() const {
-  SpinGuard guard(lock_);
-  return max_v_;
-}
-
-double TimeWeightedGauge::integral() const {
-  SpinGuard guard(lock_);
-  return integral_;
-}
-
-double TimeWeightedGauge::TimeWeightedMean() const {
-  SpinGuard guard(lock_);
-  const double window = last_t_ - first_t_;
-  return window > 0.0 ? integral_ / window : last_v_;
-}
-
-void TimeWeightedGauge::Reset() {
-  SpinGuard guard(lock_);
-  started_ = false;
-  first_t_ = last_t_ = last_v_ = max_v_ = integral_ = 0.0;
-}
-
 // ---- TelemetrySnapshot ----
 
 namespace {
@@ -224,27 +164,6 @@ std::string TelemetrySnapshot::ToJson(int indent) const {
                   "\"p99\": %.9g, \"p999\": %.9g, \"max\": %.9g}",
                   static_cast<unsigned long long>(h.count), h.sum, h.mean,
                   h.min, h.p50, h.p90, h.p99, h.p999, h.max);
-    out += buf;
-  }
-  if (!first) {
-    out += "\n";
-    AppendIndent(&out, i1);
-  }
-  out += "},\n";
-
-  AppendIndent(&out, i1);
-  out += "\"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    AppendIndent(&out, i2);
-    AppendQuoted(&out, name);
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  ": {\"last\": %.9g, \"mean\": %.9g, \"max\": %.9g, "
-                  "\"integral\": %.9g}",
-                  g.last, g.mean, g.max, g.integral);
     out += buf;
   }
   if (!first) {

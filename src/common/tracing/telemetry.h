@@ -1,20 +1,15 @@
-// Always-on aggregation telemetry: latency histograms and time-weighted
-// gauges, complementing the opt-in Tracer.
+// Always-on aggregation telemetry: latency histograms, complementing the
+// opt-in Tracer.
 //
 // The Tracer answers "what happened when" and costs a span per event, so it is
 // gated behind MONO_TRACE. At millions of monotasks per run that is
 // unaffordable to leave on, yet per-resource queue waits and service times
 // need percentile-grade latency visibility in *every* run. This header is the
-// always-on layer:
+// always-on layer: LatencyHistogram, log-bucketed counts with lock-free Add
+// (one relaxed fetch_add on an atomic bucket) and quantile queries with bounded
+// relative error (~1/kSubBuckets per bucket).
 //
-//   * LatencyHistogram — log-bucketed counts with lock-free Add (one relaxed
-//     fetch_add on an atomic bucket) and quantile queries with bounded
-//     relative error (~1/kSubBuckets per bucket).
-//   * TimeWeightedGauge — a step function integrated over time (queue depth,
-//     dirty bytes, active flows): Set(t, v) accrues value*dt, and the
-//     time-weighted mean over the observed window falls out of the integral.
-//
-// Both are hosted in the extended MetricsRegistry (metrics_registry.h) next to
+// Histograms are hosted in the MetricsRegistry (metrics_registry.h) next to
 // the counters; instrumentation sites resolve once and Add forever:
 //
 //   static LatencyHistogram* wait =
@@ -28,8 +23,8 @@
 // (tests/telemetry_test.cc pins both).
 //
 // TelemetrySnapshot is the single JSON schema every bench and the mono_stat
-// tool publish: counters, histogram summaries (count/sum/quantiles), and gauge
-// summaries (time-weighted mean/last/max), sorted by name so diffs are stable.
+// tool publish: counters and histogram summaries (count/sum/quantiles), sorted
+// by name so diffs are stable.
 #ifndef MONOTASKS_SRC_COMMON_TRACING_TELEMETRY_H_
 #define MONOTASKS_SRC_COMMON_TRACING_TELEMETRY_H_
 
@@ -105,41 +100,6 @@ class LatencyHistogram {
   std::atomic<double> sum_{0.0};
 };
 
-// A step function integrated over time. Not lock-free: updates take a tiny
-// spinlock, because (last_time, last_value, integral) must move together.
-// Gauge updates are per-state-change (queue length moved, a flow started) —
-// orders of magnitude rarer than histogram Adds — so contention is nil.
-class TimeWeightedGauge {
- public:
-  TimeWeightedGauge() = default;
-  TimeWeightedGauge(const TimeWeightedGauge&) = delete;
-  TimeWeightedGauge& operator=(const TimeWeightedGauge&) = delete;
-
-  // Installs value `v` as of time `t` (seconds; virtual or wall, the caller's
-  // timeline). Accrues the previous value over [last_t, t]. Time moving
-  // backwards (a new Simulation restarting at 0) re-bases the window instead
-  // of accruing a negative span.
-  void Set(double t, double v);
-
-  double last() const;
-  double max() const;
-  // Integral of the gauge over the observed window [first_t, last_t].
-  double integral() const;
-  // integral / (last_t - first_t); `last` when the window is empty.
-  double TimeWeightedMean() const;
-
-  void Reset();
-
- private:
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  double first_t_ = 0.0;
-  double last_t_ = 0.0;
-  double last_v_ = 0.0;
-  double max_v_ = 0.0;
-  double integral_ = 0.0;
-  bool started_ = false;
-};
-
 // ---- Snapshot schema ----
 
 struct HistogramSummary {
@@ -154,21 +114,13 @@ struct HistogramSummary {
   double max = 0.0;
 };
 
-struct GaugeSummary {
-  double last = 0.0;
-  double mean = 0.0;  // Time-weighted.
-  double max = 0.0;
-  double integral = 0.0;
-};
-
 // The single JSON-serializable schema all benches and tools publish. Maps are
 // name-sorted so emitted JSON is diff-stable.
 struct TelemetrySnapshot {
   std::map<std::string, double> counters;
   std::map<std::string, HistogramSummary> histograms;
-  std::map<std::string, GaugeSummary> gauges;
 
-  // {"counters": {...}, "histograms": {...}, "gauges": {...}} with summaries
+  // {"counters": {...}, "histograms": {...}} with summaries
   // inlined. `indent` spaces prefix every line (for embedding in bench JSON).
   std::string ToJson(int indent = 0) const;
 };

@@ -43,11 +43,6 @@ class SimEnvironment {
   MonotaskLog& monotask_log() { return monotask_log_; }
   const MonotaskLog& monotask_log() const { return monotask_log_; }
 
-  // Whether cluster device tracing was enabled for this run. When false, the
-  // StageUtilization vectors in job results are empty and `measured` is false —
-  // "not measured", not "0% utilized".
-  bool cluster_trace_enabled() const { return cluster_->trace_enabled(); }
-
  private:
   Simulation sim_;
   std::unique_ptr<ClusterSim> cluster_;

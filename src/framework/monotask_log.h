@@ -86,11 +86,6 @@ class MonotaskLog {
   const std::vector<MonotaskRecord>& records() const { return records_; }
   uint64_t dropped() const { return dropped_; }
 
-  void Clear() {
-    records_.clear();
-    dropped_ = 0;
-  }
-
  private:
   size_t capacity_;
   std::vector<MonotaskRecord> records_;

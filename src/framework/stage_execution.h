@@ -54,7 +54,6 @@ class StageExecution {
 
   // Records the stage activation time (set once by the driver).
   void Activate(monoutil::SimTime now);
-  bool activated() const { return activated_; }
 
   void OnTaskStarted(int task_index, monoutil::SimTime now);
   // Marks a task finished; fires the completion callback after the last one.

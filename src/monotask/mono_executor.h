@@ -48,7 +48,7 @@ struct MonoConfig {
   bool fifo_disk_queues = false;
 };
 
-class MonotasksExecutorSim : public ExecutorSim {
+class MonotasksExecutorSim final : public ExecutorSim {
  public:
   MonotasksExecutorSim(Simulation* sim, ClusterSim* cluster, TaskPool* pool,
                        MonoConfig config = {});

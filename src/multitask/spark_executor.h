@@ -42,7 +42,7 @@ struct SparkConfig {
   double chunk_cpu_jitter_cv = 0.0;
 };
 
-class SparkExecutorSim : public ExecutorSim {
+class SparkExecutorSim final : public ExecutorSim {
  public:
   SparkExecutorSim(Simulation* sim, ClusterSim* cluster, TaskPool* pool,
                    SparkConfig config = {});

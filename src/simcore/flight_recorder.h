@@ -63,8 +63,6 @@ class FlightRecorder {
   // the audit-violation and CHECK-failure dumps use.
   void Dump(std::FILE* out) const;
 
-  void Clear() { total_ = 0; }
-
  private:
   std::vector<Entry> ring_;
   uint64_t total_ = 0;

@@ -49,18 +49,7 @@ void CallbackArena::GrowClass(size_t size_class) {
     header->next_free = free_[size_class];
     free_[size_class] = header;
   }
-  total_blocks_ += kBlocksPerChunk;
   chunks_.push_back(std::move(chunk));
-}
-
-size_t CallbackArena::free_blocks() const {
-  size_t count = 0;
-  for (const BlockHeader* header : free_) {
-    for (; header != nullptr; header = header->next_free) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace monosim

@@ -55,11 +55,6 @@ class CallbackArena {
   // owning arena's free list, or to the heap for unpooled blocks.
   static void Free(void* payload);
 
-  // Pool introspection for tests: blocks currently on free lists, and blocks
-  // ever carved from chunks.
-  size_t free_blocks() const;
-  size_t total_blocks() const { return total_blocks_; }
-
  private:
   struct alignas(alignof(std::max_align_t)) BlockHeader {
     CallbackArena* arena;  // Null: block came straight from operator new.
@@ -81,7 +76,6 @@ class CallbackArena {
 
   std::array<BlockHeader*, kClassBytes.size()> free_ = {};
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  size_t total_blocks_ = 0;
 };
 
 // Move-only type-erased void() callable. The functor lives inline when small

@@ -73,8 +73,6 @@ class DfsSim {
   bool HasFile(const std::string& name) const;
 
   int num_machines() const { return num_machines_; }
-  int disks_per_machine() const { return disks_per_machine_; }
-  int replication() const { return replication_; }
 
  private:
   const DfsFile& PlaceFile(const std::string& name, monoutil::Bytes total_bytes,

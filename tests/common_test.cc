@@ -173,12 +173,6 @@ TEST(RngTest, ExponentialHasApproximateMean) {
   EXPECT_NEAR(sum / n, 4.0, 0.15);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(5);
-  Rng child = a.Fork();
-  EXPECT_NE(a.NextU64(), child.NextU64());
-}
-
 TEST(StatsTest, OnlineStatsBasics) {
   OnlineStats stats;
   stats.Add(1.0);
@@ -267,14 +261,6 @@ TEST(TableTest, FormatsAlignedTable) {
   const std::string text = out.str();
   EXPECT_NE(text.find("| name"), std::string::npos);
   EXPECT_NE(text.find("long-name"), std::string::npos);
-}
-
-TEST(TableTest, CsvOutput) {
-  TablePrinter table({"a", "b"});
-  table.AddRow({"1", "2"});
-  std::ostringstream out;
-  table.PrintCsv(out);
-  EXPECT_EQ(out.str(), "a,b\n1,2\n");
 }
 
 TEST(TableTest, FormatHelpers) {

@@ -12,8 +12,6 @@
 namespace monosim {
 namespace {
 
-using monoutil::MiB;
-
 class SchedulerSimTest : public ::testing::Test {
  protected:
   SchedulerSimTest() {
@@ -21,7 +19,6 @@ class SchedulerSimTest : public ::testing::Test {
     config.cores = 2;
     DiskConfig disk;
     disk.bandwidth = monoutil::BytesPerSecond(100.0);  // 100 B/s.
-    disk.seek_alpha = 0.5;
     config.disks = {disk, disk};
     machine_ = std::make_unique<MachineSim>(&sim_, 0, config);
   }
@@ -85,7 +82,7 @@ TEST_F(SchedulerSimTest, DiskSchedulerRunsOneAtATimeOnHdd) {
   EXPECT_EQ(scheduler.queue_length(), 1);
   sim_.Run();
   // One at a time at full bandwidth: each is served in exactly 1 s despite the
-  // disk's punishing seek_alpha — the design's whole point.
+  // HDD's seek penalty under concurrency — the design's whole point.
   ASSERT_EQ(services.size(), 2u);
   EXPECT_NEAR(services[0], 1.0, 1e-9);
   EXPECT_NEAR(services[1], 1.0, 1e-9);
@@ -180,61 +177,53 @@ TEST(NetworkSchedulerSimTest, GatesConcurrentFetchSets) {
   EXPECT_EQ(waits, (std::vector<double>{0.0, 0.0, 8.0, 9.0, 11.0}));
 }
 
+// The sync tests run on an HDD that writes one buffer-cache flush chunk per
+// second; a lone flush runs at full bandwidth.
+DiskConfig ChunkPerSecondDisk() {
+  DiskConfig config = DiskConfig::Hdd();
+  config.bandwidth = BufferCacheSim::kFlushChunk / monoutil::Seconds(1.0);
+  return config;
+}
+
 TEST(BufferCacheSyncTest, WriteSyncCompletesOnlyWhenDurable) {
   Simulation sim;
-  DiskConfig disk_config;
-  disk_config.bandwidth = monoutil::BytesPerSecond(100.0);
-  disk_config.seek_alpha = 0.0;
-  DiskSim disk(&sim, "d0", disk_config);
-  BufferCacheConfig config;
-  config.dirty_limit = MiB(1);
-  config.flush_chunk = monoutil::Bytes(100);
-  config.memory_bandwidth = monoutil::BytesPerSecond(1e9);
-  BufferCacheSim cache(&sim, config, {&disk});
+  DiskSim disk(&sim, "d0", ChunkPerSecondDisk());
+  BufferCacheSim cache(&sim, {&disk});
+  const monoutil::Bytes bytes = BufferCacheSim::kFlushChunk * int64_t{2};
 
   double done_at = -1.0;
-  cache.WriteSync(0, monoutil::Bytes(200), [&] { done_at = sim.now().seconds(); });
+  cache.WriteSync(0, bytes, [&] { done_at = sim.now().seconds(); });
   sim.Run();
-  // 200 B at 100 B/s must take >= 2 s even though it went through the cache.
+  // Two chunks at one chunk per second must take >= 2 s even though they went
+  // through the cache.
   EXPECT_GE(done_at, 2.0 - 1e-9);
-  EXPECT_EQ(disk.bytes_written(), monoutil::Bytes(200));
+  EXPECT_EQ(disk.bytes_written(), bytes);
 }
 
 TEST(BufferCacheSyncTest, SyncWritersCompleteInOrderPerDisk) {
   Simulation sim;
-  DiskConfig disk_config;
-  disk_config.bandwidth = monoutil::BytesPerSecond(100.0);
-  disk_config.seek_alpha = 0.0;
-  DiskSim disk(&sim, "d0", disk_config);
-  BufferCacheConfig config;
-  config.flush_chunk = monoutil::Bytes(50);
-  config.memory_bandwidth = monoutil::BytesPerSecond(1e9);
-  BufferCacheSim cache(&sim, config, {&disk});
+  DiskSim disk(&sim, "d0", ChunkPerSecondDisk());
+  BufferCacheSim cache(&sim, {&disk});
+  const monoutil::Bytes bytes = BufferCacheSim::kFlushChunk * int64_t{2};
 
   std::vector<int> order;
-  cache.WriteSync(0, monoutil::Bytes(100), [&] { order.push_back(1); });
-  cache.WriteSync(0, monoutil::Bytes(100), [&] { order.push_back(2); });
+  cache.WriteSync(0, bytes, [&] { order.push_back(1); });
+  cache.WriteSync(0, bytes, [&] { order.push_back(2); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(cache.total_flushed(), monoutil::Bytes(200));
+  EXPECT_EQ(cache.total_flushed(), bytes * int64_t{2});
 }
 
 TEST(BufferCacheSyncTest, AsyncAndSyncWritesCoexist) {
   Simulation sim;
-  DiskConfig disk_config;
-  disk_config.bandwidth = monoutil::BytesPerSecond(100.0);
-  disk_config.seek_alpha = 0.0;
-  DiskSim disk(&sim, "d0", disk_config);
-  BufferCacheConfig config;
-  config.flush_chunk = monoutil::Bytes(50);
-  config.memory_bandwidth = monoutil::BytesPerSecond(1e9);
-  config.writeback_delay = monoutil::Seconds(1000.0);
-  BufferCacheSim cache(&sim, config, {&disk});
+  DiskSim disk(&sim, "d0", ChunkPerSecondDisk());
+  BufferCacheSim cache(&sim, {&disk});
+  const monoutil::Bytes bytes = BufferCacheSim::kFlushChunk;
 
   double async_done = -1.0;
   double sync_done = -1.0;
-  cache.Write(0, monoutil::Bytes(100), [&] { async_done = sim.now().seconds(); });
-  cache.WriteSync(0, monoutil::Bytes(100), [&] { sync_done = sim.now().seconds(); });
+  cache.Write(0, bytes, [&] { async_done = sim.now().seconds(); });
+  cache.WriteSync(0, bytes, [&] { sync_done = sim.now().seconds(); });
   sim.Run();
   EXPECT_LT(async_done, 0.1);  // Memory speed.
   // The sync write waits for both its own bytes and the earlier dirty bytes.

@@ -1,6 +1,6 @@
 // Tests for the always-on telemetry layer (telemetry.h, flight_recorder.h):
 // histogram bucketing and quantile error bounds, merge semantics, the
-// multi-threaded Add hammer (run under TSan in CI), gauge integration, the
+// multi-threaded Add hammer (run under TSan in CI), the registry snapshot, the
 // flight recorder ring, and the digest-invariance contract — same-seed runs
 // must produce identical event-stream digests with telemetry on or off.
 #include <cmath>
@@ -107,48 +107,19 @@ TEST(LatencyHistogramTest, ConcurrentAddsLoseNothing) {
   EXPECT_DOUBLE_EQ(counter.value(), static_cast<double>(kThreads) * kAddsPerThread);
 }
 
-TEST(TimeWeightedGaugeTest, IntegratesStepFunction) {
-  TimeWeightedGauge g;
-  g.Set(0.0, 2.0);   // 2 over [0, 10): 20.
-  g.Set(10.0, 6.0);  // 6 over [10, 20): 60.
-  g.Set(20.0, 0.0);
-  EXPECT_DOUBLE_EQ(g.integral(), 80.0);
-  EXPECT_DOUBLE_EQ(g.TimeWeightedMean(), 4.0);
-  EXPECT_DOUBLE_EQ(g.last(), 0.0);
-  EXPECT_DOUBLE_EQ(g.max(), 6.0);
-}
-
-TEST(TimeWeightedGaugeTest, TimeMovingBackwardsRebases) {
-  TimeWeightedGauge g;
-  g.Set(100.0, 5.0);
-  g.Set(110.0, 5.0);  // 50 accrued.
-  // A fresh Simulation restarts the timeline at 0: the gauge re-bases onto the
-  // new window (it must never accrue 5 * (0 - 110) = -550). The integral and
-  // mean then describe the current timeline only.
-  g.Set(0.0, 3.0);
-  g.Set(10.0, 3.0);
-  EXPECT_DOUBLE_EQ(g.integral(), 30.0);
-  EXPECT_DOUBLE_EQ(g.TimeWeightedMean(), 3.0);
-}
-
-TEST(MetricsRegistryTest, SnapshotCarriesAllThreeSections) {
+TEST(MetricsRegistryTest, SnapshotCarriesCountersAndHistograms) {
   MetricsRegistry registry;
   registry.Get("test.counter")->Add(7.0);
   registry.Histogram("test.hist")->Add(0.5);
-  registry.Gauge("test.gauge")->Set(0.0, 1.0);
-  registry.Gauge("test.gauge")->Set(2.0, 3.0);
   const TelemetrySnapshot snap = registry.TakeTelemetrySnapshot();
   ASSERT_EQ(snap.counters.count("test.counter"), 1u);
   EXPECT_DOUBLE_EQ(snap.counters.at("test.counter"), 7.0);
   ASSERT_EQ(snap.histograms.count("test.hist"), 1u);
   EXPECT_EQ(snap.histograms.at("test.hist").count, 1u);
-  ASSERT_EQ(snap.gauges.count("test.gauge"), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("test.gauge").last, 3.0);
   // The JSON form mentions each name and parses as one object per line family.
   const std::string json = snap.ToJson();
   EXPECT_NE(json.find("\"test.counter\""), std::string::npos);
   EXPECT_NE(json.find("\"test.hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.gauge\""), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, DisabledTelemetryStillCountsExplicitAdds) {
@@ -173,14 +144,6 @@ TEST(FlightRecorderTest, RingKeepsNewestEntries) {
   // Oldest first: the first retained entry is #10, the last is the newest.
   EXPECT_EQ(trail.front().seq, 10u);
   EXPECT_EQ(trail.back().seq, monosim::FlightRecorder::kCapacity + 9);
-}
-
-TEST(FlightRecorderTest, ClearEmptiesTrail) {
-  monosim::FlightRecorder recorder;
-  recorder.Record(monoutil::Seconds(1.0), 1, "evt", 42);
-  recorder.Clear();
-  EXPECT_EQ(recorder.total_recorded(), 0u);
-  EXPECT_TRUE(recorder.Trail().empty());
 }
 
 // Runs the same small sort job under the monotasks executor and returns its
